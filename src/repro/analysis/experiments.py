@@ -8,7 +8,7 @@ benchmark harness can regenerate each artifact in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -16,14 +16,20 @@ from repro.core.curve import ResilienceCurve
 from repro.datasets.recessions import RECESSION_NAMES, load_all_recessions, load_recession
 from repro.datasets.synthetic import make_shape_curve
 from repro.exceptions import DataError
+from repro.fitting.least_squares import _FitPair, _fit_pairs, _raise_first_failure
 from repro.fitting.options import EngineOptions, grid_engine_kwargs
+from repro.fitting.result import FitResult
 from repro.metrics.predictive import PredictiveMetricReport, predictive_metric_report
 from repro.models.registry import make_model
 from repro.observability.tracer import activate, resolve_tracer
 from repro.parallel import ExecutorLike, get_executor
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_table
-from repro.validation.crossval import PredictiveEvaluation, evaluate_predictive
+from repro.validation.crossval import (
+    PredictiveEvaluation,
+    _evaluate_fit,
+    evaluate_predictive,
+)
 
 __all__ = [
     "BATHTUB_MODEL_NAMES",
@@ -148,27 +154,24 @@ class FigureResult:
 # ----------------------------------------------------------------------
 # Tables
 # ----------------------------------------------------------------------
-class _SweepCell(NamedTuple):
-    """Picklable work unit: one (dataset, model) grid cell."""
+def _fit_grid(
+    pairs: list[_FitPair],
+    executor: ExecutorLike,
+    n_workers: int | None,
+    fit_kwargs: dict[str, Any],
+) -> list[FitResult]:
+    """Fit every cell of a table grid in one stacked solve.
 
-    dataset: str
-    curve: ResilienceCurve
-    model: str
-    train_fraction: float
-    confidence: float
-    fit_kwargs: dict
-
-
-def _evaluate_cell(cell: _SweepCell) -> PredictiveEvaluation:
-    """Evaluate one grid cell (module-level so the process backend can
-    pickle it)."""
-    return evaluate_predictive(
-        make_model(cell.model),
-        cell.curve,
-        train_fraction=cell.train_fraction,
-        confidence=cell.confidence,
-        **cell.fit_kwargs,
+    On the batched engine that is one kernel call for the whole grid;
+    on scipy, *executor* maps every start of every cell. A failing cell
+    raises the error a lone fit of it raises (the first such cell in
+    grid order).
+    """
+    kwargs = dict(fit_kwargs)
+    kwargs["options"] = kwargs["options"].override(
+        executor=executor, n_workers=n_workers
     )
+    return _raise_first_failure(_fit_pairs(pairs, **kwargs))
 
 
 def _validation_sweep(
@@ -185,11 +188,11 @@ def _validation_sweep(
 ) -> TableOneResult:
     """Evaluate every (dataset, model) cell of a Table I/III-style grid.
 
-    The cells are independent fitting problems, so the grid runs on the
-    chosen executor backend; results are assembled in grid order,
-    making the table identical on every backend. Enabling tracing
-    (via ``options.trace``) additionally wraps the whole grid in one
-    ``"table.grid"`` span. An ``options=``
+    All cells are fitted in one stacked solve (see :func:`_fit_grid`)
+    and then scored in grid order, so the table is identical on every
+    engine and executor backend. Enabling tracing (via
+    ``options.trace``) wraps the grid in one ``"table.grid"`` span with
+    one ``"fit"`` span per cell. An ``options=``
     :class:`~repro.fitting.options.EngineOptions` bundle fills in any
     of executor/n_workers/fit_kwargs not given explicitly; *entry* is
     the public entry point named by the deprecation warning when the
@@ -199,24 +202,23 @@ def _validation_sweep(
         options, executor, n_workers, fit_kwargs, entry=entry
     )
     tracer = resolve_tracer(fit_kwargs["options"].trace)
-    recessions = load_all_recessions()
     cells = [
-        _SweepCell(
-            dataset_name, curve, model_name, train_fraction, confidence,
-            dict(fit_kwargs),
-        )
-        for dataset_name, curve in recessions.items()
+        (dataset_name, curve, model_name, *curve.train_test_split(train_fraction))
+        for dataset_name, curve in load_all_recessions().items()
         for model_name in model_names
     ]
-    with tracer.span(
-        "table.grid", title=title, n_cells=len(cells)
-    ), activate(tracer):
-        evaluations = get_executor(executor, max_workers=n_workers).map(
-            _evaluate_cell, cells
-        )
     result = TableOneResult(model_names=model_names, title=title)
-    for cell, evaluation in zip(cells, evaluations):
-        result.cells.setdefault(cell.dataset, {})[cell.model] = evaluation
+    with tracer.span("table.grid", title=title, n_cells=len(cells)):
+        fits = _fit_grid(
+            [_FitPair(make_model(model), train) for _, _, model, train, _ in cells],
+            executor,
+            n_workers,
+            fit_kwargs,
+        )
+        for (dataset, curve, model, _, test), fit in zip(cells, fits):
+            result.cells.setdefault(dataset, {})[model] = _evaluate_fit(
+                fit, curve, test, confidence=confidence
+            )
     return result
 
 
@@ -266,29 +268,6 @@ def table3(
     )
 
 
-class _MetricCell(NamedTuple):
-    """Picklable work unit: one model column of a Table II/IV report."""
-
-    dataset: str
-    curve: ResilienceCurve
-    model: str
-    train_fraction: float
-    alpha: float
-    fit_kwargs: dict
-
-
-def _evaluate_metric_cell(cell: _MetricCell) -> PredictiveMetricReport:
-    evaluation = evaluate_predictive(
-        make_model(cell.model),
-        cell.curve,
-        train_fraction=cell.train_fraction,
-        **cell.fit_kwargs,
-    )
-    return predictive_metric_report(
-        evaluation.model, cell.curve, evaluation.split_time, alpha=cell.alpha
-    )
-
-
 def _metric_table(
     model_names: tuple[str, ...],
     dataset: str,
@@ -307,19 +286,20 @@ def _metric_table(
     )
     tracer = resolve_tracer(fit_kwargs["options"].trace)
     curve = load_recession(dataset)
-    cells = [
-        _MetricCell(dataset, curve, model_name, train_fraction, alpha, dict(fit_kwargs))
-        for model_name in model_names
-    ]
-    with tracer.span(
-        "table.metrics", title=title, n_cells=len(cells)
-    ), activate(tracer):
-        reports = get_executor(executor, max_workers=n_workers).map(
-            _evaluate_metric_cell, cells
-        )
+    train, test = curve.train_test_split(train_fraction)
+    split_time = float(test.times[0])
     result = TableMetricsResult(dataset=dataset, title=title)
-    for cell, report in zip(cells, reports):
-        result.reports[cell.model] = report
+    with tracer.span("table.metrics", title=title, n_cells=len(model_names)):
+        fits = _fit_grid(
+            [_FitPair(make_model(model), train) for model in model_names],
+            executor,
+            n_workers,
+            fit_kwargs,
+        )
+        for model, fit in zip(model_names, fits):
+            result.reports[model] = predictive_metric_report(
+                fit.model, curve, split_time, alpha=alpha
+            )
     return result
 
 

@@ -1,27 +1,25 @@
 """Fleet-scale fitting: one batched LM solve across episodes.
 
-PR 6's :mod:`repro.fitting.batched` kernel stacks the multi-start
-problems of a *single* ``(curve, family)`` fit; fleets still paid a
-Python-level loop per episode. :func:`fit_fleet` removes that loop by
-stacking **episodes × families × starts** into the same kernel:
+:func:`fit_fleet` hands every ``(episode, family)`` cell of a chunk to
+the stacked solve in :mod:`repro.fitting.least_squares` — the one a
+lone :func:`~repro.fitting.fit_least_squares` and the table grids use —
+so **episodes × families × starts** advance through a single batched
+kernel call:
 
-* Problems are grouped by ``(family fingerprint, padded length,
-  jac mode)`` — the batched kernel's own bucketing — so every episode
-  of a given length advances through the damped-LM iteration in
-  lockstep with every other.
+* The kernel groups problems by ``(family fingerprint, length, jac
+  mode)``, so every episode of a given length advances through the
+  damped-LM iteration in lockstep with every other.
 * Ragged episode lengths inside a chunk are padded up to a
   ``length_bucket`` multiple with **zero-weight** observations
-  (repeating the final sample). A zero weight multiplies the padded
-  row's residual and Jacobian by exactly ``0.0``, so padding changes
-  nothing about a problem's trajectory beyond last-ulp summation
-  noise — which the winner-selection band of
+  (repeating the final sample), a fleet-only step. A zero weight
+  multiplies the padded row's residual and Jacobian by exactly
+  ``0.0``, so padding changes nothing about a problem's trajectory
+  beyond last-ulp summation noise — which the winner-selection band of
   :mod:`repro.fitting.least_squares` absorbs by design.
-* The screen-then-confirm contract is inherited verbatim: per
-  ``(episode, family)`` the winning start is re-solved by scipy from
-  its original x0 through the *same* reduction helper the single-fit
-  path uses, so fleet winners are **bit-identical** (params and SSE)
-  to looping :func:`~repro.fitting.fit_least_squares` over the
-  episodes.
+* Each cell is finished like a lone fit: its winning start is
+  re-solved by scipy from its original x0 on the unpadded episode, so
+  fleet winners are **bit-identical** (params and SSE) to looping
+  :func:`~repro.fitting.fit_least_squares` over the episodes.
 
 Episodes stream in fixed-size chunks — from an
 :class:`~repro.datasets.store.EpisodeStore` (memory-mapped columns) or
@@ -46,19 +44,21 @@ import numpy as np
 from repro.core.curve import ResilienceCurve
 from repro.datasets.store import EpisodeStore
 from repro.exceptions import FitError
-from repro.fitting.batched import BatchedProblem, resolve_engine, solve_batched
+from repro.fitting.batched import resolve_engine
 from repro.fitting.cache import FitCache
 from repro.fitting.least_squares import (
+    _FailedPair,
+    _FitPair,
+    _fit_pairs,
     _resolve_jac_mode,
-    _select_and_confirm,
     fit_least_squares,
 )
-from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
     EngineOptions,
     warn_deprecated_engine_kwargs,
 )
+from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.models.registry import make_model
 from repro.observability.tracer import TracerLike, activate, resolve_tracer
@@ -290,19 +290,14 @@ class _EpisodeGridWork(NamedTuple):
     fit_kwargs: dict
 
 
-def _fit_episode_grid(
-    work: _EpisodeGridWork,
-) -> list[tuple[tuple[float, ...], float, bool, bool, int, int, int, int, int]]:
-    """Loop one episode through every family with scipy fits.
-
-    Returns one ``(params, sse, converged, failed, n_starts,
-    n_failures, winner_start, nfev, njev)`` tuple per family (the
+def _fit_episode_grid(work: _EpisodeGridWork) -> list[FitResult | _FailedPair]:
+    """Loop one episode through every family with scipy fits (the
     per-episode reference path the batched engine is measured against).
-    """
-    rows = []
+    A family whose fit raises becomes a failed pair with no starts."""
+    fits: list[FitResult | _FailedPair] = []
     for family in work.families:
         try:
-            fit = fit_least_squares(family, work.curve, **work.fit_kwargs)
+            fits.append(fit_least_squares(family, work.curve, **work.fit_kwargs))
         except FitError as exc:  # includes ConvergenceError
             logger.debug(
                 "fit_fleet: %r failed on %r: %s",
@@ -310,34 +305,28 @@ def _fit_episode_grid(
                 work.curve.name,
                 exc,
             )
-            rows.append(
-                ((float("nan"),) * family.n_params, float("nan"), False,
-                 True, 0, 0, -1, 0, 0)
-            )
-            continue
-        rows.append(
-            (
-                fit.model.params,
-                float(fit.sse),
-                bool(fit.converged),
-                False,
-                int(fit.n_starts),
-                int(fit.n_failures),
-                int(fit.details.get("winner_start", -1)),
-                int(fit.details.get("nfev", 0)),
-                int(fit.details.get("njev", 0)),
-            )
-        )
-    return rows
+            fits.append(_FailedPair(exc, 0))
+    return fits
 
 
-class _CellPlan(NamedTuple):
-    """Bookkeeping for one (episode, family) cell's batched problems."""
-
-    episode_slot: int
-    family_slot: int
-    curve: ResilienceCurve
-    start_vectors: list[tuple[float, ...]]
+def _store_fit(
+    columns: dict[str, np.ndarray], slot: int, fit: FitResult | _FailedPair
+) -> None:
+    """Write one ``(episode, family)`` cell into its chunk columns."""
+    if isinstance(fit, _FailedPair):
+        # Failed cells keep the NaN params/SSE they were created with.
+        columns["n_starts"][slot] = fit.n_starts
+        columns["n_failures"][slot] = fit.n_starts
+        return
+    columns["params"][slot] = fit.model.params
+    columns["sse"][slot] = fit.sse
+    columns["converged"][slot] = fit.converged
+    columns["failed"][slot] = False
+    columns["n_starts"][slot] = fit.n_starts
+    columns["n_failures"][slot] = fit.n_failures
+    columns["winner_start"][slot] = fit.details.get("winner_start", -1)
+    columns["nfev"][slot] = fit.details.get("nfev", 0)
+    columns["njev"][slot] = fit.details.get("njev", 0)
 
 
 def fit_fleet(
@@ -452,19 +441,8 @@ def fit_fleet(
         raise FitError(f"duplicate family names in fleet grid: {names}")
     engine_mode = resolve_engine(opts.engine)
     tracer = resolve_tracer(opts.trace)
-    jac_modes = [
-        _resolve_jac_mode(family, opts.jac) for family in resolved_families
-    ]
-    bounds = [
-        (
-            tuple(float(v) for v in family.lower_bounds),
-            tuple(float(v) for v in family.upper_bounds),
-        )
-        for family in resolved_families
-    ]
-    start_kwargs: dict[str, int] = (
-        {} if opts.seed is None else {"seed": opts.seed}
-    )
+    for family in resolved_families:
+        _resolve_jac_mode(family, opts.jac)  # reject a bad jac= up front
     accumulators = [_FamilyAccumulator(family) for family in resolved_families]
     t0 = time.perf_counter()
     n_episodes = 0
@@ -483,14 +461,10 @@ def fit_fleet(
                 _fit_chunk_batched(
                     chunk,
                     resolved_families,
-                    jac_modes,
-                    bounds,
                     chunk_columns,
                     opts=opts,
-                    start_kwargs=start_kwargs,
                     length_bucket=length_bucket,
                     confirm=confirm,
-                    tracer=tracer,
                 )
             else:
                 _fit_chunk_scipy(
@@ -553,116 +527,42 @@ def fit_fleet(
 def _fit_chunk_batched(
     chunk: list[ResilienceCurve],
     families: list[ResilienceModel],
-    jac_modes: list[str],
-    bounds: list[tuple[tuple[float, ...], tuple[float, ...]]],
     chunk_columns: list[dict[str, np.ndarray]],
     *,
     opts: EngineOptions,
-    start_kwargs: dict[str, int],
     length_bucket: int,
     confirm: bool,
-    tracer: Any,
 ) -> None:
     """Fit one chunk through the cross-episode batched kernel.
 
-    Every viable ``(episode, family, start)`` triple becomes one
-    :class:`~repro.fitting.batched.BatchedProblem`; the kernel groups
-    them by (family, padded length, jac mode) and advances each group
-    in lockstep. Reduction and scipy confirmation then run per cell
-    through the same helper as the single-fit path.
+    Every ``(episode, family)`` cell becomes one pair of the shared
+    stacked solve (:func:`~repro.fitting.least_squares._fit_pairs`),
+    screened on its episode's zero-weight padded copy so ragged lengths
+    share kernel groups. A cell the solve rejects (an episode too short
+    for the family) or cannot fit becomes a failed row. The batched
+    path never touches the fit cache: its screens are padded and
+    ``confirm=False`` skips the scipy confirmation, so its records
+    would not match a lone fit's.
     """
-    problems: list[BatchedProblem] = []
-    plans: list[_CellPlan] = []
+    pairs: list[_FitPair] = []
+    for curve in chunk:
+        screen = _padded_problem_arrays(
+            curve, _bucket_length(len(curve), length_bucket)
+        )
+        pairs.extend(_FitPair(family, curve, screen) for family in families)
+    fits = iter(
+        _fit_pairs(
+            pairs, options=opts.replace(engine="batched", cache=False), confirm=confirm
+        )
+    )
     for episode_slot, curve in enumerate(chunk):
-        padded_length = _bucket_length(len(curve), length_bucket)
-        padded: tuple[
-            tuple[float, ...], tuple[float, ...], tuple[float, ...] | None
-        ] | None = None
-        for family_slot, family in enumerate(families):
-            if len(curve) <= family.n_params:
+        for family, columns in zip(families, chunk_columns):
+            fit = next(fits)
+            if isinstance(fit, _FailedPair):
                 logger.debug(
-                    "fit_fleet: %r too short for %r (%d points)",
-                    curve.name,
-                    family.name,
-                    len(curve),
+                    "fit_fleet: %r failed on %r: %s", family.name, curve.name, fit.error
                 )
-                continue
-            if padded is None:
-                padded = _padded_problem_arrays(curve, padded_length)
-            times, targets, sqrt_weights = padded
-            start_vectors = generate_starts(
-                family,
-                curve,
-                n_random=opts.n_random_starts,
-                **start_kwargs,
-            )
-            lower, upper = bounds[family_slot]
-            for start in start_vectors:
-                problems.append(
-                    BatchedProblem(
-                        family,
-                        times,
-                        targets,
-                        start,
-                        lower,
-                        upper,
-                        opts.max_nfev,
-                        sqrt_weights,
-                        jac_modes[family_slot],
-                    )
-                )
-            plans.append(
-                _CellPlan(episode_slot, family_slot, curve, start_vectors)
-            )
-    outcomes = solve_batched(problems)
-    cursor = 0
-    for plan in plans:
-        n_starts = len(plan.start_vectors)
-        cell_outcomes = outcomes[cursor : cursor + n_starts]
-        cursor += n_starts
-        family = families[plan.family_slot]
-        lower, upper = bounds[plan.family_slot]
-        columns = chunk_columns[plan.family_slot]
-        columns["n_starts"][plan.episode_slot] = n_starts
-        try:
-            selection = _select_and_confirm(
-                family,
-                plan.curve,
-                plan.start_vectors,
-                cell_outcomes,
-                lower=lower,
-                upper=upper,
-                max_nfev=opts.max_nfev,
-                sqrt_weights=None,
-                jac_mode=jac_modes[plan.family_slot],
-                engine_mode="batched" if confirm else "scipy",
-                tracer=tracer,
-            )
-        except FitError as exc:  # every start failed (ConvergenceError)
-            logger.debug(
-                "fit_fleet: %r failed on %r: %s",
-                family.name,
-                plan.curve.name,
-                exc,
-            )
-            columns["n_failures"][plan.episode_slot] = n_starts
-            continue
-        columns["params"][plan.episode_slot] = selection.vector
-        columns["sse"][plan.episode_slot] = selection.sse
-        columns["converged"][plan.episode_slot] = selection.converged
-        columns["failed"][plan.episode_slot] = False
-        columns["n_failures"][plan.episode_slot] = selection.failures
-        columns["winner_start"][plan.episode_slot] = selection.winner_index
-        columns["nfev"][plan.episode_slot] = (
-            sum(outcome.nfev for outcome in cell_outcomes)
-            + selection.confirm_nfev
-            + selection.polish_nfev
-        )
-        columns["njev"][plan.episode_slot] = (
-            sum(outcome.njev for outcome in cell_outcomes)
-            + selection.confirm_njev
-            + selection.polish_njev
-        )
+            _store_fit(columns, episode_slot, fit)
 
 
 def _fit_chunk_scipy(
@@ -701,17 +601,6 @@ def _fit_chunk_scipy(
         grids = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _fit_episode_grid, work_units
         )
-    for episode_slot, rows in enumerate(grids):
-        for family_slot, row in enumerate(rows):
-            columns = chunk_columns[family_slot]
-            (params, sse, converged, failed, n_starts, n_failures,
-             winner_start, nfev, njev) = row
-            columns["params"][episode_slot] = params
-            columns["sse"][episode_slot] = sse
-            columns["converged"][episode_slot] = converged
-            columns["failed"][episode_slot] = failed
-            columns["n_starts"][episode_slot] = n_starts
-            columns["n_failures"][episode_slot] = n_failures
-            columns["winner_start"][episode_slot] = winner_start
-            columns["nfev"][episode_slot] = nfev
-            columns["njev"][episode_slot] = njev
+    for episode_slot, fits in enumerate(grids):
+        for columns, fit in zip(chunk_columns, fits):
+            _store_fit(columns, episode_slot, fit)

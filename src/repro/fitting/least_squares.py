@@ -30,6 +30,13 @@ re-solved by scipy from its original x0 (one solve instead of one per
 start), so the final optimum is the exact scipy trajectory and the
 rendered tables are byte-identical under both engines (the scipy path
 stays the oracle).
+
+Every fit runs through :func:`_fit_pairs`, which takes many
+``(family, curve)`` pairs and solves the starts of all of them at once:
+:func:`fit_least_squares` is its one-pair call, and the table grids of
+:mod:`repro.analysis.experiments` and
+:func:`~repro.fitting.fleet.fit_fleet` stack whole grids and fleet
+chunks into one kernel call.
 """
 
 from __future__ import annotations
@@ -224,14 +231,7 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
 
 
 class _WinnerSelection(NamedTuple):
-    """Outcome of the reduce → confirm → polish pipeline.
-
-    Shared by the single-fit path below and the fleet engine in
-    :mod:`repro.fitting.fleet`, so both reduce multi-start outcomes with
-    *exactly* the same rules (band-based winner selection, scipy
-    confirmation of batched winners, analytic polish) — the property
-    that makes fleet results bit-identical to per-episode fits.
-    """
+    """Outcome of the reduce → confirm → polish pipeline."""
 
     sse: float
     vector: tuple[float, ...]
@@ -256,7 +256,7 @@ def _select_and_confirm(
     max_nfev: int,
     sqrt_weights: tuple[float, ...] | None,
     jac_mode: str,
-    engine_mode: str,
+    confirm: bool,
     tracer: Any,
 ) -> _WinnerSelection:
     """Reduce multi-start *outcomes* to the final optimum.
@@ -265,7 +265,7 @@ def _select_and_confirm(
     regardless of which produced the outcomes. The winner is the
     earliest start whose SSE lies within the ``_REDUCE_RTOL`` band of
     the best (see the constant's rationale), not the strict argmin.
-    Under ``engine_mode == "batched"`` the winning start is then
+    With *confirm* (batched-engine outcomes) the winning start is then
     re-solved by scipy from its original x0 (the screen-then-confirm
     contract), and 2-point winners of analytic families are polished.
 
@@ -316,7 +316,7 @@ def _select_and_confirm(
     # basins; in the common case exactly one solve runs.)
     confirm_nfev = 0
     confirm_njev = 0
-    if engine_mode == "batched":
+    if confirm:
         chosen: _StartOutcome | None = None
         fallback: _StartOutcome | None = None
         for index, outcome in enumerate(outcomes):
@@ -582,37 +582,21 @@ def fit_least_squares(
         executor=executor,
         n_workers=n_workers,
     )
-    n_random_starts = opts.n_random_starts
-    seed = opts.seed
-    max_nfev = opts.max_nfev
-    jac = opts.jac
-    engine = opts.engine
-    # ``False`` is a meaningful override for cache/trace, so take the
-    # merged fields verbatim rather than re-filtering through ``None``.
-    cache = opts.cache
-    trace = opts.trace
-    executor = opts.executor
-    n_workers = opts.n_workers
-    tracer = resolve_tracer(trace)
+
+    def solve() -> FitResult:
+        (result,) = _raise_first_failure(
+            _fit_pairs(
+                [_FitPair(family, curve)], options=opts, starts=starts,
+                extra_starts=extra_starts, weights=weights, fit_spans=False,
+            )
+        )
+        return result
+
+    tracer = resolve_tracer(opts.trace)
     if not tracer.enabled:
-        if trace is False:
-            # Explicit opt-out also masks any ambient tracer so nothing
-            # below this fit (e.g. the executor) emits spans for it.
-            with deactivate():
-                return _fit_least_squares(
-                    family, curve, n_random_starts=n_random_starts, seed=seed,
-                    max_nfev=max_nfev, starts=starts, extra_starts=extra_starts,
-                    weights=weights, jac=jac, engine=engine, cache=cache,
-                    executor=executor, n_workers=n_workers, tracer=NULL_TRACER,
-                )
         # No-op fast path: skip span construction entirely so the
         # disabled overhead stays within noise on the table workloads.
-        return _fit_least_squares(
-            family, curve, n_random_starts=n_random_starts, seed=seed,
-            max_nfev=max_nfev, starts=starts, extra_starts=extra_starts,
-            weights=weights, jac=jac, engine=engine, cache=cache,
-            executor=executor, n_workers=n_workers, tracer=NULL_TRACER,
-        )
+        return solve()
     start_time = time.perf_counter()
     with tracer.span(
         "fit",
@@ -620,50 +604,210 @@ def fit_least_squares(
         curve=curve.name or "<curve>",
         n_points=len(curve),
     ) as span:
-        result = _fit_least_squares(
-            family, curve, n_random_starts=n_random_starts, seed=seed,
-            max_nfev=max_nfev, starts=starts, extra_starts=extra_starts,
-            weights=weights, jac=jac, engine=engine, cache=cache,
-            executor=executor, n_workers=n_workers, tracer=tracer,
-        )
-        details = result.details
-        span.set(
-            sse=result.sse,
-            converged=result.converged,
-            n_starts=result.n_starts,
-            n_failures=result.n_failures,
-            nfev=details.get("nfev"),
-            njev=details.get("njev"),
-            jac_mode=details.get("jac_mode"),
-            engine=result.engine,
-            cache_hit=bool(details.get("cache_hit", False)),
-        )
-        tracer.metrics.inc("fit.count")
-        tracer.metrics.inc("fit.nfev", int(details.get("nfev", 0)))
-        tracer.metrics.inc("fit.njev", int(details.get("njev", 0)))
-        tracer.metrics.observe("fit.seconds", time.perf_counter() - start_time)
+        result = solve()
+        _record_fit(tracer, span, result, time.perf_counter() - start_time)
         return result
 
 
-def _fit_least_squares(
-    family: ResilienceModel,
-    curve: ResilienceCurve,
+def _record_fit(tracer: Any, span: Any, result: FitResult, seconds: float) -> None:
+    """Attribute a finished fit to its ``"fit"`` span and the metrics."""
+    details = result.details
+    span.set(
+        sse=result.sse,
+        converged=result.converged,
+        n_starts=result.n_starts,
+        n_failures=result.n_failures,
+        nfev=details.get("nfev"),
+        njev=details.get("njev"),
+        jac_mode=details.get("jac_mode"),
+        engine=result.engine,
+        cache_hit=bool(details.get("cache_hit", False)),
+    )
+    tracer.metrics.inc("fit.count")
+    tracer.metrics.inc("fit.nfev", int(details.get("nfev", 0)))
+    tracer.metrics.inc("fit.njev", int(details.get("njev", 0)))
+    tracer.metrics.observe("fit.seconds", seconds)
+
+
+#: What the batched kernel screens a pair's starts on: times, targets
+#: and optional per-observation √weights.
+_Screen = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...] | None]
+
+
+class _FitPair(NamedTuple):
+    """One ``(family, curve)`` fit of a stacked solve.
+
+    ``screen`` replaces the arrays the batched kernel screens this
+    pair's starts on; the fleet passes zero-weight padded copies of an
+    episode so ragged lengths share kernel groups. Confirmation, the
+    reported SSE and the cache always use ``curve`` itself.
+    """
+
+    family: ResilienceModel
+    curve: ResilienceCurve
+    screen: _Screen | None = None
+
+
+class _FailedPair(NamedTuple):
+    """A pair whose fit raised: the error a lone fit would have raised
+    and the number of starts it tried (0 when it failed before
+    solving)."""
+
+    error: FitError
+    n_starts: int
+
+
+class _PreparedPair(NamedTuple):
+    """A pair that missed the cache, ready to solve."""
+
+    pair: _FitPair
+    jac_mode: str
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    sqrt_weights: tuple[float, ...] | None
+    cache_key: str | None
+    start_vectors: list[tuple[float, ...]]
+
+
+def _raise_first_failure(fits: Sequence[FitResult | _FailedPair]) -> list[FitResult]:
+    """The fits of a stacked solve, raising the first failure in order —
+    the error a loop of lone fits over the same pairs would raise."""
+    results: list[FitResult] = []
+    for fit in fits:
+        if isinstance(fit, _FailedPair):
+            raise fit.error
+        results.append(fit)
+    return results
+
+
+def _fit_pairs(
+    pairs: Sequence[_FitPair],
     *,
-    n_random_starts: int,
-    seed: int | None,
-    max_nfev: int,
+    options: EngineOptions | None = None,
+    n_random_starts: int | None = None,
+    seed: int | None = None,
+    max_nfev: int | None = None,
+    starts: Sequence[Sequence[float]] | None = None,
+    extra_starts: Sequence[Sequence[float]] | None = None,
+    weights: Sequence[float] | None = None,
+    jac: str | None = None,
+    engine: str | None = None,
+    confirm: bool = True,
+    fit_spans: bool = True,
+) -> list[FitResult | _FailedPair]:
+    """Fit every ``(family, curve)`` pair through one stacked solve.
+
+    The one solve behind :func:`fit_least_squares` (a single pair), the
+    Table I–IV grids and :func:`~repro.fitting.fleet.fit_fleet`. It
+    works in three steps:
+
+    1. *prepare* each pair exactly as a lone fit does: validation,
+       cache lookup (a hit is final here) and start generation;
+    2. *solve* the starts of every pair that missed the cache at once:
+       one :func:`~repro.fitting.batched.solve_batched` call on the
+       batched engine, which groups problems by family and length, or
+       one executor map of all start units on scipy;
+    3. *finish* each pair in order: winner selection, scipy
+       confirmation, the cache write and the :class:`FitResult`.
+
+    The kernel freezes each problem on its own, so stacking changes no
+    problem's trajectory and every result is bit-identical to a lone
+    :func:`fit_least_squares` with the same arguments. Stacking saves
+    the kernel's per-iteration overhead: a group iterates until its
+    slowest start freezes, so one call pays the longest loop of each
+    group instead of the sum of every call's loop.
+
+    The keyword arguments mean what they do for
+    :func:`fit_least_squares` and apply to every pair.
+    ``confirm=False`` reports the batched engine's screened optima
+    without the scipy confirmation (the fleet's screen-only mode). With
+    *fit_spans* each pair gets a ``"fit"`` span around its finish step;
+    its share of the shared solve is on its ``"fit.start"`` children.
+    Every lookup happens before any solve, so a cache key repeated
+    within one call is solved once per occurrence.
+
+    Returns one entry per pair, in order: its :class:`FitResult`, or a
+    :class:`_FailedPair` with the :class:`~repro.exceptions.FitError` a
+    lone fit would have raised.
+    """
+    opts = (options or DEFAULT_OPTIONS).override(
+        n_random_starts=n_random_starts,
+        seed=seed,
+        max_nfev=max_nfev,
+        jac=jac,
+        engine=engine,
+    )
+    engine_mode = resolve_engine(opts.engine)
+    fit_cache = resolve_cache(opts.cache)
+    tracer = resolve_tracer(opts.trace)
+    entries: list[FitResult | _FailedPair | _PreparedPair] = []
+    for pair in pairs:
+        try:
+            entries.append(
+                _prepare_pair(
+                    pair, opts, engine_mode, fit_cache, tracer,
+                    starts=starts, extra_starts=extra_starts, weights=weights,
+                )
+            )
+        except FitError as exc:
+            entries.append(_FailedPair(exc, 0))
+
+    prepared = [entry for entry in entries if isinstance(entry, _PreparedPair)]
+    outcomes = iter(_solve_starts(prepared, opts, engine_mode, tracer))
+
+    span_tracer = tracer if fit_spans else NULL_TRACER
+    fits: list[FitResult | _FailedPair] = []
+    for pair, entry in zip(pairs, entries):
+        if isinstance(entry, _FailedPair):
+            fits.append(entry)
+            continue
+        start_time = time.perf_counter()
+        try:
+            with span_tracer.span(
+                "fit",
+                family=pair.family.name,
+                curve=pair.curve.name or "<curve>",
+                n_points=len(pair.curve),
+            ) as span:
+                fit = (
+                    entry
+                    if isinstance(entry, FitResult)
+                    else _finish_pair(
+                        entry, next(outcomes), opts, engine_mode,
+                        confirm=confirm, fit_cache=fit_cache, tracer=tracer,
+                    )
+                )
+                if span_tracer.enabled:
+                    _record_fit(
+                        span_tracer, span, fit, time.perf_counter() - start_time
+                    )
+        except ConvergenceError as exc:
+            n_starts = (
+                len(entry.start_vectors) if isinstance(entry, _PreparedPair) else 0
+            )
+            fits.append(_FailedPair(exc, n_starts))
+            continue
+        fits.append(fit)
+    return fits
+
+
+def _prepare_pair(
+    pair: _FitPair,
+    opts: EngineOptions,
+    engine_mode: str,
+    fit_cache: FitCache | None,
+    tracer: Any,
+    *,
     starts: Sequence[Sequence[float]] | None,
     extra_starts: Sequence[Sequence[float]] | None,
     weights: Sequence[float] | None,
-    jac: str,
-    engine: str | None,
-    cache: bool | FitCache | None,
-    executor: ExecutorLike,
-    n_workers: int | None,
-    tracer: Any,
-) -> FitResult:
-    """The untraced fit body; *tracer* is already resolved (possibly
-    the null tracer) and only consulted behind ``enabled`` guards."""
+) -> FitResult | _PreparedPair:
+    """Validate *pair*, look it up in the cache and generate its starts.
+
+    Returns the cached :class:`FitResult` on a hit; raises
+    :class:`~repro.exceptions.FitError` on invalid input.
+    """
+    family, curve = pair.family, pair.curve
     if len(curve) <= family.n_params:
         raise FitError(
             f"cannot fit {family.n_params}-parameter model {family.name!r} "
@@ -672,8 +816,7 @@ def _fit_least_squares(
     if not np.all(np.isfinite(curve.performance)):
         raise FitError("curve contains non-finite performance values")
 
-    jac_mode = _resolve_jac_mode(family, jac)
-    engine_mode = resolve_engine(engine)
+    jac_mode = _resolve_jac_mode(family, opts.jac)
 
     lower = tuple(float(v) for v in family.lower_bounds)
     upper = tuple(float(v) for v in family.upper_bounds)
@@ -699,7 +842,7 @@ def _fit_least_squares(
     # optimum; start generation is deterministic, so keying on its
     # inputs (counts + seed) is equivalent to keying on the vectors.
     # ------------------------------------------------------------------
-    fit_cache = resolve_cache(cache)
+    seed = opts.seed
     cache_key: str | None = None
     if fit_cache is not None:
         cache_key = fit_cache_key(
@@ -712,9 +855,9 @@ def _fit_least_squares(
                 "engine": (
                     "batched_lm.v1" if engine_mode == "batched" else "least_squares.v2"
                 ),
-                "n_random_starts": int(n_random_starts),
+                "n_random_starts": int(opts.n_random_starts),
                 "seed": None if seed is None else int(seed),
-                "max_nfev": int(max_nfev),
+                "max_nfev": int(opts.max_nfev),
                 "starts": sequence_of_vectors(starts),
                 "extra_starts": sequence_of_vectors(extra_starts),
                 "weights": weight_list,
@@ -744,7 +887,7 @@ def _fit_least_squares(
     if starts is None:
         kwargs = {} if seed is None else {"seed": seed}
         start_vectors: list[tuple[float, ...]] = generate_starts(
-            family, curve, n_random=n_random_starts, **kwargs
+            family, curve, n_random=opts.n_random_starts, **kwargs
         )
     else:
         start_vectors = [tuple(float(v) for v in s) for s in starts]
@@ -768,35 +911,85 @@ def _fit_least_squares(
         start_vectors = injected + [
             s for s in start_vectors if s not in injected
         ]
+    return _PreparedPair(
+        pair, jac_mode, lower, upper, sqrt_weights, cache_key, start_vectors
+    )
 
-    outcomes: Sequence[Any]
+
+def _solve_starts(
+    prepared: Sequence[_PreparedPair],
+    opts: EngineOptions,
+    engine_mode: str,
+    tracer: Any,
+) -> list[Sequence[Any]]:
+    """Run every start of every prepared pair at once; the outcomes
+    come back split per pair, in start order."""
+    if not prepared:
+        return []
+    flat: Sequence[Any]
     if engine_mode == "batched":
-        # All starts advance in lockstep through one stacked LM solve;
+        # Every start of every pair goes into one stacked LM solve;
         # counters stay per-problem (each batched residual evaluation
         # charges one nfev to every start it served), so the reduce and
         # the traces below see the same shape as the scipy path.
-        curve_times = tuple(float(v) for v in curve.times)
-        curve_targets = tuple(float(v) for v in curve.performance)
-        problems = [
-            BatchedProblem(
-                family, curve_times, curve_targets, start, lower, upper,
-                max_nfev, sqrt_weights, jac_mode,
+        problems: list[BatchedProblem] = []
+        for entry in prepared:
+            curve = entry.pair.curve
+            times, targets, sqrt_weights = entry.pair.screen or (
+                tuple(float(v) for v in curve.times),
+                tuple(float(v) for v in curve.performance),
+                entry.sqrt_weights,
             )
-            for start in start_vectors
-        ]
-        outcomes = solve_batched(problems)
+            problems.extend(
+                BatchedProblem(
+                    entry.pair.family, times, targets, start, entry.lower,
+                    entry.upper, opts.max_nfev, sqrt_weights, entry.jac_mode,
+                )
+                for start in entry.start_vectors
+            )
+        flat = solve_batched(problems)
     else:
         work_units = [
             _StartWork(
-                family, curve, start, lower, upper, max_nfev, sqrt_weights, jac_mode
+                entry.pair.family, entry.pair.curve, start, entry.lower,
+                entry.upper, opts.max_nfev, entry.sqrt_weights, entry.jac_mode,
             )
-            for start in start_vectors
+            for entry in prepared
+            for start in entry.start_vectors
         ]
-        with activate(tracer):
-            outcomes = get_executor(executor, max_workers=n_workers).map(
+        # An explicit trace=False also masks any ambient tracer, so the
+        # executor emits no spans for these fits.
+        with deactivate() if opts.trace is False else activate(tracer):
+            flat = get_executor(opts.executor, max_workers=opts.n_workers).map(
                 _solve_start, work_units
             )
+    per_pair: list[Sequence[Any]] = []
+    cursor = 0
+    for entry in prepared:
+        per_pair.append(flat[cursor : cursor + len(entry.start_vectors)])
+        cursor += len(entry.start_vectors)
+    return per_pair
 
+
+def _finish_pair(
+    entry: _PreparedPair,
+    outcomes: Sequence[Any],
+    opts: EngineOptions,
+    engine_mode: str,
+    *,
+    confirm: bool,
+    fit_cache: FitCache | None,
+    tracer: Any,
+) -> FitResult:
+    """Reduce one pair's start *outcomes* to its :class:`FitResult` and
+    write it to the cache.
+
+    Raises
+    ------
+    ConvergenceError
+        If every start failed to produce a finite optimum.
+    """
+    family, curve = entry.pair.family, entry.pair.curve
     if tracer.enabled:
         for index, outcome in enumerate(outcomes):
             tracer.record(
@@ -811,62 +1004,54 @@ def _fit_least_squares(
             )
             tracer.metrics.observe("fit.start_seconds", outcome.seconds)
 
-    per_start_sse: list[float] = [outcome.sse for outcome in outcomes]
-    per_start_nfev: list[int] = [outcome.nfev for outcome in outcomes]
-    per_start_njev: list[int] = [outcome.njev for outcome in outcomes]
-    per_start_seconds: list[float] = [outcome.seconds for outcome in outcomes]
-
     selection = _select_and_confirm(
-        family, curve, start_vectors, outcomes,
-        lower=lower, upper=upper, max_nfev=max_nfev,
-        sqrt_weights=sqrt_weights, jac_mode=jac_mode,
-        engine_mode=engine_mode, tracer=tracer,
+        family, curve, entry.start_vectors, outcomes,
+        lower=entry.lower, upper=entry.upper, max_nfev=opts.max_nfev,
+        sqrt_weights=entry.sqrt_weights, jac_mode=entry.jac_mode,
+        confirm=confirm and engine_mode == "batched", tracer=tracer,
     )
-    failures = selection.failures
-    winner_index = selection.winner_index
     best_sse = selection.sse
-    best_vector = selection.vector
-    best_message = selection.message
-    best_converged = selection.converged
-    confirm_nfev = selection.confirm_nfev
-    confirm_njev = selection.confirm_njev
-    polish_nfev = selection.polish_nfev
-    polish_njev = selection.polish_njev
-
-    if sqrt_weights is not None:
+    if entry.sqrt_weights is not None:
         # Selection used the weighted objective; report the unweighted
         # Eq. (9) SSE so results stay comparable across weightings.
-        best_sse = family.sse(curve, best_vector)
+        best_sse = family.sse(curve, selection.vector)
 
+    per_start_nfev: list[int] = [outcome.nfev for outcome in outcomes]
+    per_start_njev: list[int] = [outcome.njev for outcome in outcomes]
     details: dict[str, Any] = {
-        "per_start_sse": per_start_sse,
+        "per_start_sse": [outcome.sse for outcome in outcomes],
         "per_start_nfev": per_start_nfev,
         "per_start_njev": per_start_njev,
-        "per_start_seconds": per_start_seconds,
-        "nfev": int(sum(per_start_nfev)) + confirm_nfev + polish_nfev,
-        "njev": int(sum(per_start_njev)) + confirm_njev + polish_njev,
-        "confirm_nfev": confirm_nfev,
-        "confirm_njev": confirm_njev,
-        "polish_nfev": polish_nfev,
-        "polish_njev": polish_njev,
-        "winner_start": int(winner_index),
-        "jac_mode": jac_mode,
+        "per_start_seconds": [outcome.seconds for outcome in outcomes],
+        "nfev": int(sum(per_start_nfev))
+        + selection.confirm_nfev
+        + selection.polish_nfev,
+        "njev": int(sum(per_start_njev))
+        + selection.confirm_njev
+        + selection.polish_njev,
+        "confirm_nfev": selection.confirm_nfev,
+        "confirm_njev": selection.confirm_njev,
+        "polish_nfev": selection.polish_nfev,
+        "polish_njev": selection.polish_njev,
+        "winner_start": selection.winner_index,
+        "jac_mode": entry.jac_mode,
     }
     if engine_mode == "batched":
         details["per_start_iterations"] = [
             int(outcome.n_iterations) for outcome in outcomes
         ]
 
-    if fit_cache is not None and cache_key is not None:
+    n_starts = len(entry.start_vectors)
+    if fit_cache is not None and entry.cache_key is not None:
         fit_cache.put(
-            cache_key,
+            entry.cache_key,
             {
-                "params": [float(v) for v in best_vector],
+                "params": [float(v) for v in selection.vector],
                 "sse": float(best_sse),
-                "converged": bool(best_converged),
-                "n_starts": len(start_vectors),
-                "n_failures": failures,
-                "message": best_message,
+                "converged": bool(selection.converged),
+                "n_starts": n_starts,
+                "n_failures": selection.failures,
+                "message": selection.message,
                 "details": dict(details),
                 "engine": engine_mode,
             },
@@ -874,13 +1059,13 @@ def _fit_least_squares(
 
     details["cache_hit"] = False
     return FitResult(
-        model=family.bind(best_vector),
+        model=family.bind(selection.vector),
         curve=curve,
         sse=best_sse,
-        converged=best_converged,
-        n_starts=len(start_vectors),
-        n_failures=failures,
-        message=best_message,
+        converged=selection.converged,
+        n_starts=n_starts,
+        n_failures=selection.failures,
+        message=selection.message,
         details=details,
         engine=engine_mode,
     )

@@ -299,7 +299,8 @@ def grid_engine_kwargs(
 
     Grid entry points (the table sweeps, :func:`truncation_grid`,
     :func:`episode_scorecard`, :func:`fit_many`) consume ``executor`` /
-    ``n_workers`` themselves — they parallelize the grid cells, and the
+    ``n_workers`` themselves — they parallelize the grid cells (a table
+    sweep: every start of every cell, in one stacked solve), and the
     per-cell fits run serially — while forwarding the remaining engine
     knobs into each cell's fit. This helper applies the same split to an
     options bundle: its executor fields fill the grid-level arguments

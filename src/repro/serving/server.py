@@ -459,13 +459,15 @@ class ForecastServer:
                 "op": op,
                 "error": _error_body(exc),
             }
-        elapsed_ms = (time.perf_counter() - start) * 1e3
+        elapsed_s = time.perf_counter() - start
+        elapsed_ms = elapsed_s * 1e3
         response["elapsed_ms"] = round(elapsed_ms, 4)
         if deadline is not None:
             response["deadline_exceeded"] = elapsed_ms > deadline
         self.metrics.inc("serve.requests")
-        self.metrics.observe("serve.latency_ms", elapsed_ms)
-        self.metrics.observe(f"serve.latency_ms.{op}", elapsed_ms)
+        # Seconds, like every timer: the registry's buckets are in s.
+        self.metrics.observe("serve.latency_s", elapsed_s)
+        self.metrics.observe(f"serve.latency_s.{op}", elapsed_s)
         return response
 
     # ------------------------------------------------------------------
@@ -656,16 +658,18 @@ class ForecastServer:
 
     def slo(self) -> dict[str, float]:
         """Current p50/p99 per-request latency (ms), overall and per op."""
+
+        def ms(name: str, q: float) -> float:
+            return self.metrics.percentile(name, q) * 1e3
+
         payload: dict[str, float] = {
-            "p50_ms": self.metrics.percentile("serve.latency_ms", 50),
-            "p99_ms": self.metrics.percentile("serve.latency_ms", 99),
+            "p50_ms": ms("serve.latency_s", 50),
+            "p99_ms": ms("serve.latency_s", 99),
         }
         for op in SERVER_OPS:
-            p99 = self.metrics.percentile(f"serve.latency_ms.{op}", 99)
+            p99 = ms(f"serve.latency_s.{op}", 99)
             if p99 > 0.0:
-                payload[f"{op}_p50_ms"] = self.metrics.percentile(
-                    f"serve.latency_ms.{op}", 50
-                )
+                payload[f"{op}_p50_ms"] = ms(f"serve.latency_s.{op}", 50)
                 payload[f"{op}_p99_ms"] = p99
         return payload
 

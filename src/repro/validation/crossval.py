@@ -100,7 +100,21 @@ def evaluate_predictive(
     )
     train, test = curve.train_test_split(train_fraction)
     fit = fit_least_squares(family, train, options=options, **fit_kwargs)  # type: ignore[arg-type]
+    return _evaluate_fit(fit, curve, test, confidence=confidence)
 
+
+def _evaluate_fit(
+    fit: FitResult,
+    curve: ResilienceCurve,
+    test: ResilienceCurve,
+    *,
+    confidence: float,
+) -> PredictiveEvaluation:
+    """The post-fit half of :func:`evaluate_predictive`: score a fit on
+    the training prefix ``fit.curve`` of *curve* against the held-out
+    *test* suffix. The table grids fit all their cells in one stacked
+    solve and score each cell through here."""
+    train = fit.curve
     train_pred = fit.predict(train.times)
     test_pred = fit.predict(test.times)
     full_pred = fit.predict(curve.times)

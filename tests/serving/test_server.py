@@ -447,3 +447,41 @@ class TestStats:
             "drift",
             "stats",
         )
+
+
+class _ScriptedClock:
+    """``time`` stand-in whose ``perf_counter`` steps by fixed deltas."""
+
+    def __init__(self, *deltas):
+        self._readings = []
+        now = 100.0
+        for delta in deltas:
+            self._readings += [now, now + delta]
+            now += delta + 1.0
+
+    def perf_counter(self):
+        return self._readings.pop(0)
+
+
+class TestLatencyHistogramUnits:
+    def test_latency_buckets_are_in_seconds(self, monkeypatch):
+        import repro.serving.server as server_module
+        from repro.observability.metrics import TIMER_BUCKETS
+
+        monkeypatch.setattr(server_module, "time", _ScriptedClock(0.0005, 0.050))
+        server = ForecastServer(cheap_config())
+
+        async def body():
+            await server._handle_line(b'{"op": "ping"}')
+            await server._handle_line(b'{"op": "ping"}')
+
+        asyncio.run(body())
+        histograms = server.metrics.snapshot()["histograms"]
+        assert "serve.latency_ms" not in histograms
+        buckets = histograms["serve.latency_s"]["buckets"]
+        assert buckets[TIMER_BUCKETS.index(0.001)] == 1  # 0.5 ms: <= 1 ms
+        assert buckets[TIMER_BUCKETS.index(0.1)] == 1  # 50 ms: <= 0.1 s
+        assert histograms["serve.latency_s.ping"]["buckets"] == buckets
+        slo = server.slo()
+        assert slo["p50_ms"] == pytest.approx(25.25)
+        assert slo["ping_p99_ms"] == pytest.approx(49.505)

@@ -2,10 +2,11 @@
 
 Each test re-renders one table on the benchmark harness's small
 deterministic configuration (``n_random_starts=4``, serial executor)
-and compares the render **byte for byte** against the fixture committed
-under ``tests/golden/``. Any drift in the fit engine, the metric
-formulas, or the table formatting fails these tests with a unified
-diff, so refactors that claim "no behavior change" are held to it.
+under each solver engine and compares the render **byte for byte**
+against the fixture committed under ``tests/golden/``. Any drift in the
+fit engine, the stacked grid solve, the metric formulas, or the table
+formatting fails these tests with a unified diff, so refactors that
+claim "no behavior change" are held to it.
 
 The fixtures are the same renders the benchmarks save to
 ``benchmarks/output/table{1..4}.txt``. To regenerate them after an
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import experiments
+from repro.fitting.options import EngineOptions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -36,16 +38,23 @@ _BUILDERS = {
     "4": experiments.table4,
 }
 
+#: Both engines render the same bytes; the batched one solves each grid
+#: in one stacked kernel call.
+_ENGINES = ("scipy", "batched")
 
-def _render(number: str) -> str:
-    result = _BUILDERS[number](n_random_starts=4)
+
+def _render(number: str, engine: str) -> str:
+    result = _BUILDERS[number](
+        n_random_starts=4, options=EngineOptions(engine=engine)
+    )
     return result.to_table() + "\n"
 
 
+@pytest.mark.parametrize("engine", _ENGINES)
 @pytest.mark.parametrize("number", sorted(_BUILDERS))
-def test_table_matches_golden(number: str, update_golden: bool) -> None:
+def test_table_matches_golden(number: str, engine: str, update_golden: bool) -> None:
     path = GOLDEN_DIR / f"table{number}.txt"
-    rendered = _render(number)
+    rendered = _render(number, engine)
     if update_golden:
         path.write_text(rendered)
         pytest.skip(f"updated {path}")
