@@ -32,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import run_once
-from benchmarks.provenance import provenance_block
 from repro.bench.artifact import write_bench_artifact
+from repro.bench.provenance import provenance_block
 from repro.fitting import EngineOptions
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import ForecastSession, RefitPolicy, RemediationLoop

@@ -34,12 +34,14 @@ from repro.fitting import EngineOptions, FitCache, fit_least_squares
 from repro.models.registry import make_model
 from repro.observability import Tracer
 from repro.serving import OnlineForecaster, RefitPolicy
-from benchmarks.provenance import provenance_block
 from repro.bench.artifact import write_bench_artifact
+from repro.bench.provenance import provenance_block
 
 #: The Table III workload this benchmark replays.
 DATASET = "1990-93"
 MODEL = "wei-exp"
+#: Engine plumbing of the cold-refit baseline: no cache, no tracing.
+PLUMBING = EngineOptions(cache=False, trace=False)
 
 
 def _percentiles(samples: list[float]) -> dict[str, float]:
@@ -81,11 +83,11 @@ def _replay_with_timings() -> dict:
     for length in prefix_lengths:
         prefix = curve.head(length)
         t0 = time.perf_counter()
-        fit_least_squares(family, prefix, cache=False, trace=False)
+        fit_least_squares(family, prefix, options=PLUMBING)
         cold_seconds.append(time.perf_counter() - t0)
 
     final = forecaster.finalize()
-    oneshot = fit_least_squares(family, curve, cache=False, trace=False)
+    oneshot = fit_least_squares(family, curve, options=PLUMBING)
 
     return {
         "forecaster": forecaster,

@@ -29,8 +29,9 @@ import time
 from benchmarks.conftest import run_once
 from repro.analysis.experiments import table3
 from repro.cli import main
-from benchmarks.provenance import provenance_block
 from repro.bench.artifact import write_bench_artifact
+from repro.bench.provenance import provenance_block
+from repro.fitting.options import EngineOptions
 from repro.observability.tracer import (
     NULL_TRACER,
     Tracer,
@@ -42,6 +43,8 @@ from repro.observability.tracer import (
 N_CELLS = 28
 #: Micro-benchmark iterations for the null-path per-op cost.
 NULL_OPS = 200_000
+#: Engine plumbing for runs that must really solve.
+NO_CACHE = EngineOptions(cache=False)
 
 
 def _null_path_seconds_per_op() -> float:
@@ -80,17 +83,17 @@ def test_trace_overhead(benchmark, artifact_dir, tmp_path, capsys):
 
     # -- disabled baseline: best of 2 untraced runs -------------------
     start = time.perf_counter()
-    run_once(benchmark, table3, n_random_starts=4, cache=False)
+    run_once(benchmark, table3, n_random_starts=4, options=NO_CACHE)
     disabled_walls = [time.perf_counter() - start]
     start = time.perf_counter()
-    table3(n_random_starts=4, cache=False)
+    table3(n_random_starts=4, options=NO_CACHE)
     disabled_walls.append(time.perf_counter() - start)
     disabled_wall = min(disabled_walls)
 
     # -- traced run of the identical workload -------------------------
     tracer = Tracer(path=tmp_path / "table3_starts4.jsonl")
     start = time.perf_counter()
-    table3(n_random_starts=4, cache=False, trace=tracer)
+    table3(n_random_starts=4, options=NO_CACHE.replace(trace=tracer))
     traced_wall = time.perf_counter() - start
     tracer.close()
     spans = tracer.spans
@@ -134,7 +137,7 @@ def test_trace_overhead(benchmark, artifact_dir, tmp_path, capsys):
     payload = {
         "provenance": provenance_block(),
         "generated_by": "benchmarks/bench_trace_overhead.py",
-        "workload": "table3(n_random_starts=4, cache=False): "
+        "workload": "table3(n_random_starts=4, options=EngineOptions(cache=False)): "
         "7 recessions x 4 mixtures",
         "cpu_count": os.cpu_count(),
         "disabled_wall_seconds": disabled_wall,

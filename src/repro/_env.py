@@ -41,10 +41,6 @@ REGISTERED_ENV_VARS: dict[str, str] = {
     ),
     "REPRO_SERVE_REFIT_INTERVAL": "seconds between batched refit ticks (0 = off)",
     "REPRO_SERVE_REFIT_TIMEOUT": "deadline (s) for request-triggered first fits",
-    "REPRO_ANALYSIS_CACHE": (
-        "repro lint AST-cache location: off words disable it, a path "
-        "overrides the default .repro-lint-cache at the project root"
-    ),
     "REPRO_PERF_STRICT": (
         "enable the pure wall-clock assertions in the tier-1 perf "
         "guards and strict wall gating in `repro bench compare` "

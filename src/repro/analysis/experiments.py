@@ -17,12 +17,12 @@ from repro.datasets.recessions import RECESSION_NAMES, load_all_recessions, load
 from repro.datasets.synthetic import make_shape_curve
 from repro.exceptions import DataError
 from repro.fitting.least_squares import _FitPair, _fit_pairs, _raise_first_failure
-from repro.fitting.options import EngineOptions, grid_engine_kwargs
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.metrics.predictive import PredictiveMetricReport, predictive_metric_report
 from repro.models.registry import make_model
 from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import ExecutorLike, get_executor
+from repro.parallel import get_executor
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_table
 from repro.validation.crossval import (
@@ -155,23 +155,16 @@ class FigureResult:
 # Tables
 # ----------------------------------------------------------------------
 def _fit_grid(
-    pairs: list[_FitPair],
-    executor: ExecutorLike,
-    n_workers: int | None,
-    fit_kwargs: dict[str, Any],
+    pairs: list[_FitPair], options: EngineOptions | None, **fit_kwargs: Any
 ) -> list[FitResult]:
     """Fit every cell of a table grid in one stacked solve.
 
     On the batched engine that is one kernel call for the whole grid;
-    on scipy, *executor* maps every start of every cell. A failing cell
-    raises the error a lone fit of it raises (the first such cell in
-    grid order).
+    on scipy, ``options.executor`` maps every start of every cell. A
+    failing cell raises the error a lone fit of it raises (the first
+    such cell in grid order).
     """
-    kwargs = dict(fit_kwargs)
-    kwargs["options"] = kwargs["options"].override(
-        executor=executor, n_workers=n_workers
-    )
-    return _raise_first_failure(_fit_pairs(pairs, **kwargs))
+    return _raise_first_failure(_fit_pairs(pairs, options=options, **fit_kwargs))
 
 
 def _validation_sweep(
@@ -180,28 +173,17 @@ def _validation_sweep(
     train_fraction: float,
     confidence: float,
     title: str,
-    entry: str,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
-    **fit_kwargs: object,
+    **fit_kwargs: Any,
 ) -> TableOneResult:
     """Evaluate every (dataset, model) cell of a Table I/III-style grid.
 
     All cells are fitted in one stacked solve (see :func:`_fit_grid`)
     and then scored in grid order, so the table is identical on every
-    engine and executor backend. Enabling tracing (via
-    ``options.trace``) wraps the grid in one ``"table.grid"`` span with
-    one ``"fit"`` span per cell. An ``options=``
-    :class:`~repro.fitting.options.EngineOptions` bundle fills in any
-    of executor/n_workers/fit_kwargs not given explicitly; *entry* is
-    the public entry point named by the deprecation warning when the
-    loose plumbing kwargs are used instead.
+    engine and executor backend. Enabling ``options.trace`` wraps the
+    grid in one ``"table.grid"`` span with one ``"fit"`` span per cell.
     """
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry=entry
-    )
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    tracer = resolve_tracer((options or DEFAULT_ENGINE_OPTIONS).trace)
     cells = [
         (dataset_name, curve, model_name, *curve.train_test_split(train_fraction))
         for dataset_name, curve in load_all_recessions().items()
@@ -211,9 +193,8 @@ def _validation_sweep(
     with tracer.span("table.grid", title=title, n_cells=len(cells)):
         fits = _fit_grid(
             [_FitPair(make_model(model), train) for _, _, model, train, _ in cells],
-            executor,
-            n_workers,
-            fit_kwargs,
+            options,
+            **fit_kwargs,
         )
         for (dataset, curve, model, _, test), fit in zip(cells, fits):
             result.cells.setdefault(dataset, {})[model] = _evaluate_fit(
@@ -227,8 +208,6 @@ def table1(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     confidence: float = 0.95,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableOneResult:
     """Table I: quadratic vs competing-risks on all seven recessions."""
@@ -237,10 +216,7 @@ def table1(
         train_fraction=train_fraction,
         confidence=confidence,
         title="Table I — Validation of prediction using two bathtub functions",
-        entry="table1",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -250,8 +226,6 @@ def table3(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     confidence: float = 0.95,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableOneResult:
     """Table III: the four mixture pairings on all seven recessions."""
@@ -260,10 +234,7 @@ def table3(
         train_fraction=train_fraction,
         confidence=confidence,
         title="Table III — Validation of prediction using mixture distributions",
-        entry="table3",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -275,16 +246,10 @@ def _metric_table(
     train_fraction: float,
     alpha: float,
     title: str,
-    entry: str,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
-    **fit_kwargs: object,
+    **fit_kwargs: Any,
 ) -> TableMetricsResult:
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry=entry
-    )
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    tracer = resolve_tracer((options or DEFAULT_ENGINE_OPTIONS).trace)
     curve = load_recession(dataset)
     train, test = curve.train_test_split(train_fraction)
     split_time = float(test.times[0])
@@ -292,9 +257,8 @@ def _metric_table(
     with tracer.span("table.metrics", title=title, n_cells=len(model_names)):
         fits = _fit_grid(
             [_FitPair(make_model(model), train) for model in model_names],
-            executor,
-            n_workers,
-            fit_kwargs,
+            options,
+            **fit_kwargs,
         )
         for model, fit in zip(model_names, fits):
             result.reports[model] = predictive_metric_report(
@@ -309,8 +273,6 @@ def table2(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = 0.5,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableMetricsResult:
     """Table II: interval metrics for the bathtub models on 1990-93."""
@@ -320,10 +282,7 @@ def table2(
         train_fraction=train_fraction,
         alpha=alpha,
         title="Table II — Interval-based resilience metrics (bathtub models)",
-        entry="table2",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -334,8 +293,6 @@ def table4(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = 0.5,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableMetricsResult:
     """Table IV: interval metrics for the four mixtures on 1990-93."""
@@ -345,10 +302,7 @@ def table4(
         train_fraction=train_fraction,
         alpha=alpha,
         title="Table IV — Interval-based resilience metrics (mixture models)",
-        entry="table4",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -445,17 +399,16 @@ def truncation_grid(
     warm_start: bool = True,
     warm_n_random_starts: int = 2,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TruncationGridResult:
     """Sweep the Table I/III protocol over several training fractions.
 
     Each (dataset, model) pair forms an independent chain that walks the
     fractions in ascending order with warm-start propagation (see
-    :func:`_evaluate_chain`); chains run in parallel on the chosen
-    executor backend. Results are assembled in grid order, so the table
-    is identical on every backend.
+    :func:`_evaluate_chain`); chains run in parallel on
+    ``options.executor`` and each chain's fits run serially. Results are
+    assembled in grid order, so the table is identical on every
+    backend.
 
     Parameters
     ----------
@@ -472,15 +425,17 @@ def truncation_grid(
         makes every cell an independent full multi-start fit.
     options:
         :class:`~repro.fitting.options.EngineOptions` bundle; explicit
-        ``executor=``/``n_workers=``/``fit_kwargs`` win over its fields.
-        Note an explicit ``n_random_starts`` (from either source)
-        disables the warm-chain budget shrink, exactly as before.
+        ``fit_kwargs`` win over its fields. An explicit or non-default
+        ``n_random_starts`` disables the warm-chain budget shrink.
     fit_kwargs:
-        Passed through to :func:`~repro.fitting.fit_least_squares`.
+        Science kwargs passed through to
+        :func:`~repro.fitting.fit_least_squares`.
     """
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry="truncation_grid"
-    )
+    opts = options or DEFAULT_ENGINE_OPTIONS
+    if opts.n_random_starts != DEFAULT_ENGINE_OPTIONS.n_random_starts:
+        # The caller chose this budget: the chains keep it.
+        fit_kwargs.setdefault("n_random_starts", opts.n_random_starts)
+    fit_kwargs["options"] = opts.replace(executor="serial")
     if not fractions:
         raise DataError("truncation_grid needs at least one training fraction")
     ordered_fractions = tuple(sorted(float(f) for f in fractions))
@@ -488,7 +443,7 @@ def truncation_grid(
         recessions = load_all_recessions()
     else:
         recessions = {name: load_recession(name) for name in datasets}
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    tracer = resolve_tracer(opts.trace)
     chains = [
         _TruncationChain(
             dataset_name, curve, model_name, ordered_fractions, confidence,
@@ -503,7 +458,7 @@ def truncation_grid(
         n_fractions=len(ordered_fractions),
         warm_start=warm_start,
     ), activate(tracer):
-        triples = get_executor(executor, max_workers=n_workers).map(
+        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _evaluate_chain, chains
         )
     result = TruncationGridResult(

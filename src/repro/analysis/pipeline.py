@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fitting.options import EngineOptions, grid_engine_kwargs
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.observability.tracer import resolve_tracer
-from repro.parallel import ExecutorLike
 
 from repro.analysis.experiments import (
     FigureResult,
@@ -59,48 +58,37 @@ def run_full_reproduction(
     confidence: float = 0.95,
     alpha: float = 0.5,
     options: EngineOptions | None = None,
-    executor: "ExecutorLike" = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> ReproductionResults:
     """Regenerate Tables I–IV and Figures 1–6.
 
     Parameters mirror the paper's protocol: 90% fitting prefix, 95%
-    confidence band, α = 0.5 for the Eq. (21) weighted metric.
-    *executor*/*n_workers* select the backend each table's fit grid
-    runs on (tables are identical on every backend); an ``options=``
-    :class:`~repro.fitting.options.EngineOptions` bundle fills in any
-    engine knob not given explicitly. A ``trace=`` kwarg wraps the
-    whole reproduction in one ``"pipeline.run"`` span, with each table
-    grid and fit nested under it.
+    confidence band, α = 0.5 for the Eq. (21) weighted metric. The
+    ``options=`` :class:`~repro.fitting.options.EngineOptions` bundle
+    goes to every table and figure unchanged; science *fit_kwargs* win
+    over its fields. Tables are identical on every executor backend.
+    Enabling ``options.trace`` wraps the whole reproduction in one
+    ``"pipeline.run"`` span, with each table grid and fit nested under
+    it.
     """
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry="run_full_reproduction"
-    )
-    # The merged per-cell bundle carries the plumbing (cache/trace) for
-    # every nested artifact; the tables additionally get the grid-level
-    # executor folded in, while the figures keep their historical
-    # single-fit behavior (no grid executor).
-    cell_options: EngineOptions = fit_kwargs.pop("options")
-    grid_options = cell_options.override(executor=executor, n_workers=n_workers)
-    tracer = resolve_tracer(cell_options.trace)
+    tracer = resolve_tracer((options or DEFAULT_ENGINE_OPTIONS).trace)
     with tracer.span("pipeline.run", train_fraction=train_fraction):
         results = ReproductionResults(
             table_one=table1(
                 train_fraction=train_fraction, confidence=confidence,
-                options=grid_options, **fit_kwargs
+                options=options, **fit_kwargs
             ),
             table_two=table2(
                 train_fraction=train_fraction, alpha=alpha,
-                options=grid_options, **fit_kwargs
+                options=options, **fit_kwargs
             ),
             table_three=table3(
                 train_fraction=train_fraction, confidence=confidence,
-                options=grid_options, **fit_kwargs
+                options=options, **fit_kwargs
             ),
             table_four=table4(
                 train_fraction=train_fraction, alpha=alpha,
-                options=grid_options, **fit_kwargs
+                options=options, **fit_kwargs
             ),
         )
         results.figures["1"] = figure1()
@@ -108,6 +96,6 @@ def run_full_reproduction(
         for figure_id, builder in (("3", figure3), ("4", figure4), ("5", figure5), ("6", figure6)):
             results.figures[figure_id] = builder(
                 train_fraction=train_fraction, confidence=confidence,
-                options=cell_options, **fit_kwargs
+                options=options, **fit_kwargs
             )
         return results

@@ -5,12 +5,8 @@ that produced them. :func:`provenance_block` captures both once, in one
 canonical shape, so every ``BENCH_*.json`` artifact and every
 ``repro bench`` run manifest embeds the same ``"provenance"`` key and
 artifacts from different machines or library versions can be compared
-(or discarded) honestly.
-
-This module is the library home of what ``benchmarks/provenance.py``
-used to define; the script-side module now re-exports from here so the
-benchmark scripts and the :mod:`repro.bench` runner share one
-implementation.
+(or discarded) honestly. The benchmark scripts and the
+:mod:`repro.bench` runner both import it from here.
 """
 
 from __future__ import annotations

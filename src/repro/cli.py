@@ -554,9 +554,7 @@ def _engine_options(args: argparse.Namespace) -> "EngineOptions":
     """One :class:`EngineOptions` bundle from the shared CLI flags.
 
     ``--options-file`` (when given) supplies the base bundle; every
-    explicit flag overrides the corresponding field. The entry points
-    take only this bundle — the CLI never passes the deprecated loose
-    plumbing kwargs.
+    explicit flag overrides the corresponding field.
     """
     from repro.fitting.options import EngineOptions
 

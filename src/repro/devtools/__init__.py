@@ -19,7 +19,6 @@ import importlib
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from repro.devtools.astcache import AstCache, default_cache_path
     from repro.devtools.baseline import load_baseline, render_baseline
     from repro.devtools.callgraph import CallGraph, build_callgraph
     from repro.devtools.findings import Finding, suppressions_for
@@ -30,14 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
 
 __all__ = [
     "ALL_RULES",
-    "AstCache",
     "CallGraph",
     "Finding",
     "GRAPH_RULES",
     "LintConfig",
     "LintResult",
     "build_callgraph",
-    "default_cache_path",
     "default_config",
     "load_baseline",
     "main",
@@ -50,14 +47,12 @@ __all__ = [
 #: Public name → submodule that defines it (for lazy loading).
 _EXPORTS = {
     "ALL_RULES": "rules",
-    "AstCache": "astcache",
     "CallGraph": "callgraph",
     "Finding": "findings",
     "GRAPH_RULES": "graph_rules",
     "LintConfig": "rules",
     "LintResult": "lint",
     "build_callgraph": "callgraph",
-    "default_cache_path": "astcache",
     "default_config": "rules",
     "load_baseline": "baseline",
     "main": "lint",

@@ -16,9 +16,7 @@ Two layers of rules run by default: the per-module passes R1–R6
 (:mod:`repro.devtools.rules`) and the interprocedural passes R7–R10
 (:mod:`repro.devtools.graph_rules`), the latter over a project-wide
 call graph (:mod:`repro.devtools.callgraph`) built from the same
-parsed trees. Parses are memoized on disk via
-:mod:`repro.devtools.astcache` (``--no-cache`` opts out); findings are
-byte-identical with the cache on or off. A full default run also emits
+parsed trees. A full default run also emits
 ``W1`` findings for suppression comments that no longer silence
 anything, so ``# repro-lint: disable=`` lines cannot rot in place.
 """
@@ -33,7 +31,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.devtools.astcache import AstCache, default_cache_path
 from repro.devtools.baseline import (
     BASELINE_FILENAME,
     apply_baseline,
@@ -100,29 +97,23 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
     return sorted(files)
 
 
-def _load_module(
-    path: Path, root: Path, cache: AstCache | None
-) -> ModuleSource | Finding:
+def _load_module(path: Path, root: Path) -> ModuleSource | Finding:
     """Parse one file; a syntax error is itself a finding (rule E1)."""
     try:
         relpath = path.relative_to(root).as_posix()
     except ValueError:
         relpath = path.as_posix()
     text = path.read_text(encoding="utf-8")
-    tree = cache.get(path) if cache is not None else None
-    if tree is None:
-        try:
-            tree = ast.parse(text, filename=str(path))
-        except SyntaxError as exc:
-            return Finding(
-                path=relpath,
-                line=exc.lineno or 1,
-                rule="E1",
-                message=f"file does not parse: {exc.msg}",
-                hint="fix the syntax error",
-            )
-        if cache is not None:
-            cache.put(path, tree)
+    try:
+        tree = ast.parse(text, filename=str(path))
+    except SyntaxError as exc:
+        return Finding(
+            path=relpath,
+            line=exc.lineno or 1,
+            rule="E1",
+            message=f"file does not parse: {exc.msg}",
+            hint="fix the syntax error",
+        )
     return ModuleSource(
         relpath=relpath, tree=tree, lines=tuple(text.splitlines())
     )
@@ -184,7 +175,6 @@ def run_lint(
     rules: Sequence[type] | None = None,
     graph_rules: Sequence[type] | None = None,
     baseline: Counter[tuple[str, str, str]] | None = None,
-    cache: AstCache | None = None,
 ) -> LintResult:
     """Lint every Python file under *paths*.
 
@@ -192,7 +182,7 @@ def run_lint(
     under (default: discovered from cwd); *rules* / *graph_rules*
     restrict the per-module and interprocedural rule sets (passing
     ``rules`` alone runs no graph rules, and vice versa); *baseline*
-    grandfathers matching findings; *cache* memoizes parsed trees.
+    grandfathers matching findings.
     The W1 unused-suppression check runs only on a full default run,
     where every rule that could justify a suppression is active.
     """
@@ -214,7 +204,7 @@ def run_lint(
     tables: dict[str, dict[int, frozenset[str]]] = {}
     files = iter_python_files(paths)
     for path in files:
-        module = _load_module(path, root, cache)
+        module = _load_module(path, root)
         if isinstance(module, Finding):
             findings.append(module)
             continue
@@ -320,12 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also list grandfathered findings in the text report",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="parse every file from scratch (skip the on-disk AST cache; "
-        "REPRO_ANALYSIS_CACHE=off does the same)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -383,16 +367,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache = (
-        None if args.no_cache else AstCache.load(default_cache_path(root))
-    )
-
     if args.update_baseline:
-        result = run_lint(
-            paths, root=root, rules=rules, graph_rules=graph_rules, cache=cache
-        )
-        if cache is not None:
-            cache.save()
+        result = run_lint(paths, root=root, rules=rules, graph_rules=graph_rules)
         baseline_path.write_text(
             render_baseline(result.new), encoding="utf-8"
         )
@@ -411,10 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         rules=rules,
         graph_rules=graph_rules,
         baseline=baseline,
-        cache=cache,
     )
-    if cache is not None:
-        cache.save()
     if args.sarif is not None:
         Path(args.sarif).write_text(render_sarif(result), encoding="utf-8")
     if args.format == "json":

@@ -9,8 +9,8 @@ Rule id   Name                Invariant enforced
                               calls — global-state RNG breaks bit-identical
                               reproduction.
 ``R3``    options-threading   Every public fit/grid/serving entry point accepts
-                              ``options=`` and threads ``cache``/``trace``/
-                              ``executor`` (serving accepts *only* options).
+                              ``options=`` and takes ``cache``/``trace``/
+                              ``executor``/``n_workers`` *only* through it.
 ``R4``    picklability        Callables handed to an executor ``map``/``submit``
                               must be module-level (the process backend pickles
                               them).
@@ -173,25 +173,32 @@ class LintConfig:
 
 def default_config() -> LintConfig:
     """The invariants of this repository."""
-    fit_knobs = frozenset({"options", "engine", "cache", "trace", "executor"})
-    grid = frozenset({"options", "executor", "n_workers"})
-    only_options = frozenset({"engine", "cache", "trace", "executor", "n_workers"})
+    options = frozenset({"options"})
+    plumbing = frozenset({"cache", "trace", "executor", "n_workers"})
+    only_options = plumbing | {"engine"}
+
+    def fit_entry(module: str, qualname: str) -> EntryPointSpec:
+        return EntryPointSpec(
+            f"src/repro/{module}", qualname, required=options, forbidden=plumbing
+        )
+
     return LintConfig(
         env_allowlist=frozenset({"src/repro/_env.py"}),
         entry_points=(
-            EntryPointSpec(
-                "src/repro/fitting/least_squares.py",
-                "fit_least_squares",
-                required=fit_knobs | {"n_workers"},
-            ),
-            EntryPointSpec(
-                "src/repro/fitting/least_squares.py", "fit_many", required=grid
-            ),
-            EntryPointSpec(
-                "src/repro/fitting/fleet.py",
-                "fit_fleet",
-                required=fit_knobs | {"n_workers", "chunk_size"},
-            ),
+            fit_entry("fitting/least_squares.py", "fit_least_squares"),
+            fit_entry("fitting/least_squares.py", "fit_many"),
+            fit_entry("fitting/fleet.py", "fit_fleet"),
+            fit_entry("fitting/uncertainty.py", "derived_quantity_interval"),
+            fit_entry("analysis/experiments.py", "table1"),
+            fit_entry("analysis/experiments.py", "table2"),
+            fit_entry("analysis/experiments.py", "table3"),
+            fit_entry("analysis/experiments.py", "table4"),
+            fit_entry("analysis/experiments.py", "truncation_grid"),
+            fit_entry("analysis/fleet.py", "episode_scorecard"),
+            fit_entry("analysis/pipeline.py", "run_full_reproduction"),
+            fit_entry("validation/crossval.py", "evaluate_predictive"),
+            fit_entry("validation/crossval.py", "rolling_origin"),
+            fit_entry("validation/bootstrap.py", "residual_bootstrap"),
             EntryPointSpec(
                 "src/repro/datasets/outage.py",
                 "generate_fleet",
@@ -201,26 +208,6 @@ def default_config() -> LintConfig:
                 "src/repro/datasets/store.py",
                 "EpisodeStoreWriter.__init__",
                 required=frozenset({"seed", "config"}),
-            ),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table1", required=grid),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table2", required=grid),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table3", required=grid),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table4", required=grid),
-            EntryPointSpec(
-                "src/repro/analysis/experiments.py", "truncation_grid", required=grid
-            ),
-            EntryPointSpec(
-                "src/repro/analysis/fleet.py", "episode_scorecard", required=grid
-            ),
-            EntryPointSpec(
-                "src/repro/analysis/pipeline.py",
-                "run_full_reproduction",
-                required=grid,
-            ),
-            EntryPointSpec(
-                "src/repro/validation/crossval.py",
-                "rolling_origin",
-                required=frozenset({"options"}),
             ),
             EntryPointSpec(
                 "src/repro/serving/online.py",
@@ -548,8 +535,8 @@ class OptionsThreadingRule:
     NAME = "options-threading"
     DESCRIPTION = (
         "public fit/grid/serving entry points must accept options= and "
-        "forward cache/trace/executor; serving entry points accept "
-        "engine configuration only as options"
+        "take cache/trace/executor/n_workers only through it (serving "
+        "entry points take engine only through it too)"
     )
 
     _ENGINE_KNOBS = frozenset({"engine", "cache", "trace", "executor"})

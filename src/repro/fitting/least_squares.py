@@ -61,20 +61,17 @@ from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
     EngineOptions,
-    grid_engine_kwargs,
-    warn_deprecated_engine_kwargs,
 )
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.observability.tracer import (
     NULL_TRACER,
     Tracer,
-    TracerLike,
     activate,
     deactivate,
     resolve_tracer,
 )
-from repro.parallel import ExecutorLike, get_executor
+from repro.parallel import get_executor
 
 __all__ = ["fit_least_squares", "fit_many", "FitManyResult"]
 
@@ -446,10 +443,6 @@ def fit_least_squares(
     weights: Sequence[float] | None = None,
     jac: str | None = None,
     engine: str | None = None,
-    cache: bool | FitCache | None = None,
-    trace: TracerLike = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
 ) -> FitResult:
     """Fit *family* to *curve* by bounded least squares.
 
@@ -462,10 +455,31 @@ def fit_least_squares(
         :meth:`~repro.core.curve.ResilienceCurve.train_test_split`.
     options:
         An :class:`~repro.fitting.options.EngineOptions` bundle holding
-        the engine knobs in one value. Any individual kwarg below that
-        is passed explicitly overrides the corresponding options field;
+        the engine knobs in one value. Any science kwarg below that is
+        passed explicitly overrides the corresponding options field;
         fields left at their defaults behave exactly like omitting the
-        kwarg.
+        kwarg. The bundle's plumbing fields are the only way to set:
+
+        * ``cache`` — fit memoization: ``None``/``True`` use the
+          environment-default :class:`~repro.fitting.cache.FitCache`
+          (``REPRO_FIT_CACHE``), ``False`` bypasses caching, and an
+          explicit :class:`~repro.fitting.cache.FitCache` uses that
+          instance. Hits return a result bit-identical to the original
+          solve with ``details["cache_hit"] = True``.
+        * ``trace`` — observability: ``None`` uses the environment
+          default (``REPRO_TRACE`` / ``REPRO_TRACE_FILE`` — disabled
+          when unset), ``False`` disables tracing, ``True`` uses the
+          process-global tracer, and an explicit
+          :class:`~repro.observability.Tracer` records into that
+          instance. When enabled, the fit emits one ``"fit"`` span
+          (with nfev/njev/jac-mode/cache-hit attribution) plus one
+          ``"fit.start"`` span per multi-start solve.
+        * ``executor``/``n_workers`` — the backend the independent
+          multi-start solves run on: ``"serial"``, ``"thread"``,
+          ``"process"``, or a :class:`~repro.parallel.FitExecutor`
+          instance (``None`` → ``REPRO_FIT_EXECUTOR``). Results are
+          reduced in start order, so every backend returns the same
+          fit.
     n_random_starts:
         Perturbed variants per heuristic seed (see
         :func:`~repro.fitting.multistart.generate_starts`). 0 uses only
@@ -507,39 +521,6 @@ def fit_least_squares(
         ``None`` defers to
         ``options.engine`` and then the ``REPRO_FIT_ENGINE``
         environment variable (default ``"scipy"``).
-    cache:
-        Fit memoization: ``None``/``True`` use the environment-default
-        :class:`~repro.fitting.cache.FitCache` (``REPRO_FIT_CACHE``),
-        ``False`` bypasses caching, and an explicit
-        :class:`~repro.fitting.cache.FitCache` uses that instance.
-        Hits return a result bit-identical to the original solve with
-        ``details["cache_hit"] = True``.
-    trace:
-        Observability: ``None`` uses the environment default
-        (``REPRO_TRACE`` / ``REPRO_TRACE_FILE`` — disabled when unset),
-        ``False`` disables tracing, ``True`` uses the process-global
-        tracer, and an explicit
-        :class:`~repro.observability.Tracer` records into that
-        instance. When enabled, the fit emits one ``"fit"`` span (with
-        nfev/njev/jac-mode/cache-hit attribution) plus one
-        ``"fit.start"`` span per multi-start solve.
-    executor:
-        Backend the independent multi-start solves run on: ``"serial"``
-        (default), ``"thread"``, ``"process"``, or a
-        :class:`~repro.parallel.FitExecutor` instance. Results are
-        reduced in start order, so every backend returns the same fit.
-    n_workers:
-        Worker count for the pooled backends.
-
-    .. deprecated::
-        Passing ``cache=``, ``trace=``, ``executor=``, or
-        ``n_workers=`` as loose keyword arguments draws a
-        ``DeprecationWarning``; put the plumbing in ``options=``
-        (``EngineOptions(cache=..., trace=..., executor=...,
-        n_workers=...)``) instead. The values are still honored
-        exactly as before. The per-fit science knobs (``jac``,
-        ``engine``, ``seed``, ``n_random_starts``, ``max_nfev``)
-        remain first-class kwargs.
 
     Returns
     -------
@@ -558,29 +539,12 @@ def fit_least_squares(
     ConvergenceError
         If every start fails to produce a finite optimum.
     """
-    warn_deprecated_engine_kwargs(
-        "fit_least_squares",
-        [
-            name
-            for name, value in (
-                ("cache", cache),
-                ("trace", trace),
-                ("executor", executor),
-                ("n_workers", n_workers),
-            )
-            if value is not None
-        ],
-    )
     opts = (options or DEFAULT_OPTIONS).override(
         n_random_starts=n_random_starts,
         seed=seed,
         max_nfev=max_nfev,
         jac=jac,
         engine=engine,
-        cache=cache,
-        trace=trace,
-        executor=executor,
-        n_workers=n_workers,
     )
 
     def solve() -> FitResult:
@@ -1155,8 +1119,6 @@ def fit_many(
     curve: ResilienceCurve,
     *,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **kwargs: object,
 ) -> FitManyResult:
     """Fit several families to the same curve.
@@ -1170,29 +1132,23 @@ def fit_many(
     ----------
     options:
         :class:`~repro.fitting.options.EngineOptions` bundle. Its
-        executor fields drive the family loop below (unless overridden
-        by the explicit ``executor=``/``n_workers=``); the remaining
-        non-default fields are forwarded into each per-family fit,
-        under any explicit ``kwargs``.
-    executor, n_workers:
-        Backend for the per-family fits (each family is an independent
-        problem). The per-family fits themselves run serially when the
-        family loop is parallelized.
+        ``executor``/``n_workers`` run the family loop below (each
+        family is an independent problem); each per-family fit runs
+        serially with the bundle's other fields, under any explicit
+        ``kwargs``. Enabling ``options.trace`` both traces each
+        per-family fit and wraps the whole call in one ``"fit.many"``
+        span.
     kwargs:
-        Passed through to :func:`fit_least_squares`. Enabling tracing
-        (``options.trace``, or the deprecated loose ``trace=`` kwarg)
-        both traces each per-family fit and wraps the whole call in
-        one ``"fit.many"`` span.
+        Science kwargs passed through to :func:`fit_least_squares`.
     """
-    executor, n_workers, kwargs = grid_engine_kwargs(
-        options, executor, n_workers, kwargs, entry="fit_many"
-    )
-    tracer = resolve_tracer(kwargs["options"].trace)
-    work_units = [_FamilyWork(family, curve, dict(kwargs)) for family in families]
+    opts = options or DEFAULT_OPTIONS
+    tracer = resolve_tracer(opts.trace)
+    fit_kwargs = dict(kwargs, options=opts.replace(executor="serial"))
+    work_units = [_FamilyWork(family, curve, fit_kwargs) for family in families]
     with tracer.span(
         "fit.many", n_families=len(work_units), curve=curve.name or "<curve>"
     ), activate(tracer):
-        triples = get_executor(executor, max_workers=n_workers).map(
+        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _fit_family, work_units
         )
     result = FitManyResult()

@@ -1,20 +1,26 @@
 """The :class:`EngineOptions` bundle — one object for every fit-engine knob.
 
-Every entry point that drives the fit engine historically grew the same
-tail of keyword arguments (``jac=``, ``engine=``, ``cache=``,
-``trace=``, ``executor=``, ``n_workers=``, ``seed=``,
-``n_random_starts=``, ``max_nfev=``). :class:`EngineOptions` freezes that tail into a single
-immutable value that can be built once and handed to
+:class:`EngineOptions` freezes the engine configuration (``jac``,
+``engine``, ``cache``, ``trace``, ``executor``, ``n_workers``,
+``seed``, ``n_random_starts``, ``max_nfev``) into a single immutable
+value that is built once and handed to
 :func:`~repro.fitting.fit_least_squares`, :func:`~repro.fitting.fit_many`,
-the table grids, :func:`~repro.analysis.experiments.truncation_grid`,
+:func:`~repro.fitting.fleet.fit_fleet`, the table grids,
+:func:`~repro.analysis.experiments.truncation_grid`,
 :func:`~repro.validation.crossval.rolling_origin`,
 :func:`~repro.analysis.fleet.episode_scorecard`,
 :func:`~repro.analysis.pipeline.run_full_reproduction`, and the whole
-:mod:`repro.serving` subsystem (which accepts *only* options).
+:mod:`repro.serving` subsystem.
+
+The bundle is the only way to pass the process-level plumbing
+(``cache``, ``trace``, ``executor``, ``n_workers``). The per-fit
+science knobs (``jac``, ``engine``, ``seed``, ``n_random_starts``,
+``max_nfev``) are also first-class keyword arguments of the fit entry
+points, where they vary per call.
 
 Merge semantics (uniform across every entry point):
 
-* an explicit individual kwarg always overrides the same field of
+* an explicit science kwarg always overrides the same field of
   ``options=``;
 * an options field left at its default defers to the entry point's own
   default, so ``EngineOptions()`` is a no-op everywhere;
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
@@ -38,25 +43,25 @@ from repro.parallel import ExecutorLike, FitExecutor, get_executor
 
 __all__ = [
     "DEFAULT_ENGINE_OPTIONS",
-    "DEPRECATED_ENGINE_KWARGS",
     "EngineOptions",
     "ResolvedEngine",
-    "grid_engine_kwargs",
-    "split_engine_kwargs",
-    "warn_deprecated_engine_kwargs",
 ]
 
-#: The engine-plumbing keyword arguments deprecated on every fit entry
-#: point in favor of ``options=``. The per-fit science knobs (``jac``,
-#: ``engine``, ``seed``, ``n_random_starts``, ``max_nfev``) are *not*
-#: deprecated — they vary per call; the plumbing below configures a
-#: process and belongs in one bundle.
-DEPRECATED_ENGINE_KWARGS: tuple[str, ...] = (
-    "cache",
-    "trace",
-    "executor",
-    "n_workers",
-)
+_NULL = type(None)
+
+#: The JSON value types :meth:`EngineOptions.from_dict` accepts per
+#: field. A JSON ``true``/``false`` is never an integer here.
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "jac": (str,),
+    "engine": (str, _NULL),
+    "cache": (bool, _NULL),
+    "trace": (bool, _NULL),
+    "executor": (str, _NULL),
+    "n_workers": (int, _NULL),
+    "seed": (int, _NULL),
+    "n_random_starts": (int,),
+    "max_nfev": (int,),
+}
 
 
 class ResolvedEngine(NamedTuple):
@@ -188,9 +193,10 @@ class EngineOptions:
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineOptions":
         """Rebuild a bundle from :meth:`to_dict` output.
 
-        Unknown keys raise (a config-file typo must not silently become
-        a default), missing keys keep their defaults (old config files
-        stay readable when the bundle grows a field).
+        Unknown keys and values of the wrong JSON type raise (a
+        config-file typo must not silently become a default, nor crash
+        deep inside a fit), missing keys keep their defaults (old config
+        files stay readable when the bundle grows a field).
         """
         field_names = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - field_names)
@@ -199,6 +205,18 @@ class EngineOptions:
                 f"unknown EngineOptions field(s) {unknown}; "
                 f"expected a subset of {sorted(field_names)}"
             )
+        for name, value in payload.items():
+            allowed = _JSON_TYPES[name]
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                expected = " or ".join(
+                    "null" if kind is _NULL else kind.__name__ for kind in allowed
+                )
+                raise ValueError(
+                    f"EngineOptions field {name!r} must be {expected}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         return cls(**dict(payload))
 
     def to_json(self) -> str:
@@ -235,115 +253,3 @@ class EngineOptions:
 
 #: The all-defaults instance every merge compares against.
 DEFAULT_ENGINE_OPTIONS = EngineOptions()
-
-
-def warn_deprecated_engine_kwargs(entry: str, names: Any) -> None:
-    """Emit the one DeprecationWarning for loose engine-plumbing kwargs.
-
-    *names* is any iterable of kwarg names; only those listed in
-    :data:`DEPRECATED_ENGINE_KWARGS` are reported (in canonical order),
-    and nothing is emitted when none match. ``stacklevel=3`` points the
-    warning at the caller of the entry point, not at the entry point's
-    own merge plumbing.
-    """
-    given = [name for name in DEPRECATED_ENGINE_KWARGS if name in set(names)]
-    if not given:
-        return
-    rendered = ", ".join(f"{name}=..." for name in given)
-    warnings.warn(
-        f"{entry}: passing {', '.join(given)} as loose keyword "
-        f"argument(s) is deprecated; pass "
-        f"options=EngineOptions({rendered}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def split_engine_kwargs(
-    entry: str,
-    options: EngineOptions | None,
-    fit_kwargs: Mapping[str, Any],
-) -> tuple[EngineOptions | None, dict[str, Any]]:
-    """Pop deprecated plumbing knobs out of a loose ``**fit_kwargs``.
-
-    For entry points that forward ``**fit_kwargs`` opaquely (the
-    cross-validation helpers): the four deprecated names are removed
-    from the mapping, any non-``None`` values are folded into *options*
-    via :meth:`EngineOptions.override` (creating a bundle when the
-    caller passed none) with a single DeprecationWarning naming
-    *entry*, and the remaining science kwargs are returned untouched.
-    """
-    remaining = dict(fit_kwargs)
-    plumbing = {
-        name: remaining.pop(name)
-        for name in DEPRECATED_ENGINE_KWARGS
-        if name in remaining
-    }
-    given = {name: value for name, value in plumbing.items() if value is not None}
-    if given:
-        warn_deprecated_engine_kwargs(entry, given)
-        base = options if options is not None else DEFAULT_ENGINE_OPTIONS
-        options = base.override(**given)
-    return options, remaining
-
-
-def grid_engine_kwargs(
-    options: EngineOptions | None,
-    executor: ExecutorLike,
-    n_workers: int | None,
-    fit_kwargs: Mapping[str, Any],
-    *,
-    entry: str | None = None,
-) -> tuple[ExecutorLike, int | None, dict[str, Any]]:
-    """Merge *options* into a grid-style entry point's arguments.
-
-    Grid entry points (the table sweeps, :func:`truncation_grid`,
-    :func:`episode_scorecard`, :func:`fit_many`) consume ``executor`` /
-    ``n_workers`` themselves — they parallelize the grid cells (a table
-    sweep: every start of every cell, in one stacked solve), and the
-    per-cell fits run serially — while forwarding the remaining engine
-    knobs into each cell's fit. This helper applies the same split to an
-    options bundle: its executor fields fill the grid-level arguments
-    (when those were not given explicitly), its science fields
-    (``jac``/``engine``/``seed``/``n_random_starts``/``max_nfev``) are
-    folded *under* the explicit per-fit kwargs, and its plumbing fields
-    (``cache``/``trace``) travel to each cell as a per-cell
-    ``options=`` bundle in the returned kwargs rather than as the
-    deprecated loose knobs.
-
-    When *entry* is given, explicitly passed deprecated knobs — a
-    non-``None`` grid-level ``executor``/``n_workers`` or a non-``None``
-    ``cache``/``trace`` inside *fit_kwargs* — draw one
-    DeprecationWarning naming that entry point (they keep working; the
-    values are honored exactly as before).
-    """
-    merged = dict(fit_kwargs)
-    explicit = {
-        name: merged.pop(name) for name in ("cache", "trace") if name in merged
-    }
-    if entry is not None:
-        given = [name for name, value in explicit.items() if value is not None]
-        if executor is not None:
-            given.append("executor")
-        if n_workers is not None:
-            given.append("n_workers")
-        warn_deprecated_engine_kwargs(entry, given)
-    base_options = options if options is not None else DEFAULT_ENGINE_OPTIONS
-    if executor is None:
-        executor = base_options.executor
-    if n_workers is None:
-        n_workers = base_options.n_workers
-    science = {
-        name: value
-        for name, value in base_options.to_kwargs().items()
-        if name not in DEPRECATED_ENGINE_KWARGS
-    }
-    science.update(merged)
-    # Per-cell plumbing: cache/trace from the bundle, overridden by the
-    # explicit loose knobs; executor/n_workers stay None so each cell
-    # keeps its historical serial/env-default resolution.
-    cell_options = DEFAULT_ENGINE_OPTIONS.override(
-        cache=base_options.cache, trace=base_options.trace
-    ).override(**{k: v for k, v in explicit.items() if v is not None})
-    science["options"] = cell_options
-    return executor, n_workers, science

@@ -25,9 +25,9 @@ from scipy import stats
 
 from repro._typing import ArrayLike, FloatArray
 from repro.exceptions import FitError
-from repro.fitting.options import EngineOptions
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
-from repro.parallel import ExecutorLike, get_executor
+from repro.parallel import get_executor
 from repro.validation.intervals import ConfidenceBand
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -190,8 +190,6 @@ def derived_quantity_interval(
     n_samples: int = 400,
     seed: int = 0,
     options: "EngineOptions | None" = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
 ) -> tuple[float, float, float]:
     """Monte-Carlo interval for any derived quantity of a fitted model.
 
@@ -203,14 +201,13 @@ def derived_quantity_interval(
     (e.g. "never recovers") are skipped; if more than half fail, a
     FitError is raised since the interval would be misleading.
 
-    The draws are generated up front from a single seeded stream, so
-    the sample set is identical on every *executor* backend. *func*
-    must be picklable (a module-level function) for the process
-    backend; lambdas degrade gracefully to in-process execution.
-    An ``options=`` :class:`~repro.fitting.options.EngineOptions`
-    bundle supplies ``executor``/``n_workers`` defaults when those are
-    not given explicitly (the other engine knobs do not apply to the
-    draw sweep).
+    The draws run on the ``executor``/``n_workers`` of the ``options=``
+    :class:`~repro.fitting.options.EngineOptions` bundle (its other
+    fields do not apply to the draw sweep). They are generated up front
+    from a single seeded stream, so the sample set is identical on
+    every backend. *func* must be picklable (a module-level function)
+    for the process backend; lambdas degrade gracefully to in-process
+    execution.
 
     Examples
     --------
@@ -219,11 +216,7 @@ def derived_quantity_interval(
     """
     if n_samples < 10:
         raise FitError(f"n_samples must be >= 10, got {n_samples}")
-    if options is not None:
-        if executor is None:
-            executor = options.executor
-        if n_workers is None:
-            n_workers = options.n_workers
+    opts = options or DEFAULT_ENGINE_OPTIONS
     uncertainty = parameter_uncertainty(fit)
     model = fit.model
     params = np.asarray(model.params, dtype=np.float64)
@@ -241,7 +234,7 @@ def derived_quantity_interval(
     work_units = [
         _DrawWork(model, func, tuple(float(v) for v in draw)) for draw in draws
     ]
-    outcomes = get_executor(executor, max_workers=n_workers).map(
+    outcomes = get_executor(opts.executor, max_workers=opts.n_workers).map(
         _evaluate_draw, work_units
     )
     values = [value for value in outcomes if value is not None]

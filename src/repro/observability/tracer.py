@@ -10,9 +10,11 @@ by ``benchmarks/bench_trace_overhead.py``).
 
 Enabling it
 -----------
-* ``trace=`` kwarg on the fit/experiment APIs: a :class:`Tracer`
-  instance, ``True`` (process-global tracer), ``False`` (force off), or
-  ``None`` (environment default — the usual default).
+* the ``trace`` field of the ``options=``
+  :class:`~repro.fitting.options.EngineOptions` bundle on the
+  fit/experiment APIs: a :class:`Tracer` instance, ``True``
+  (process-global tracer), ``False`` (force off), or ``None``
+  (environment default — the usual default).
 * ``REPRO_TRACE=1`` environment variable: traces every instrumented
   call in the process; ``REPRO_TRACE_FILE=path`` additionally streams
   each span as one JSON line (and by itself also implies tracing).

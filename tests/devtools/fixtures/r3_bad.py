@@ -8,11 +8,13 @@ def fit_widget(curve, *, cache=None, trace=None, executor=None):
     return curve, cache, trace, executor
 
 
-def serve_widget(stream, *, options=None, executor=None):
-    """Serving-style entry point that leaks an engine knob."""
-    return stream, options, executor
+def serve_widget(stream, *, executor=None):
+    """Serving-style entry point that leaks an engine knob instead of
+    taking options=."""
+    return stream, executor
 
 
-def sweep_widget(grid, *, options=None):
-    """Spec requires executor/n_workers here; they are missing."""
-    return grid, options
+def sweep_widget(grid, *, options=None, executor=None, n_workers=None):
+    """Grid entry point that carries executor/n_workers loose beside
+    its options bundle."""
+    return grid, options, executor, n_workers

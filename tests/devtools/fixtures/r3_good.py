@@ -3,13 +3,13 @@
 __all__ = ["fit_widget", "serve_widget", "sweep_widget"]
 
 
-def fit_widget(curve, *, options=None, cache=None, trace=None, executor=None):
-    return curve, options, cache, trace, executor
+def fit_widget(curve, *, options=None, engine=None):
+    return curve, options, engine
 
 
 def serve_widget(stream, *, options=None):
     return stream, options
 
 
-def sweep_widget(grid, *, options=None, executor=None, n_workers=None):
-    return grid, options, executor, n_workers
+def sweep_widget(grid, *, options=None):
+    return grid, options

@@ -1,20 +1,13 @@
 """The interprocedural substrate: symbol table, call edges, guard
-dataflow, sink matching, and the mtime+size-keyed AST cache."""
+dataflow and sink matching."""
 
 from __future__ import annotations
 
 import ast
-import os
 from pathlib import Path
 
-from repro.devtools.astcache import (
-    CACHE_ENV_VAR,
-    DEFAULT_CACHE_FILENAME,
-    AstCache,
-    default_cache_path,
-)
 from repro.devtools.callgraph import build_callgraph, module_name_for
-from repro.devtools.lint import discover_project_root, run_lint
+from repro.devtools.lint import discover_project_root
 from repro.devtools.rules import LintConfig, ModuleSource
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,84 +125,3 @@ class TestBlockingPath:
         assert graph.blocking_path(root, ["sleep"]) is not None
         assert graph.blocking_path(root, ["time.*"]) is not None
         assert graph.blocking_path(root, ["scipy.optimize.*"]) is None
-
-
-class TestAstCache:
-    def write(self, tmp_path: Path, text: str = "x = 1\n") -> Path:
-        target = tmp_path / "mod.py"
-        target.write_text(text)
-        return target
-
-    def test_roundtrip_hit(self, tmp_path):
-        target = self.write(tmp_path)
-        cache = AstCache.load(tmp_path / "cache")
-        assert cache.get(target) is None
-        cache.put(target, ast.parse(target.read_text()))
-        cache.save()
-        reloaded = AstCache.load(tmp_path / "cache")
-        tree = reloaded.get(target)
-        assert tree is not None and isinstance(tree, ast.Module)
-        assert reloaded.hits == 1 and cache.misses == 1
-
-    def test_mtime_change_invalidates(self, tmp_path):
-        target = self.write(tmp_path)
-        cache = AstCache.load(tmp_path / "cache")
-        cache.put(target, ast.parse(target.read_text()))
-        # Same size, different mtime: the entry must not be served.
-        stat = target.stat()
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
-        assert cache.get(target) is None
-        assert cache.misses == 1
-
-    def test_size_change_invalidates(self, tmp_path):
-        target = self.write(tmp_path)
-        cache = AstCache.load(tmp_path / "cache")
-        cache.put(target, ast.parse(target.read_text()))
-        target.write_text("x = 1  # grown\n")
-        assert cache.get(target) is None
-
-    def test_corrupted_cache_file_degrades_silently(self, tmp_path):
-        target = self.write(tmp_path)
-        cache_path = tmp_path / "cache"
-        cache_path.write_bytes(b"\x00not a pickle")
-        cache = AstCache.load(cache_path)
-        assert cache.entries == {}
-        assert cache.get(target) is None  # miss, no crash
-        cache.put(target, ast.parse(target.read_text()))
-        cache.save()  # overwrites the corrupt file
-        assert AstCache.load(cache_path).get(target) is not None
-
-    def test_disabled_cache_is_inert(self, tmp_path):
-        target = self.write(tmp_path)
-        cache = AstCache(path=None)
-        cache.put(target, ast.parse(target.read_text()))
-        assert cache.get(target) is None
-        cache.save()
-        assert list(tmp_path.glob("cache*")) == []
-
-    def test_findings_byte_identical_with_cache(self, tmp_path):
-        cold = run_lint([FIXTURES], root=ROOT)
-        cache = AstCache.load(tmp_path / "cache")
-        warm_fill = run_lint([FIXTURES], root=ROOT, cache=cache)
-        cache.save()
-        warm = run_lint(
-            [FIXTURES], root=ROOT, cache=AstCache.load(tmp_path / "cache")
-        )
-        assert cold.new == warm_fill.new == warm.new
-        assert cold.suppressed == warm.suppressed
-        assert cold.checked_files == warm.checked_files
-
-
-class TestDefaultCachePath:
-    def test_unset_uses_project_root(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert default_cache_path(tmp_path) == tmp_path / DEFAULT_CACHE_FILENAME
-
-    def test_off_words_disable(self, monkeypatch, tmp_path):
-        for word in ("off", "0", "none", "FALSE", "Disabled"):
-            monkeypatch.setenv(CACHE_ENV_VAR, word)
-            assert default_cache_path(tmp_path) is None
-
-    def test_explicit_path_wins(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "elsewhere.bin"))
-        assert default_cache_path(Path("/irrelevant")) == tmp_path / "elsewhere.bin"

@@ -106,19 +106,12 @@ class TestDeterminism:
 
 class TestOptionsThreading:
     def entry_specs(self, module: str) -> tuple[EntryPointSpec, ...]:
-        only_options = frozenset({"cache", "trace", "executor", "n_workers"})
-        return (
+        plumbing = frozenset({"cache", "trace", "executor", "n_workers"})
+        return tuple(
             EntryPointSpec(
-                module,
-                "serve_widget",
-                required=frozenset({"options"}),
-                forbidden=only_options,
-            ),
-            EntryPointSpec(
-                module,
-                "sweep_widget",
-                required=frozenset({"options", "executor", "n_workers"}),
-            ),
+                module, name, required=frozenset({"options"}), forbidden=plumbing
+            )
+            for name in ("serve_widget", "sweep_widget")
         )
 
     def test_bad_fixture_triggers(self):
@@ -130,12 +123,20 @@ class TestOptionsThreading:
         findings = lint_fixture("r3_bad.py", OptionsThreadingRule, config)
         messages = [f.message for f in findings]
         assert any("fit_widget" in m and "no options=" in m for m in messages)
-        assert any("serve_widget" in m and "only via options=" in m for m in messages)
         assert any(
-            "sweep_widget" in m and "missing required" in m for m in messages
+            "serve_widget" in m and "missing required" in m for m in messages
+        )
+        assert any(
+            "serve_widget" in m and "only via options=, not: executor" in m
+            for m in messages
+        )
+        assert any(
+            "sweep_widget" in m
+            and "only via options=, not: executor, n_workers" in m
+            for m in messages
         )
         assert any("missing_entirely" in m and "not found" in m for m in messages)
-        assert len(findings) == 4
+        assert len(findings) == 5
 
     def test_good_fixture_clean(self):
         config = fixture_config(entry_points=self.entry_specs(relpath("r3_good.py")))

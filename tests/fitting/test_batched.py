@@ -25,6 +25,9 @@ from repro.fitting.least_squares import fit_least_squares
 from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
 
+#: Engine plumbing for fits that must really solve.
+NO_CACHE = EngineOptions(cache=False)
+
 #: Mixture families crossed with every registered transition trend,
 #: plus the two bathtub families (which take no trend).
 _TREND_SPECS = [
@@ -96,7 +99,7 @@ class TestEngineParity:
         base = 1.0 - 0.25 * np.exp(-0.5 * ((times - 8.0) / 4.0) ** 2)
         noisy = base + rng.normal(0.0, 0.005, size=times.shape)
         curve = ResilienceCurve(times, noisy, nominal=1.0, name="prop")
-        kwargs = dict(n_random_starts=2, cache=False, max_nfev=800)
+        kwargs = dict(n_random_starts=2, options=NO_CACHE, max_nfev=800)
         ref = fit_least_squares(family, curve, engine="scipy", **kwargs)
         alt = fit_least_squares(family, curve, engine="batched", **kwargs)
         assert alt.sse == pytest.approx(ref.sse, rel=1e-8, abs=1e-12)
@@ -107,12 +110,12 @@ class TestEngineParity:
         for spec in ("quadratic", "competing_risks", "wei-exp"):
             family = make_model(spec)
             ref = fit_least_squares(
-                family, recession_1990, n_random_starts=4, cache=False,
+                family, recession_1990, n_random_starts=4, options=NO_CACHE,
                 engine="scipy",
             )
             alt = fit_least_squares(
                 make_model(spec), recession_1990, n_random_starts=4,
-                cache=False, engine="batched",
+                options=NO_CACHE, engine="batched",
             )
             # The batched winner is re-solved by scipy from the same
             # start, so the parameters are bit-identical — the property
@@ -124,7 +127,7 @@ class TestEngineParity:
     def test_weighted_fit_parity(self, recession_1990):
         weights = np.linspace(0.5, 2.0, len(recession_1990))
         kwargs = dict(
-            n_random_starts=2, cache=False, weights=tuple(weights)
+            n_random_starts=2, options=NO_CACHE, weights=tuple(weights)
         )
         ref = fit_least_squares(
             make_model("competing_risks"), recession_1990, engine="scipy",
@@ -139,19 +142,19 @@ class TestEngineParity:
 
     def test_options_and_env_routes(self, recession_1990, monkeypatch):
         explicit = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=False,
-            options=EngineOptions(engine="batched"),
+            make_model("quadratic"), recession_1990,
+            options=EngineOptions(engine="batched", cache=False),
         )
         assert explicit.engine == "batched"
         monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
         ambient = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=False
+            make_model("quadratic"), recession_1990, options=NO_CACHE
         )
         assert ambient.engine == "batched"
         # Explicit kwarg overrides both the options field and the env.
         override = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=False,
-            options=EngineOptions(engine="batched"), engine="scipy",
+            make_model("quadratic"), recession_1990,
+            options=EngineOptions(engine="batched", cache=False), engine="scipy",
         )
         assert override.engine == "scipy"
 
@@ -160,7 +163,7 @@ class TestCounters:
     def test_totals_are_per_start_plus_confirm(self, recession_1990):
         fit = fit_least_squares(
             make_model("competing_risks"), recession_1990,
-            n_random_starts=3, cache=False, engine="batched",
+            n_random_starts=3, options=NO_CACHE, engine="batched",
         )
         d = fit.details
         assert d["nfev"] == sum(d["per_start_nfev"]) + d["confirm_nfev"] + d["polish_nfev"]
@@ -172,7 +175,7 @@ class TestCounters:
     def test_scipy_engine_has_no_confirm(self, recession_1990):
         fit = fit_least_squares(
             make_model("competing_risks"), recession_1990,
-            n_random_starts=3, cache=False, engine="scipy",
+            n_random_starts=3, options=NO_CACHE, engine="scipy",
         )
         assert fit.details["confirm_nfev"] == 0
         assert "per_start_iterations" not in fit.details
@@ -232,17 +235,17 @@ class TestCacheIntegration:
     def test_engines_use_separate_cache_keys(self, recession_1990):
         cache = FitCache()
         first = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=cache,
-            engine="scipy",
+            make_model("quadratic"), recession_1990,
+            options=EngineOptions(cache=cache), engine="scipy",
         )
         miss = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=cache,
-            engine="batched",
+            make_model("quadratic"), recession_1990,
+            options=EngineOptions(cache=cache), engine="batched",
         )
         assert not miss.details["cache_hit"]  # batched never sees scipy's entry
         hit = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=cache,
-            engine="batched",
+            make_model("quadratic"), recession_1990,
+            options=EngineOptions(cache=cache), engine="batched",
         )
         assert hit.details["cache_hit"]
         assert hit.engine == "batched"
@@ -252,12 +255,12 @@ class TestCacheIntegration:
     def test_cache_round_trips_engine_field(self, recession_1990):
         cache = FitCache()
         fit_least_squares(
-            make_model("competing_risks"), recession_1990, cache=cache,
-            engine="batched", n_random_starts=2,
+            make_model("competing_risks"), recession_1990,
+            options=EngineOptions(cache=cache), engine="batched", n_random_starts=2,
         )
         hit = fit_least_squares(
-            make_model("competing_risks"), recession_1990, cache=cache,
-            engine="batched", n_random_starts=2,
+            make_model("competing_risks"), recession_1990,
+            options=EngineOptions(cache=cache), engine="batched", n_random_starts=2,
         )
         assert hit.details["cache_hit"]
         assert hit.engine == "batched"

@@ -18,6 +18,7 @@ from repro.fitting.cache import (
     resolve_cache,
 )
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
 
 
@@ -216,8 +217,9 @@ class TestEngineIntegration:
     def test_hit_returns_equivalent_result(self, curve):
         cache = FitCache()
         family = make_model("quadratic")
-        cold = fit_least_squares(family, curve, cache=cache)
-        warm = fit_least_squares(family, curve, cache=cache)
+        options = EngineOptions(cache=cache)
+        cold = fit_least_squares(family, curve, options=options)
+        warm = fit_least_squares(family, curve, options=options)
         assert cold.details["cache_hit"] is False
         assert warm.details["cache_hit"] is True
         assert warm.model.params == cold.model.params
@@ -229,23 +231,30 @@ class TestEngineIntegration:
     def test_cache_false_bypasses(self, curve):
         cache = FitCache()
         family = make_model("quadratic")
-        fit_least_squares(family, curve, cache=cache)
-        bypass = fit_least_squares(family, curve, cache=False)
+        fit_least_squares(family, curve, options=EngineOptions(cache=cache))
+        bypass = fit_least_squares(
+            family, curve, options=EngineOptions(cache=False)
+        )
         assert bypass.details["cache_hit"] is False
         assert cache.stats()["hits"] == 0
 
     def test_different_jac_modes_do_not_collide(self, curve):
         cache = FitCache()
         family = make_model("quadratic")
-        fit_least_squares(family, curve, cache=cache, jac="analytic")
-        second = fit_least_squares(family, curve, cache=cache, jac="2-point")
+        options = EngineOptions(cache=cache)
+        fit_least_squares(family, curve, options=options, jac="analytic")
+        second = fit_least_squares(family, curve, options=options, jac="2-point")
         assert second.details["cache_hit"] is False
         assert len(cache) == 2
 
     def test_disk_cache_survives_process_boundary(self, curve, tmp_path):
         path = tmp_path / "fits.json"
         family = make_model("quadratic")
-        cold = fit_least_squares(family, curve, cache=FitCache(path=path))
-        warm = fit_least_squares(family, curve, cache=FitCache(path=path))
+        cold = fit_least_squares(
+            family, curve, options=EngineOptions(cache=FitCache(path=path))
+        )
+        warm = fit_least_squares(
+            family, curve, options=EngineOptions(cache=FitCache(path=path))
+        )
         assert warm.details["cache_hit"] is True
         np.testing.assert_array_equal(warm.model.params, cold.model.params)

@@ -18,6 +18,7 @@ from repro.datasets.store import EpisodeStore, EpisodeStoreWriter
 from repro.exceptions import ConvergenceError, DataError
 from repro.fitting.fleet import fit_fleet
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.quadratic import QuadraticResilienceModel
 
 ENGINES = ("scipy", "batched")
@@ -62,7 +63,7 @@ class TestTooShortEpisodes:
             engine=engine,
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=EngineOptions(executor="serial"),
         )
         failed = result.failed["quadratic"]
         assert list(failed) == [False, True, False]
@@ -80,7 +81,7 @@ class TestTooShortEpisodes:
             ("quadratic",),
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=EngineOptions(executor="serial"),
         )
         assert result.n_episodes == 2
         assert np.all(result.failed["quadratic"])
@@ -103,8 +104,7 @@ class TestAllStartsPenalized:
                 engine=engine,
                 n_random_starts=2,
                 seed=5,
-                cache=False,
-                executor="serial",
+                options=EngineOptions(cache=False, executor="serial"),
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -115,7 +115,7 @@ class TestAllStartsPenalized:
             engine=engine,
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=EngineOptions(executor="serial"),
         )
         assert np.all(result.failed["exploding"])
         assert np.all(np.isnan(result.sse["exploding"]))
@@ -132,7 +132,7 @@ class TestAllStartsPenalized:
             (QuadraticResilienceModel(), ExplodingModel()),
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=EngineOptions(executor="serial"),
         )
         assert not result.failed["quadratic"][0]
         assert result.failed["exploding"][0]

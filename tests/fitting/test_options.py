@@ -1,22 +1,26 @@
-"""EngineOptions: merge semantics, env precedence, and fit equivalence."""
+"""EngineOptions: merge semantics, env precedence, fit equivalence, JSON
+round trip, and options= as the only way in for the engine plumbing."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.observability.tracer as tracer_module
+from repro.analysis.experiments import table1, table2, table3, table4, truncation_grid
+from repro.analysis.fleet import episode_scorecard
+from repro.analysis.pipeline import run_full_reproduction
 from repro.fitting.cache import FitCache
+from repro.fitting.fleet import fit_fleet
 from repro.fitting.least_squares import fit_least_squares, fit_many
-from repro.fitting.options import (
-    DEFAULT_ENGINE_OPTIONS,
-    EngineOptions,
-    grid_engine_kwargs,
-)
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
+from repro.fitting.uncertainty import derived_quantity_interval
 from repro.models.registry import make_model
 from repro.observability import Tracer
+from repro.validation.bootstrap import residual_bootstrap
+from repro.validation.crossval import evaluate_predictive, rolling_origin
 
-#: Cheap, hermetic engine configuration shared by the equivalence tests.
-CHEAP = dict(n_random_starts=2, cache=False, trace=False)
+#: Hermetic engine plumbing shared by the equivalence tests.
+PLUMBING = EngineOptions(cache=False, trace=False)
 
 
 class TestMergeSemantics:
@@ -63,52 +67,6 @@ class TestMergeSemantics:
             "n_random_starts": 5,
             "cache": False,
         }
-
-
-class TestGridEngineKwargs:
-    def test_none_options_passthrough(self):
-        executor, n_workers, kwargs = grid_engine_kwargs(
-            None, "thread", 2, {"seed": 1}
-        )
-        assert (executor, n_workers) == ("thread", 2)
-        assert kwargs == {"seed": 1, "options": EngineOptions()}
-
-    def test_executor_fields_split_off(self):
-        options = EngineOptions(executor="thread", n_workers=2, seed=9)
-        executor, n_workers, kwargs = grid_engine_kwargs(options, None, None, {})
-        assert (executor, n_workers) == ("thread", 2)
-        assert kwargs == {"seed": 9, "options": EngineOptions()}
-
-    def test_explicit_arguments_win(self):
-        options = EngineOptions(executor="thread", n_workers=2, seed=9)
-        executor, n_workers, kwargs = grid_engine_kwargs(
-            options, "serial", 1, {"seed": 4}
-        )
-        assert (executor, n_workers) == ("serial", 1)
-        assert kwargs == {"seed": 4, "options": EngineOptions()}
-
-    def test_plumbing_rides_in_cell_options(self):
-        # cache/trace leave the loose kwargs and travel per-cell as an
-        # options bundle; executor/n_workers stay None inside it so each
-        # cell keeps its serial/env-default resolution.
-        options = EngineOptions(executor="thread", cache=False, trace=False)
-        executor, n_workers, kwargs = grid_engine_kwargs(options, None, None, {})
-        assert executor == "thread"
-        assert kwargs == {"options": EngineOptions(cache=False, trace=False)}
-
-    def test_explicit_loose_plumbing_warns_and_wins(self):
-        options = EngineOptions(cache=False)
-        with pytest.warns(DeprecationWarning, match="table1: passing cache"):
-            _, _, kwargs = grid_engine_kwargs(
-                options, None, None, {"cache": True}, entry="table1"
-            )
-        assert kwargs == {"options": EngineOptions(cache=True)}
-
-    def test_no_entry_never_warns(self, recwarn):
-        grid_engine_kwargs(None, "thread", 2, {"cache": False})
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
 
 
 class TestResolveEnvPrecedence:
@@ -176,33 +134,39 @@ class TestResolveEnvPrecedence:
 
 
 class TestFitEquivalence:
-    """options= and the historical individual kwargs are interchangeable."""
+    """Science kwargs passed loose and the same fields inside options=
+    are interchangeable."""
 
     def test_options_bundle_matches_kwargs(self, simple_curve):
         family = make_model("quadratic")
-        via_kwargs = fit_least_squares(family, simple_curve, seed=5, **CHEAP)
+        via_kwargs = fit_least_squares(
+            family, simple_curve, options=PLUMBING, seed=5, n_random_starts=2
+        )
         via_options = fit_least_squares(
-            family, simple_curve, options=EngineOptions(seed=5, **CHEAP)
+            family, simple_curve, options=PLUMBING.replace(seed=5, n_random_starts=2)
         )
         assert via_options.model.params == via_kwargs.model.params
         assert via_options.sse == via_kwargs.sse
 
-    def test_default_options_is_noop(self, simple_curve):
+    def test_default_options_is_noop(self, simple_curve, monkeypatch):
+        monkeypatch.setenv("REPRO_FIT_CACHE", "off")
         family = make_model("quadratic")
-        bare = fit_least_squares(family, simple_curve, **CHEAP)
+        bare = fit_least_squares(family, simple_curve, n_random_starts=2)
         with_options = fit_least_squares(
-            family, simple_curve, options=EngineOptions(), **CHEAP
+            family, simple_curve, options=EngineOptions(), n_random_starts=2
         )
         assert with_options.model.params == bare.model.params
         assert with_options.sse == bare.sse
 
     def test_explicit_kwarg_overrides_options_field(self, simple_curve):
         family = make_model("quadratic")
-        reference = fit_least_squares(family, simple_curve, seed=5, **CHEAP)
+        reference = fit_least_squares(
+            family, simple_curve, options=PLUMBING, seed=5, n_random_starts=2
+        )
         overridden = fit_least_squares(
             family,
             simple_curve,
-            options=EngineOptions(seed=99, **CHEAP),
+            options=PLUMBING.replace(seed=99, n_random_starts=2),
             seed=5,
         )
         assert overridden.model.params == reference.model.params
@@ -210,9 +174,11 @@ class TestFitEquivalence:
 
     def test_fit_many_accepts_options(self, simple_curve):
         families = [make_model("quadratic"), make_model("competing_risks")]
-        via_kwargs = fit_many(families, simple_curve, seed=5, **CHEAP)
+        via_kwargs = fit_many(
+            families, simple_curve, options=PLUMBING, seed=5, n_random_starts=2
+        )
         via_options = fit_many(
-            families, simple_curve, options=EngineOptions(seed=5, **CHEAP)
+            families, simple_curve, options=PLUMBING.replace(seed=5, n_random_starts=2)
         )
         assert sorted(via_options) == sorted(via_kwargs)
         for name in via_kwargs:
@@ -266,6 +232,21 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="unknown EngineOptions field"):
             EngineOptions.from_dict({"n_random_start": 3})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n_random_starts": "4"},
+            {"seed": 1.5},
+            {"cache": "no"},
+            {"max_nfev": True},
+            {"jac": None},
+        ],
+    )
+    def test_wrongly_typed_values_raise(self, payload):
+        (name,) = payload
+        with pytest.raises(ValueError, match=f"field {name!r} must be"):
+            EngineOptions.from_dict(payload)
+
     def test_subset_payload_keeps_defaults(self):
         assert EngineOptions.from_json('{"seed": 9}') == EngineOptions(seed=9)
 
@@ -274,68 +255,52 @@ class TestJsonRoundTrip:
             EngineOptions.from_json("[1, 2]")
 
 
-class TestDeprecatedLooseKwargs:
-    """The plumbing knobs still work loose, but draw a DeprecationWarning."""
+def _cheap_fit(curve):
+    return fit_least_squares(
+        make_model("quadratic"), curve, options=PLUMBING, n_random_starts=2
+    )
 
-    def test_fit_least_squares_loose_plumbing_warns(self, simple_curve):
-        family = make_model("quadratic")
-        with pytest.warns(
-            DeprecationWarning, match="fit_least_squares: passing cache, trace"
-        ):
-            loose = fit_least_squares(
-                family, simple_curve, n_random_starts=2, cache=False, trace=False
-            )
-        bundled = fit_least_squares(
-            family,
-            simple_curve,
-            n_random_starts=2,
-            options=EngineOptions(cache=False, trace=False),
-        )
-        assert loose.model.params == bundled.model.params
 
-    def test_options_bundle_does_not_warn(self, simple_curve, recwarn):
-        fit_least_squares(
-            make_model("quadratic"),
-            simple_curve,
-            n_random_starts=2,
-            options=EngineOptions(cache=False, trace=False, executor="serial"),
-        )
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
+#: Every fit entry point, called on a curve with the cheapest arguments
+#: that reach its fit.
+ENTRY_POINTS = {
+    "fit_least_squares": lambda curve, **kw: fit_least_squares(
+        make_model("quadratic"), curve, **kw
+    ),
+    "fit_many": lambda curve, **kw: fit_many([make_model("quadratic")], curve, **kw),
+    "fit_fleet": lambda curve, **kw: fit_fleet([curve], ["quadratic"], **kw),
+    "table1": lambda curve, **kw: table1(**kw),
+    "table2": lambda curve, **kw: table2(**kw),
+    "table3": lambda curve, **kw: table3(**kw),
+    "table4": lambda curve, **kw: table4(**kw),
+    "truncation_grid": lambda curve, **kw: truncation_grid(
+        ("quadratic",), fractions=(0.9,), datasets=("1980",), **kw
+    ),
+    "episode_scorecard": lambda curve, **kw: episode_scorecard(
+        curve, model="quadratic", tolerance=0.005, **kw
+    ),
+    "run_full_reproduction": lambda curve, **kw: run_full_reproduction(**kw),
+    "evaluate_predictive": lambda curve, **kw: evaluate_predictive(
+        make_model("quadratic"), curve, **kw
+    ),
+    "rolling_origin": lambda curve, **kw: rolling_origin(
+        make_model("quadratic"), curve, min_train=12, step=12, **kw
+    ),
+    "residual_bootstrap": lambda curve, **kw: residual_bootstrap(
+        _cheap_fit(curve), n_replications=10, **kw
+    ),
+    "derived_quantity_interval": lambda curve, **kw: derived_quantity_interval(
+        _cheap_fit(curve), lambda model: model.params[0], n_samples=10, **kw
+    ),
+}
 
-    def test_science_kwargs_do_not_warn(self, simple_curve, recwarn):
-        fit_least_squares(
-            make_model("quadratic"),
-            simple_curve,
-            n_random_starts=2,
-            seed=3,
-            max_nfev=800,
-            jac="auto",
-            options=EngineOptions(cache=False, trace=False),
-        )
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
+#: A value each plumbing knob accepts inside options=.
+LOOSE_KNOBS = {"cache": False, "trace": False, "executor": "serial", "n_workers": 1}
 
-    def test_split_engine_kwargs_folds_into_options(self):
-        from repro.fitting.options import split_engine_kwargs
 
-        with pytest.warns(DeprecationWarning, match="my_entry: passing executor"):
-            options, remaining = split_engine_kwargs(
-                "my_entry", EngineOptions(seed=5), {"executor": "thread", "seed": 7}
-            )
-        assert options == EngineOptions(seed=5, executor="thread")
-        assert remaining == {"seed": 7}
-
-    def test_split_engine_kwargs_none_values_do_not_warn(self, recwarn):
-        from repro.fitting.options import split_engine_kwargs
-
-        options, remaining = split_engine_kwargs(
-            "my_entry", None, {"cache": None, "seed": 7}
-        )
-        assert options is None
-        assert remaining == {"seed": 7}
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
+@pytest.mark.parametrize("knob", sorted(LOOSE_KNOBS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_loose_plumbing_kwarg_is_a_type_error(entry, knob, recession_1990):
+    """cache/trace/executor/n_workers travel only inside options=."""
+    with pytest.raises(TypeError, match=knob):
+        ENTRY_POINTS[entry](recession_1990, **{knob: LOOSE_KNOBS[knob]})

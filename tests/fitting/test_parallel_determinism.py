@@ -14,6 +14,7 @@ import pytest
 from repro.exceptions import ConvergenceError
 from repro.fitting.least_squares import fit_least_squares, fit_many
 from repro.fitting.multistart import generate_starts
+from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
 
 BACKENDS = ("serial", "thread", "process")
@@ -27,8 +28,7 @@ class TestBackendBitIdentity:
                 make_model(family_name),
                 recession_1990,
                 n_random_starts=4,
-                executor=backend,
-                n_workers=2,
+                options=EngineOptions(executor=backend, n_workers=2),
             )
             for backend in BACKENDS
         }
@@ -44,11 +44,11 @@ class TestBackendBitIdentity:
     def test_worker_count_does_not_change_result(self, recession_1990):
         one = fit_least_squares(
             make_model("quadratic"), recession_1990, n_random_starts=4,
-            executor="thread", n_workers=1,
+            options=EngineOptions(executor="thread", n_workers=1),
         )
         four = fit_least_squares(
             make_model("quadratic"), recession_1990, n_random_starts=4,
-            executor="thread", n_workers=4,
+            options=EngineOptions(executor="thread", n_workers=4),
         )
         assert one.model.params == four.model.params
 

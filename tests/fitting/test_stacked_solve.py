@@ -118,6 +118,6 @@ def test_grid_with_failing_cell_raises_like_the_per_cell_loop(engine):
         for pair in pairs:
             fit_least_squares(pair.family, pair.curve, options=options)
     with pytest.raises(ConvergenceError) as stacked:
-        _fit_grid(pairs, None, None, {"options": options})
+        _fit_grid(pairs, options)
     assert str(stacked.value) == str(looped.value)
     assert str(stacked.value).endswith("to b")

@@ -138,9 +138,19 @@ class TestOptionsFile:
         assert options.n_workers == 2  # file survives where no flag given
         assert options.seed == 7
 
-    def test_unknown_key_is_a_clean_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"n_random_start": 3}',
+            '{"n_random_starts": "4"}',
+            '{"seed": 1.5}',
+            '{"cache": "no"}',
+        ],
+        ids=["unknown-key", "string-starts", "float-seed", "string-cache"],
+    )
+    def test_unknown_key_is_a_clean_error(self, tmp_path, capsys, payload):
         path = tmp_path / "engine.json"
-        path.write_text('{"n_random_start": 3}')
+        path.write_text(payload)
         assert main(["fit", "quadratic", "1990-93", "--options-file", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "--options-file" in err

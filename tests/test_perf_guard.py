@@ -29,6 +29,7 @@ import pytest
 from repro._env import read_env
 from repro.datasets.recessions import load_recession
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.base import ResilienceModel
 from repro.models.registry import make_model
 from repro.utils.integrate import adaptive_quad
@@ -74,8 +75,8 @@ def batched_mixture_fit():
     curve = load_recession("1990-93")
     start = time.perf_counter()
     fit = fit_least_squares(
-        make_model("wei-exp"), curve, n_random_starts=2, cache=False,
-        engine="batched",
+        make_model("wei-exp"), curve, n_random_starts=2,
+        options=EngineOptions(cache=False), engine="batched",
     )
     return fit, time.perf_counter() - start
 
@@ -207,7 +208,9 @@ class TestFleetPerfGuard:
 
         start = time.perf_counter()
         looped = [
-            fit_least_squares(family, curve, engine="batched", cache=False)
+            fit_least_squares(
+                family, curve, engine="batched", options=EngineOptions(cache=False)
+            )
             for curve in store
         ]
         loop_elapsed = time.perf_counter() - start

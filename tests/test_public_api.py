@@ -84,14 +84,12 @@ def test_devtools_surface_is_pinned():
     assert list(repro.devtools.__all__) == sorted(repro.devtools.__all__)
     assert set(repro.devtools.__all__) == {
         "ALL_RULES",
-        "AstCache",
         "CallGraph",
         "Finding",
         "GRAPH_RULES",
         "LintConfig",
         "LintResult",
         "build_callgraph",
-        "default_cache_path",
         "default_config",
         "load_baseline",
         "main",
