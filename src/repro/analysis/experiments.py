@@ -8,21 +8,24 @@ benchmark harness can regenerate each artifact in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
-from repro.core.curve import ResilienceCurve
 from repro.datasets.recessions import RECESSION_NAMES, load_all_recessions, load_recession
 from repro.datasets.synthetic import make_shape_curve
 from repro.exceptions import DataError
-from repro.fitting.least_squares import _FitPair, _fit_pairs, _raise_first_failure
+from repro.fitting.least_squares import (
+    _FitPair,
+    _fit_pairs,
+    _pop_start_settings,
+    _raise_first_failure,
+)
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.metrics.predictive import PredictiveMetricReport, predictive_metric_report
 from repro.models.registry import make_model
-from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import get_executor
+from repro.observability.tracer import resolve_tracer
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_table
 from repro.validation.crossval import (
@@ -345,51 +348,6 @@ class TruncationGridResult:
         return format_table(headers, rows, title=self.title)
 
 
-class _TruncationChain(NamedTuple):
-    """Picklable work unit: one (dataset, model) pair swept over every
-    training fraction, warm-starting each prefix from the previous."""
-
-    dataset: str
-    curve: ResilienceCurve
-    model: str
-    fractions: tuple[float, ...]
-    confidence: float
-    warm_start: bool
-    warm_n_random_starts: int
-    fit_kwargs: dict
-
-
-def _evaluate_chain(
-    chain: _TruncationChain,
-) -> tuple[str, str, dict[float, PredictiveEvaluation]]:
-    """Evaluate one warm-start chain (module-level so the process
-    backend can pickle it).
-
-    Fractions are visited in ascending order; each prefix's optimum is
-    injected as an extra start for the next prefix, whose random-start
-    budget shrinks to ``warm_n_random_starts`` — adjacent prefixes share
-    most of their data, so the previous optimum is almost always in the
-    right basin already.
-    """
-    evaluations: dict[float, PredictiveEvaluation] = {}
-    previous_optimum: tuple[float, ...] | None = None
-    for fraction in chain.fractions:
-        kwargs = dict(chain.fit_kwargs)
-        if chain.warm_start and previous_optimum is not None:
-            kwargs.setdefault("extra_starts", (previous_optimum,))
-            kwargs.setdefault("n_random_starts", chain.warm_n_random_starts)
-        evaluation = evaluate_predictive(
-            make_model(chain.model),
-            chain.curve,
-            train_fraction=fraction,
-            confidence=chain.confidence,
-            **kwargs,
-        )
-        evaluations[fraction] = evaluation
-        previous_optimum = evaluation.model.params
-    return chain.dataset, chain.model, evaluations
-
-
 def truncation_grid(
     model_names: tuple[str, ...] = MIXTURE_MODEL_NAMES,
     *,
@@ -403,12 +361,12 @@ def truncation_grid(
 ) -> TruncationGridResult:
     """Sweep the Table I/III protocol over several training fractions.
 
-    Each (dataset, model) pair forms an independent chain that walks the
-    fractions in ascending order with warm-start propagation (see
-    :func:`_evaluate_chain`); chains run in parallel on
-    ``options.executor`` and each chain's fits run serially. Results are
-    assembled in grid order, so the table is identical on every
-    backend.
+    Each (dataset, model) pair forms a chain that walks the fractions in
+    ascending order with warm-start propagation: adjacent prefixes share
+    most of their data, so the previous optimum is almost always in the
+    right basin already. Each fraction is one stacked solve across all
+    chains (see :func:`_fit_grid`), so the table is identical on every
+    engine and executor backend.
 
     Parameters
     ----------
@@ -428,14 +386,15 @@ def truncation_grid(
         ``fit_kwargs`` win over its fields. An explicit or non-default
         ``n_random_starts`` disables the warm-chain budget shrink.
     fit_kwargs:
-        Science kwargs passed through to
-        :func:`~repro.fitting.fit_least_squares`.
+        Science kwargs as for :func:`~repro.fitting.fit_least_squares`.
+        An explicit ``extra_starts`` replaces the injected optimum.
     """
     opts = options or DEFAULT_ENGINE_OPTIONS
     if opts.n_random_starts != DEFAULT_ENGINE_OPTIONS.n_random_starts:
         # The caller chose this budget: the chains keep it.
         fit_kwargs.setdefault("n_random_starts", opts.n_random_starts)
-    fit_kwargs["options"] = opts.replace(executor="serial")
+    warm_budget = None if "n_random_starts" in fit_kwargs else warm_n_random_starts
+    start_settings = _pop_start_settings(fit_kwargs)
     if not fractions:
         raise DataError("truncation_grid needs at least one training fraction")
     ordered_fractions = tuple(sorted(float(f) for f in fractions))
@@ -445,29 +404,41 @@ def truncation_grid(
         recessions = {name: load_recession(name) for name in datasets}
     tracer = resolve_tracer(opts.trace)
     chains = [
-        _TruncationChain(
-            dataset_name, curve, model_name, ordered_fractions, confidence,
-            warm_start, warm_n_random_starts, dict(fit_kwargs),
-        )
+        (dataset_name, curve, model_name)
         for dataset_name, curve in recessions.items()
         for model_name in model_names
     ]
-    with tracer.span(
-        "truncation.grid",
-        n_chains=len(chains),
-        n_fractions=len(ordered_fractions),
-        warm_start=warm_start,
-    ), activate(tracer):
-        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _evaluate_chain, chains
-        )
     result = TruncationGridResult(
         model_names=tuple(model_names),
         fractions=ordered_fractions,
         title="Truncation sweep — held-out PMSE by training fraction",
     )
-    for dataset_name, model_name, evaluations in triples:
-        result.cells.setdefault(dataset_name, {})[model_name] = evaluations
+
+    def start_settings_after(optimum: tuple[float, ...] | None) -> dict[str, Any]:
+        """A chain's start settings after the prefix that found *optimum*."""
+        settings: dict[str, Any] = {}
+        if warm_start and optimum is not None:
+            settings = {"extra_starts": (optimum,), "n_random_starts": warm_budget}
+        return {**settings, **start_settings}
+
+    optima: list[tuple[float, ...] | None] = [None] * len(chains)
+    with tracer.span(
+        "truncation.grid",
+        n_chains=len(chains),
+        n_fractions=len(ordered_fractions),
+        warm_start=warm_start,
+    ):
+        for fraction in ordered_fractions:
+            splits = [curve.train_test_split(fraction) for _, curve, _ in chains]
+            pairs = [
+                _FitPair(make_model(model), train, **start_settings_after(optimum))
+                for (_, _, model), (train, test), optimum in zip(chains, splits, optima)
+            ]
+            fits = _fit_grid(pairs, opts, **fit_kwargs)
+            optima = [fit.model.params for fit in fits]
+            for (dataset, curve, model), (train, test), fit in zip(chains, splits, fits):
+                cells = result.cells.setdefault(dataset, {}).setdefault(model, {})
+                cells[fraction] = _evaluate_fit(fit, curve, test, confidence=confidence)
     return result
 
 

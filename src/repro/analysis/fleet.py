@@ -4,16 +4,16 @@ Formalizes the multi-event pipeline (simulated in
 ``examples/operational_history.py``): segment a history into
 disruption episodes, compute each episode's point metrics, fit a model
 per episode, and aggregate — turning the paper's single-event
-machinery into an operational report. Episodes are independent fitting
-problems, so the per-episode work can run on any
-:class:`~repro.parallel.FitExecutor` backend.
+machinery into an operational report. Every episode's fit is one pair
+of a single stacked solve, so the executor maps the starts of all
+episodes at once.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -21,13 +21,17 @@ from repro.core.curve import ResilienceCurve
 from repro.core.episodes import Episode, split_episodes
 from repro.core.phases import detect_phases
 from repro.exceptions import ReproError
-from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.least_squares import (
+    _FailedPair,
+    _FitPair,
+    _fit_pairs,
+    _pop_start_settings,
+)
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.metrics.point import rapidity, time_to_recovery
 from repro.models.registry import make_model
-from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import get_executor
+from repro.observability.tracer import resolve_tracer
 from repro.utils.tables import format_table
 
 __all__ = ["EpisodeScore", "EpisodeScorecard", "episode_scorecard"]
@@ -132,48 +136,20 @@ class EpisodeScorecard:
         )
 
 
-class _EpisodeWork(NamedTuple):
-    """Picklable work unit: score one episode."""
-
-    episode: Episode
-    model: str
-    tolerance: float
-    level: float
-    fit_kwargs: dict
-
-
-def _score_episode(work: _EpisodeWork) -> EpisodeScore:
-    """Compute one episode's metrics and fit (module-level so the
-    process backend can pickle it)."""
-    curve = work.episode.curve.shifted(-float(work.episode.curve.times[0]))
-
-    observed_recovery: float | None = None
+def _phase_metrics(
+    curve: ResilienceCurve, tolerance: float
+) -> tuple[float | None, float | None]:
+    """One episode's ``(rapidity, observed recovery)``, each ``None``
+    when it cannot be computed. An unrecovered episode keeps its
+    rapidity: only its recovery time is unavailable."""
     episode_rapidity: float | None = None
     try:
-        phases = detect_phases(curve, tolerance=work.tolerance)
+        phases = detect_phases(curve, tolerance=tolerance)
         episode_rapidity = rapidity(curve, phases)
-        observed_recovery = time_to_recovery(curve, phases)
+        return episode_rapidity, time_to_recovery(curve, phases)
     except ReproError as exc:
         logger.debug("episode phase metrics unavailable: %s", exc)
-
-    fit: FitResult | None = None
-    predicted_recovery: float | None = None
-    try:
-        fit = fit_least_squares(make_model(work.model), curve, **work.fit_kwargs)
-        predicted_recovery = fit.model.recovery_time(
-            work.level, horizon=100.0 * max(curve.duration, 1.0)
-        )
-    except (ReproError, ValueError) as exc:
-        logger.debug("episode fit/recovery unavailable: %s", exc)
-
-    return EpisodeScore(
-        episode=work.episode,
-        depth=work.episode.depth,
-        rapidity=episode_rapidity,
-        observed_recovery=observed_recovery,
-        fit=fit,
-        predicted_recovery=predicted_recovery,
-    )
+        return episode_rapidity, None
 
 
 def episode_scorecard(
@@ -185,7 +161,7 @@ def episode_scorecard(
     min_samples: int = 4,
     recovery_level: float | None = None,
     options: EngineOptions | None = None,
-    **fit_kwargs: object,
+    **fit_kwargs: Any,
 ) -> EpisodeScorecard:
     """Build an :class:`EpisodeScorecard` for *history*.
 
@@ -203,11 +179,11 @@ def episode_scorecard(
         Level for the model's predicted recovery; defaults to
         ``nominal·(1 − tolerance)``.
     options:
-        :class:`~repro.fitting.options.EngineOptions` bundle. Its
-        ``executor``/``n_workers`` run the independent per-episode fits
-        (each fit itself runs serially); scores are assembled in episode
-        order on every backend. Enabling ``options.trace`` traces each
-        episode's fit and wraps the whole scorecard in one
+        :class:`~repro.fitting.options.EngineOptions` bundle for the
+        one stacked solve of every episode's fit (``options.executor``
+        maps their starts); scores are assembled in episode order on
+        every backend. Enabling ``options.trace`` traces each episode's
+        fit and wraps the whole scorecard in one
         ``"episodes.scorecard"`` span.
     fit_kwargs:
         Science kwargs passed through to
@@ -216,7 +192,6 @@ def episode_scorecard(
     """
     opts = options or DEFAULT_ENGINE_OPTIONS
     tracer = resolve_tracer(opts.trace)
-    fit_kwargs["options"] = opts.replace(executor="serial")
     episodes = split_episodes(
         history, tolerance=tolerance, min_depth=min_depth, min_samples=min_samples
     )
@@ -225,19 +200,32 @@ def episode_scorecard(
         if recovery_level is None
         else float(recovery_level)
     )
-    work_units = [
-        _EpisodeWork(episode, model, tolerance, level, dict(fit_kwargs))
-        for episode in episodes
+    curves = [
+        episode.curve.shifted(-float(episode.curve.times[0])) for episode in episodes
     ]
+    start_settings = _pop_start_settings(fit_kwargs)
+    pairs = [_FitPair(make_model(model), curve, **start_settings) for curve in curves]
+    scorecard = EpisodeScorecard(history=history, band_tolerance=tolerance)
     with tracer.span(
         "episodes.scorecard",
         history=history.name or "<history>",
-        n_episodes=len(work_units),
+        n_episodes=len(episodes),
         model=model,
-    ), activate(tracer):
-        scores = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _score_episode, work_units
-        )
-    return EpisodeScorecard(
-        history=history, scores=list(scores), band_tolerance=tolerance
-    )
+    ):
+        fits = _fit_pairs(pairs, options=opts, **fit_kwargs)
+        for episode, curve, entry in zip(episodes, curves, fits):
+            fit = None if isinstance(entry, _FailedPair) else entry
+            predicted: float | None = None
+            if fit is not None:
+                horizon = 100.0 * max(curve.duration, 1.0)
+                try:
+                    predicted = fit.model.recovery_time(level, horizon=horizon)
+                except (ReproError, ValueError) as exc:
+                    logger.debug("episode recovery unavailable: %s", exc)
+            scorecard.scores.append(
+                EpisodeScore(
+                    episode, episode.depth, *_phase_metrics(curve, tolerance),
+                    fit, predicted,
+                )
+            )
+    return scorecard

@@ -262,11 +262,12 @@ def default_config() -> LintConfig:
         blocking_sinks=(
             "scipy.optimize.*",
             "repro.fitting.least_squares.fit_least_squares",
+            "repro.fitting.least_squares._fit_pairs",
+            "repro.fitting.least_squares._solve_pairs",
             "repro.fitting.least_squares.fit_many",
             "repro.fitting.fleet.fit_fleet",
             "repro.serving.session.ForecastSession.execute_refits",
             "repro.serving.session.ForecastSession.refit_stale",
-            "repro.serving.remediation.execute_remediation",
             "repro.serving.remediation.RemediationLoop.execute",
             "repro.serving.remediation.RemediationLoop.run_cycle",
             "repro.datasets.store.EpisodeStore.iter_chunks",

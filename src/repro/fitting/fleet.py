@@ -27,10 +27,14 @@ any curve iterable — so peak memory is set by ``chunk_size``, not the
 fleet size. Results accumulate columnar (a few dozen bytes per
 episode), keeping million-episode fleets in reach.
 
+The scipy engine makes the same chunk call: it ignores the padded
+screens and runs one scipy solve per start on the episode itself, with
+``options.executor`` mapping every start of the chunk.
+
 Fleet fits default to **cache-off**: synthetic fleets never repeat a
-``(family, curve, config)`` key, so the LRU would only churn. Pass
-``options=EngineOptions(cache=True)`` (or an explicit cache) to opt
-back in.
+``(family, curve, config)`` key, so the LRU would only churn. On the
+scipy engine, pass ``options=EngineOptions(cache=True)`` (or an
+explicit cache) to opt back in.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ from repro.fitting.cache import FitCache
 from repro.fitting.least_squares import (
     _FailedPair,
     _FitPair,
-    _fit_pairs,
     _resolve_jac_mode,
-    fit_least_squares,
+    _solve_pairs,
 )
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
@@ -61,8 +64,7 @@ from repro.fitting.options import (
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.models.registry import make_model
-from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import get_executor
+from repro.observability.tracer import resolve_tracer
 
 __all__ = ["EpisodeFamilyFit", "FleetFitResult", "fit_fleet"]
 
@@ -282,33 +284,6 @@ def _iter_episode_chunks(
         yield block
 
 
-class _EpisodeGridWork(NamedTuple):
-    """Picklable work unit: the full family grid for one episode."""
-
-    curve: ResilienceCurve
-    families: tuple[ResilienceModel, ...]
-    options: EngineOptions
-
-
-def _fit_episode_grid(work: _EpisodeGridWork) -> list[FitResult | _FailedPair]:
-    """Loop one episode through every family with scipy fits (the
-    per-episode reference path the batched engine is measured against).
-    A family whose fit raises becomes a failed pair with no starts."""
-    fits: list[FitResult | _FailedPair] = []
-    for family in work.families:
-        try:
-            fits.append(fit_least_squares(family, work.curve, options=work.options))
-        except FitError as exc:  # includes ConvergenceError
-            logger.debug(
-                "fit_fleet: %r failed on %r: %s",
-                family.name,
-                work.curve.name,
-                exc,
-            )
-            fits.append(_FailedPair(exc, 0))
-    return fits
-
-
 def _store_fit(
     columns: dict[str, np.ndarray], slot: int, fit: FitResult | _FailedPair
 ) -> None:
@@ -359,8 +334,10 @@ def fit_fleet(
         :func:`~repro.fitting.fit_least_squares`. Its ``cache``
         defaults to **off** for fleet fits (synthetic episodes never
         repeat a cache key); set it to ``True`` or a
-        :class:`~repro.fitting.cache.FitCache` to opt in. Its
-        ``executor``/``n_workers`` run the scipy engine's episode loop.
+        :class:`~repro.fitting.cache.FitCache` to opt in (scipy engine
+        only: the batched engine's padded screens never use the cache).
+        Its ``executor``/``n_workers`` map every start of a chunk on the
+        scipy engine.
     chunk_size:
         Episodes fitted per batched solve. Peak memory scales with
         ``chunk_size × families × starts × grid length`` and is
@@ -379,8 +356,8 @@ def fit_fleet(
         SSE agreement to ~1e-8 instead of bit-identity.
     engine:
         ``"batched"`` (cross-episode stacking, the point of this
-        function) or ``"scipy"`` (the per-episode reference loop,
-        parallelized over ``options.executor``). ``None`` defers to
+        function) or ``"scipy"`` (the reference engine: the same
+        chunk call with one scipy solve per start). ``None`` defers to
         ``options.engine`` then ``REPRO_FIT_ENGINE``.
     n_random_starts, seed, max_nfev, jac:
         As in :func:`~repro.fitting.fit_least_squares`.
@@ -398,10 +375,6 @@ def fit_fleet(
         jac=jac,
         engine=engine,
     )
-    # The fleet-specific default: no caching unless the options bundle
-    # chooses it (None normally means "defer to the environment default
-    # cache").
-    fleet_cache: bool | FitCache = False if opts.cache is None else opts.cache
     if chunk_size < 1:
         raise FitError(f"chunk_size must be >= 1, got {chunk_size}")
     if length_bucket < 1:
@@ -419,6 +392,15 @@ def fit_fleet(
     tracer = resolve_tracer(opts.trace)
     for family in resolved_families:
         _resolve_jac_mode(family, opts.jac)  # reject a bad jac= up front
+    # The fleet-specific cache default: off unless the options bundle
+    # chooses it (None normally means "defer to the environment default
+    # cache"). The batched engine never caches: its screens are padded
+    # and confirm=False skips the confirmation, so its records would not
+    # match a lone fit's.
+    fleet_cache: bool | FitCache = False if opts.cache is None else opts.cache
+    chunk_options = opts.replace(
+        engine=engine_mode, cache=fleet_cache if engine_mode == "scipy" else False
+    )
     accumulators = [_FamilyAccumulator(family) for family in resolved_families]
     t0 = time.perf_counter()
     n_episodes = 0
@@ -433,24 +415,14 @@ def fit_fleet(
             size = len(chunk)
             n_episodes += size
             chunk_columns = [acc.new_chunk(size) for acc in accumulators]
-            if engine_mode == "batched":
-                _fit_chunk_batched(
-                    chunk,
-                    resolved_families,
-                    chunk_columns,
-                    opts=opts,
-                    length_bucket=length_bucket,
-                    confirm=confirm,
-                )
-            else:
-                _fit_chunk_scipy(
-                    chunk,
-                    resolved_families,
-                    chunk_columns,
-                    opts=opts,
-                    fleet_cache=fleet_cache,
-                    tracer=tracer,
-                )
+            _fit_chunk(
+                chunk,
+                resolved_families,
+                chunk_columns,
+                opts=chunk_options,
+                length_bucket=length_bucket,
+                confirm=confirm,
+            )
             if tracer.enabled:
                 tracer.record(
                     "fleet.chunk",
@@ -500,7 +472,7 @@ def fit_fleet(
     )
 
 
-def _fit_chunk_batched(
+def _fit_chunk(
     chunk: list[ResilienceCurve],
     families: list[ResilienceModel],
     chunk_columns: list[dict[str, np.ndarray]],
@@ -509,16 +481,14 @@ def _fit_chunk_batched(
     length_bucket: int,
     confirm: bool,
 ) -> None:
-    """Fit one chunk through the cross-episode batched kernel.
+    """Fit one chunk in one stacked solve.
 
     Every ``(episode, family)`` cell becomes one pair of the shared
-    stacked solve (:func:`~repro.fitting.least_squares._fit_pairs`),
-    screened on its episode's zero-weight padded copy so ragged lengths
-    share kernel groups. A cell the solve rejects (an episode too short
-    for the family) or cannot fit becomes a failed row. The batched
-    path never touches the fit cache: its screens are padded and
-    ``confirm=False`` skips the scipy confirmation, so its records
-    would not match a lone fit's.
+    stacked solve (:func:`~repro.fitting.least_squares._solve_pairs`).
+    The batched kernel screens each cell on its episode's zero-weight
+    padded copy, so ragged lengths share kernel groups; scipy ignores
+    the screens. A cell the solve rejects (an episode too short for the
+    family) or cannot fit becomes a failed row with the starts it tried.
     """
     pairs: list[_FitPair] = []
     for curve in chunk:
@@ -526,11 +496,7 @@ def _fit_chunk_batched(
             curve, _bucket_length(len(curve), length_bucket)
         )
         pairs.extend(_FitPair(family, curve, screen) for family in families)
-    fits = iter(
-        _fit_pairs(
-            pairs, options=opts.replace(engine="batched", cache=False), confirm=confirm
-        )
-    )
+    fits = iter(_solve_pairs(pairs, opts, confirm=confirm))
     for episode_slot, curve in enumerate(chunk):
         for family, columns in zip(families, chunk_columns):
             fit = next(fits)
@@ -538,34 +504,4 @@ def _fit_chunk_batched(
                 logger.debug(
                     "fit_fleet: %r failed on %r: %s", family.name, curve.name, fit.error
                 )
-            _store_fit(columns, episode_slot, fit)
-
-
-def _fit_chunk_scipy(
-    chunk: list[ResilienceCurve],
-    families: list[ResilienceModel],
-    chunk_columns: list[dict[str, np.ndarray]],
-    *,
-    opts: EngineOptions,
-    fleet_cache: bool | FitCache,
-    tracer: Any,
-) -> None:
-    """Fit one chunk with the per-episode scipy loop (reference path).
-
-    Episodes are independent, so the loop runs on the configured
-    executor; results are reduced in episode order, identical on every
-    backend.
-    """
-    # The episode loop is the parallel dimension, so each fit runs
-    # serially with the fleet's cache setting.
-    episode_options = opts.replace(engine="scipy", cache=fleet_cache, executor="serial")
-    work_units = [
-        _EpisodeGridWork(curve, tuple(families), episode_options) for curve in chunk
-    ]
-    with activate(tracer):
-        grids = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _fit_episode_grid, work_units
-        )
-    for episode_slot, fits in enumerate(grids):
-        for columns, fit in zip(chunk_columns, fits):
             _store_fit(columns, episode_slot, fit)

@@ -31,19 +31,22 @@ start), so the final optimum is the exact scipy trajectory and the
 rendered tables are byte-identical under both engines (the scipy path
 stays the oracle).
 
-Every fit runs through :func:`_fit_pairs`, which takes many
+Every fit runs through :func:`_solve_pairs`, which takes many
 ``(family, curve)`` pairs and solves the starts of all of them at once:
-:func:`fit_least_squares` is its one-pair call, and the table grids of
-:mod:`repro.analysis.experiments` and
-:func:`~repro.fitting.fleet.fit_fleet` stack whole grids and fleet
-chunks into one kernel call.
+:func:`fit_least_squares` is its one-pair call, and every batch —
+:func:`fit_many`, the table grids and truncation sweep,
+:func:`~repro.fitting.fleet.fit_fleet`, the bootstrap, the episode
+scorecard, serving refits and remediation — is one call, whose starts
+the executor maps. Batch callers other than the fleet enter through
+:func:`_fit_pairs`, which takes :func:`fit_least_squares`'s science
+keywords.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence, cast
 
 import numpy as np
 from scipy import optimize
@@ -549,9 +552,9 @@ def fit_least_squares(
 
     def solve() -> FitResult:
         (result,) = _raise_first_failure(
-            _fit_pairs(
-                [_FitPair(family, curve)], options=opts, starts=starts,
-                extra_starts=extra_starts, weights=weights, fit_spans=False,
+            _solve_pairs(
+                [_FitPair(family, curve, starts=starts, extra_starts=extra_starts)],
+                opts, weights=weights, fit_spans=False,
             )
         )
         return result
@@ -605,11 +608,21 @@ class _FitPair(NamedTuple):
     pair's starts on; the fleet passes zero-weight padded copies of an
     episode so ragged lengths share kernel groups. Confirmation, the
     reported SSE and the cache always use ``curve`` itself.
+
+    ``starts``, ``extra_starts`` and ``n_random_starts`` mean what the
+    :func:`fit_least_squares` keywords do, per pair (a cold, a warm and
+    a full refit can share a call); a pair's budget wins over the call's.
+    ``use_cache=False`` keeps the pair out of the call's fit cache: no
+    lookup and no write.
     """
 
     family: ResilienceModel
     curve: ResilienceCurve
     screen: _Screen | None = None
+    starts: Sequence[Sequence[float]] | None = None
+    extra_starts: Sequence[Sequence[float]] | None = None
+    n_random_starts: int | None = None
+    use_cache: bool = True
 
 
 class _FailedPair(NamedTuple):
@@ -644,6 +657,24 @@ def _raise_first_failure(fits: Sequence[FitResult | _FailedPair]) -> list[FitRes
     return results
 
 
+def _converged(fit: FitResult | _FailedPair) -> FitResult | None:
+    """The fit, or ``None`` if it did not converge; raises any other
+    :class:`~repro.exceptions.FitError`."""
+    if not isinstance(fit, _FailedPair):
+        return fit
+    if isinstance(fit.error, ConvergenceError):
+        return None
+    raise fit.error
+
+
+def _pop_start_settings(kwargs: dict[str, Any]) -> dict[str, Any]:
+    """Move ``starts``/``extra_starts`` out of science *kwargs*, for a
+    caller that gives them to every pair it builds."""
+    return {
+        name: kwargs.pop(name) for name in ("starts", "extra_starts") if name in kwargs
+    }
+
+
 def _fit_pairs(
     pairs: Sequence[_FitPair],
     *,
@@ -651,19 +682,40 @@ def _fit_pairs(
     n_random_starts: int | None = None,
     seed: int | None = None,
     max_nfev: int | None = None,
-    starts: Sequence[Sequence[float]] | None = None,
-    extra_starts: Sequence[Sequence[float]] | None = None,
     weights: Sequence[float] | None = None,
     jac: str | None = None,
     engine: str | None = None,
-    confirm: bool = True,
-    fit_spans: bool = True,
 ) -> list[FitResult | _FailedPair]:
     """Fit every ``(family, curve)`` pair through one stacked solve.
 
-    The one solve behind :func:`fit_least_squares` (a single pair), the
-    Table I–IV grids and :func:`~repro.fitting.fleet.fit_fleet`. It
-    works in three steps:
+    The batch callers' way into :func:`_solve_pairs`. Its keywords are
+    those of :func:`fit_least_squares` bar the per-pair
+    ``starts``/``extra_starts``, and apply to every pair, so a caller
+    that forwards its science kwargs here rejects any other name with
+    the :class:`TypeError` a lone fit raises.
+    """
+    opts = (options or DEFAULT_OPTIONS).override(
+        n_random_starts=n_random_starts,
+        seed=seed,
+        max_nfev=max_nfev,
+        jac=jac,
+        engine=engine,
+    )
+    return _solve_pairs(pairs, opts, weights=weights)
+
+
+def _solve_pairs(
+    pairs: Sequence[_FitPair],
+    opts: EngineOptions,
+    *,
+    weights: Sequence[float] | None = None,
+    confirm: bool = True,
+    fit_spans: bool = True,
+) -> list[FitResult | _FailedPair]:
+    """Fit every ``(family, curve)`` pair under *opts* at once.
+
+    The one place a batch of fits is solved (see the module docstring).
+    It works in three steps:
 
     1. *prepare* each pair exactly as a lone fit does: validation,
        cache lookup (a hit is final here) and start generation;
@@ -681,12 +733,12 @@ def _fit_pairs(
     slowest start freezes, so one call pays the longest loop of each
     group instead of the sum of every call's loop.
 
-    The keyword arguments mean what they do for
-    :func:`fit_least_squares` and apply to every pair.
-    ``confirm=False`` reports the batched engine's screened optima
-    without the scipy confirmation (the fleet's screen-only mode). With
-    *fit_spans* each pair gets a ``"fit"`` span around its finish step;
-    its share of the shared solve is on its ``"fit.start"`` children.
+    *weights* mean what they do for :func:`fit_least_squares` and
+    apply to every pair. ``confirm=False`` reports the batched engine's
+    screened optima without the scipy confirmation (the fleet's
+    screen-only mode). With *fit_spans* each pair gets a ``"fit"`` span
+    around its finish step; its share of the shared solve is on its
+    ``"fit.start"`` children.
     Every lookup happens before any solve, so a cache key repeated
     within one call is solved once per occurrence.
 
@@ -694,13 +746,6 @@ def _fit_pairs(
     :class:`_FailedPair` with the :class:`~repro.exceptions.FitError` a
     lone fit would have raised.
     """
-    opts = (options or DEFAULT_OPTIONS).override(
-        n_random_starts=n_random_starts,
-        seed=seed,
-        max_nfev=max_nfev,
-        jac=jac,
-        engine=engine,
-    )
     engine_mode = resolve_engine(opts.engine)
     fit_cache = resolve_cache(opts.cache)
     tracer = resolve_tracer(opts.trace)
@@ -709,8 +754,8 @@ def _fit_pairs(
         try:
             entries.append(
                 _prepare_pair(
-                    pair, opts, engine_mode, fit_cache, tracer,
-                    starts=starts, extra_starts=extra_starts, weights=weights,
+                    pair, opts, engine_mode,
+                    fit_cache if pair.use_cache else None, tracer, weights=weights,
                 )
             )
         except FitError as exc:
@@ -762,8 +807,6 @@ def _prepare_pair(
     fit_cache: FitCache | None,
     tracer: Any,
     *,
-    starts: Sequence[Sequence[float]] | None,
-    extra_starts: Sequence[Sequence[float]] | None,
     weights: Sequence[float] | None,
 ) -> FitResult | _PreparedPair:
     """Validate *pair*, look it up in the cache and generate its starts.
@@ -772,6 +815,10 @@ def _prepare_pair(
     :class:`~repro.exceptions.FitError` on invalid input.
     """
     family, curve = pair.family, pair.curve
+    starts, extra_starts = pair.starts, pair.extra_starts
+    n_random_starts = pair.n_random_starts
+    if n_random_starts is None:
+        n_random_starts = opts.n_random_starts
     if len(curve) <= family.n_params:
         raise FitError(
             f"cannot fit {family.n_params}-parameter model {family.name!r} "
@@ -819,7 +866,7 @@ def _prepare_pair(
                 "engine": (
                     "batched_lm.v1" if engine_mode == "batched" else "least_squares.v2"
                 ),
-                "n_random_starts": int(opts.n_random_starts),
+                "n_random_starts": int(n_random_starts),
                 "seed": None if seed is None else int(seed),
                 "max_nfev": int(opts.max_nfev),
                 "starts": sequence_of_vectors(starts),
@@ -851,7 +898,7 @@ def _prepare_pair(
     if starts is None:
         kwargs = {} if seed is None else {"seed": seed}
         start_vectors: list[tuple[float, ...]] = generate_starts(
-            family, curve, n_random=opts.n_random_starts, **kwargs
+            family, curve, n_random=n_random_starts, **kwargs
         )
     else:
         start_vectors = [tuple(float(v) for v in s) for s in starts]
@@ -1096,30 +1143,12 @@ class FitManyResult(dict):
         return (FitManyResult, (dict(self), self.failures))
 
 
-class _FamilyWork(NamedTuple):
-    """Picklable work unit: one family fit against the shared curve."""
-
-    family: ResilienceModel
-    curve: ResilienceCurve
-    fit_kwargs: dict
-
-
-def _fit_family(work: _FamilyWork) -> tuple[str, FitResult | None, str]:
-    """Fit one family, encoding convergence failure in the result."""
-    try:
-        return work.family.name, fit_least_squares(
-            work.family, work.curve, **work.fit_kwargs
-        ), ""
-    except ConvergenceError as exc:
-        return work.family.name, None, str(exc)
-
-
 def fit_many(
     families: Iterable[ResilienceModel],
     curve: ResilienceCurve,
     *,
     options: EngineOptions | None = None,
-    **kwargs: object,
+    **kwargs: Any,
 ) -> FitManyResult:
     """Fit several families to the same curve.
 
@@ -1131,31 +1160,30 @@ def fit_many(
     Parameters
     ----------
     options:
-        :class:`~repro.fitting.options.EngineOptions` bundle. Its
-        ``executor``/``n_workers`` run the family loop below (each
-        family is an independent problem); each per-family fit runs
-        serially with the bundle's other fields, under any explicit
-        ``kwargs``. Enabling ``options.trace`` both traces each
-        per-family fit and wraps the whole call in one ``"fit.many"``
-        span.
+        :class:`~repro.fitting.options.EngineOptions` bundle for the
+        one stacked solve of all families (``options.executor`` maps
+        their starts). Enabling ``options.trace`` traces each
+        per-family fit and wraps the call in one ``"fit.many"`` span.
     kwargs:
-        Science kwargs passed through to :func:`fit_least_squares`.
+        Science kwargs passed through to :func:`fit_least_squares`;
+        any fit error other than non-convergence is raised.
     """
     opts = options or DEFAULT_OPTIONS
     tracer = resolve_tracer(opts.trace)
-    fit_kwargs = dict(kwargs, options=opts.replace(executor="serial"))
-    work_units = [_FamilyWork(family, curve, fit_kwargs) for family in families]
+    start_settings = _pop_start_settings(kwargs)
+    pairs = [_FitPair(family, curve, **start_settings) for family in families]
     with tracer.span(
-        "fit.many", n_families=len(work_units), curve=curve.name or "<curve>"
-    ), activate(tracer):
-        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _fit_family, work_units
-        )
+        "fit.many", n_families=len(pairs), curve=curve.name or "<curve>"
+    ):
+        fits = _fit_pairs(pairs, options=opts, **kwargs)
     result = FitManyResult()
-    for name, fit, error in triples:
-        if fit is None:
-            logger.warning("fit_many: family %r failed to converge: %s", name, error)
-            result.failures[name] = error
+    for pair, fit in zip(pairs, fits):
+        name = pair.family.name
+        converged = _converged(fit)
+        if converged is None:
+            error = cast(_FailedPair, fit).error
+            logger.warning("fit_many: %r failed to converge: %s", name, error)
+            result.failures[name] = str(error)
         else:
-            result[name] = fit
+            result[name] = converged
     return result

@@ -199,12 +199,14 @@ class ForecastReport:
 
 
 class _RefitPlan:
-    """One planned refit: the solver kwargs plus bookkeeping labels.
+    """One planned refit: its start settings plus bookkeeping labels.
 
     Built by :meth:`OnlineForecaster.refit_plan` and consumed either
     inline or by :class:`~repro.serving.session.ForecastSession`'s
-    batch scheduler (which runs the solve elsewhere and hands the
-    result back to :meth:`OnlineForecaster.adopt_fit`).
+    batch scheduler (which solves every due plan in one stacked solve
+    and hands each result back to :meth:`OnlineForecaster.adopt_fit`).
+    ``fit_kwargs`` holds only ``starts``, ``extra_starts`` and
+    ``n_random_starts``: the settings that differ between refits.
     """
 
     __slots__ = ("family", "curve", "kind", "fit_kwargs")
@@ -431,7 +433,7 @@ class OnlineForecaster:
         """The refit the policy wants now, or ``None``.
 
         Exposed so :class:`~repro.serving.session.ForecastSession` can
-        execute many streams' plans on one executor; pair with
+        solve many streams' plans in one stacked solve; pair with
         :meth:`adopt_fit`.
         """
         if not self.refit_due():
@@ -456,11 +458,6 @@ class OnlineForecaster:
                 "n_random_starts": self.policy.warm_random_starts,
             }
         return _RefitPlan(self._family, curve, "warm", kwargs)
-
-    def _execute_plan(self, plan: _RefitPlan) -> FitResult:
-        return fit_least_squares(
-            plan.family, plan.curve, options=self._fit_options, **plan.fit_kwargs
-        )
 
     def adopt_fit(
         self,
@@ -518,8 +515,8 @@ class OnlineForecaster:
         families = list(self._candidates)
         if all(f.name != self._family.name for f in families):
             families.insert(0, self._family)
-        # _fit_options already pins executor to the resolved backend, so
-        # the candidate loop parallelizes on it via the options bundle.
+        # _fit_options pins the executor to the resolved backend, which
+        # maps every candidate's starts in fit_many's one stacked solve.
         results = fit_many(families, curve, options=self._fit_options)
         self.stats["reselections"] += 1
         if self._tracer.enabled:
@@ -550,7 +547,9 @@ class OnlineForecaster:
             assert self._fit is not None
             return self._fit, False
         t0 = time.perf_counter()
-        fit = self._execute_plan(plan)
+        fit = fit_least_squares(
+            plan.family, plan.curve, options=self._fit_options, **plan.fit_kwargs
+        )
         self.adopt_fit(fit, plan)
         if self._tracer.enabled:
             self._tracer.metrics.observe(

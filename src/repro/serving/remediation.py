@@ -16,8 +16,8 @@ detector
 proposer
     Mild drift proposes a **warm** refit of the incumbent family;
     drift beyond :attr:`RemediationConfig.reselect_threshold` (or a
-    non-finite incumbent) proposes full **reselection** with
-    :func:`~repro.fitting.fit_many` across the candidate families.
+    non-finite incumbent) proposes full **reselection**: a fit of
+    every candidate family.
 verifier
     Every proposal is fitted on the curve *minus* its last
     :attr:`RemediationConfig.holdout_points` observations and scored on
@@ -36,7 +36,10 @@ Like the session's batched refits, a cycle splits into
 and :meth:`RemediationLoop.adopt` (installs results) — the async server
 (:mod:`repro.serving.server`) runs the middle stage on a worker thread
 while the event loop keeps serving. :meth:`RemediationLoop.run_cycle`
-chains all three for synchronous callers.
+chains all three for synchronous callers. The middle stage is two
+stacked solves (:func:`~repro.fitting.least_squares._fit_pairs`) with
+the session's engine options and the cache off: one for every plan's
+candidate fits, one for the full-curve solves of the verified wins.
 """
 
 from __future__ import annotations
@@ -49,9 +52,8 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.curve import ResilienceCurve
-from repro.exceptions import ConvergenceError, ServingError
-from repro.fitting.least_squares import fit_least_squares, fit_many
-from repro.fitting.options import EngineOptions
+from repro.exceptions import ServingError
+from repro.fitting.least_squares import _converged, _FailedPair, _fit_pairs, _FitPair
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.models.registry import make_model
@@ -66,14 +68,7 @@ __all__ = [
     "RemediationLoop",
     "RemediationOutcome",
     "RemediationPlan",
-    "execute_remediation",
 ]
-
-
-#: Remediation solves run serially inside :meth:`RemediationLoop.execute`
-#: (which itself may run on a worker thread) with cache and trace off —
-#: the same isolation contract as the session's batched refit units.
-_REMEDIATION_OPTIONS = EngineOptions(cache=False, trace=False, executor="serial")
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,6 @@ class RemediationPlan(NamedTuple):
     full: ResilienceCurve
     holdout_times: tuple[float, ...]
     holdout_perf: tuple[float, ...]
-    solver_kwargs: dict
 
 
 class RemediationOutcome(NamedTuple):
@@ -193,59 +187,47 @@ def _holdout_sse(
     return float(np.sum((predicted - np.asarray(perf, dtype=np.float64)) ** 2))
 
 
-def execute_remediation(plan: RemediationPlan) -> RemediationOutcome:
-    """Fit, verify, and (on a win) finalize one proposal. Pure compute.
+def _candidate_pairs(plan: RemediationPlan) -> list[_FitPair]:
+    """The proposal's candidate fits on the training prefix.
 
-    Module-level and driven only by the plan snapshot, so it can run on
-    any worker the caller chooses.
+    Reselection fits every candidate family and scores each on the
+    held-out tail — the verifier's own metric — not on train SSE. A
+    flexible family can track the pre-drift shape (low train SSE) and
+    still extrapolate the drifted regime badly; the holdout is what the
+    adopted fit must survive. A warm proposal refits the incumbent
+    family with its optimum injected as an extra start.
     """
-    solver = dict(plan.solver_kwargs)
-    family: ResilienceModel | None = None
-    try:
-        if plan.kind == "reselect":
-            # Reselection scores every candidate family on the held-out
-            # tail — the verifier's own metric — not on train SSE. A
-            # flexible family can track the pre-drift shape (low train
-            # SSE) and still extrapolate the drifted regime badly; the
-            # holdout is what the adopted fit must survive.
-            results = fit_many(
-                plan.candidates, plan.train, options=_REMEDIATION_OPTIONS, **solver
-            )
-            if not results:
-                raise ConvergenceError(
-                    f"no candidate family converged for {plan.key!r}"
-                )
-            scored = []
-            for order, fam in enumerate(plan.candidates):
-                result = results.get(fam.name)
-                if result is None:
-                    continue
-                sse = _holdout_sse(
-                    result.model,
-                    result.model.params,
-                    plan.holdout_times,
-                    plan.holdout_perf,
-                )
-                scored.append((sse, order, fam, result))
-            _, _, family, candidate = min(scored, key=lambda s: s[:2])
-        else:
-            family = plan.incumbent_family
-            candidate = fit_least_squares(
-                family,
-                plan.train,
-                options=_REMEDIATION_OPTIONS,
-                extra_starts=(plan.incumbent_params,),
-                **solver,
-            )
-    except ConvergenceError:
-        return RemediationOutcome(
-            plan.key, plan.kind, False, False, float("inf"), float("nan"),
-            None, None,
+    if plan.kind == "reselect":
+        return [_FitPair(family, plan.train) for family in plan.candidates]
+    return [
+        _FitPair(
+            plan.incumbent_family, plan.train, extra_starts=(plan.incumbent_params,)
         )
+    ]
 
-    candidate_sse = _holdout_sse(
-        candidate.model, candidate.model.params, plan.holdout_times, plan.holdout_perf
-    )
+
+def _verify(
+    plan: RemediationPlan,
+    pairs: Sequence[_FitPair],
+    fits: Sequence[FitResult | _FailedPair],
+) -> tuple[_FitPair | None, float, float]:
+    """The verifier's verdict on one plan's candidate *fits*.
+
+    Returns the full-curve solve a verified win still needs (``None``
+    when the best candidate does not strictly beat the incumbent on the
+    holdout, or no candidate converged) and the two held-out SSEs. Ties
+    between candidates break toward the earlier one in candidate order.
+    """
+    scored: list[tuple[float, int, ResilienceModel, FitResult]] = []
+    for order, (pair, fit) in enumerate(zip(pairs, map(_converged, fits))):
+        if fit is not None:
+            sse = _holdout_sse(
+                fit.model, fit.model.params, plan.holdout_times, plan.holdout_perf
+            )
+            scored.append((sse, order, pair.family, fit))
+    if not scored:
+        return None, float("inf"), float("nan")
+    candidate_sse, _, family, candidate = min(scored, key=lambda s: s[:2])
     incumbent_sse = _holdout_sse(
         plan.incumbent_family,
         plan.incumbent_params,
@@ -253,35 +235,9 @@ def execute_remediation(plan: RemediationPlan) -> RemediationOutcome:
         plan.holdout_perf,
     )
     if not candidate_sse < incumbent_sse:
-        return RemediationOutcome(
-            plan.key, plan.kind, False, False, candidate_sse, incumbent_sse,
-            None, None,
-        )
-    # Verified win: one warm solve on the full curve from the candidate
-    # optimum, so the installed fit covers every observation.
-    try:
-        final = fit_least_squares(
-            family,
-            plan.full,
-            options=_REMEDIATION_OPTIONS,
-            starts=(candidate.model.params,),
-            **solver,
-        )
-    except ConvergenceError:
-        return RemediationOutcome(
-            plan.key, plan.kind, False, False, candidate_sse, incumbent_sse,
-            None, None,
-        )
-    return RemediationOutcome(
-        plan.key,
-        plan.kind,
-        True,
-        family.name != plan.incumbent_family.name,
-        candidate_sse,
-        incumbent_sse,
-        family,
-        final,
-    )
+        return None, candidate_sse, incumbent_sse
+    win = _FitPair(family, plan.full, starts=(candidate.model.params,))
+    return win, candidate_sse, incumbent_sse
 
 
 @dataclass
@@ -427,11 +383,6 @@ class RemediationLoop:
         candidates = self._candidates
         if all(f.name != incumbent.name for f in candidates):
             candidates = (incumbent, *candidates)
-        solver_kwargs = {
-            name: value
-            for name, value in self.session.options.to_kwargs().items()
-            if name in ("jac", "seed", "n_random_starts", "max_nfev")
-        }
         fit = forecaster.fit
         return RemediationPlan(
             key=detection.key,
@@ -445,7 +396,6 @@ class RemediationLoop:
             full=full,
             holdout_times=tuple(float(t) for t in full.times[-k:]),
             holdout_perf=tuple(float(p) for p in full.performance[-k:]),
-            solver_kwargs=solver_kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -454,9 +404,40 @@ class RemediationLoop:
     def execute(
         self, plans: Sequence[RemediationPlan]
     ) -> list[RemediationOutcome]:
-        """Run every planned solve + holdout verification. Pure compute;
-        the server calls this on a worker thread."""
-        return [execute_remediation(plan) for plan in plans]
+        """Fit, verify, and (on a win) finalize every plan. Pure compute;
+        the server calls this on a worker thread.
+
+        One stacked solve fits every plan's candidates (see
+        :func:`_verify`); a second refits each verified win on the full
+        curve from its candidate optimum, so the installed fit covers
+        every observation. A plan that fails to converge is rejected.
+        """
+        options = self.session._refit_options
+        proposals = [_candidate_pairs(plan) for plan in plans]
+        fits = iter(
+            _fit_pairs([pair for pairs in proposals for pair in pairs], options=options)
+        )
+        verdicts = [
+            _verify(plan, pairs, [next(fits) for _ in pairs])
+            for plan, pairs in zip(plans, proposals)
+        ]
+        finals = iter(
+            _fit_pairs(
+                [win for win, _, _ in verdicts if win is not None], options=options
+            )
+        )
+        outcomes: list[RemediationOutcome] = []
+        for plan, (win, candidate_sse, incumbent_sse) in zip(plans, verdicts):
+            final = None if win is None else _converged(next(finals))
+            family = None if win is None or final is None else win.family
+            changed = family is not None and family.name != plan.incumbent_family.name
+            outcomes.append(
+                RemediationOutcome(
+                    plan.key, plan.kind, family is not None, changed,
+                    candidate_sse, incumbent_sse, family, final,
+                )
+            )
+        return outcomes
 
     # ------------------------------------------------------------------
     # Adoption

@@ -24,7 +24,8 @@ Design rules, in order of importance:
   thread, and by the optional remediation loop
   (:mod:`repro.serving.remediation`), run the same way. The only
   solve a request can trigger is a stream's *first* fit, which runs
-  in the default executor under the inflight cap.
+  the same execute → adopt split for that one stream in the default
+  executor under the inflight cap.
 * **Admission control over queueing.** Registering beyond
   :attr:`ServerConfig.max_streams`, or needing a first fit while all
   :attr:`ServerConfig.max_inflight_refits` slots are busy, fails fast
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro._env import read_env
-from repro.exceptions import ReproError, ServingError
+from repro.exceptions import FitError, ReproError, ServingError
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
 from repro.observability.metrics import MetricsRegistry
@@ -63,7 +64,7 @@ from repro.serving.errors import (
 )
 from repro.serving.online import OnlineForecaster, RefitPolicy
 from repro.serving.remediation import RemediationLoop
-from repro.serving.session import ForecastSession
+from repro.serving.session import ForecastSession, PlannedRefit
 
 __all__ = ["ForecastServer", "ServerConfig"]
 
@@ -353,13 +354,23 @@ class ForecastServer:
             fits = await loop.run_in_executor(
                 None, self.session.execute_refits, planned
             )
-        # allow_reselect=False: adoption happens on the loop, so a
-        # drift-triggered reselection sweep (cold fit_many) must not
-        # ride along — the remediation loop reselects off-thread.
-        adopted = self.session.adopt_refits(planned, fits, allow_reselect=False)
+        adopted = self._adopt_refits(planned, fits)
         self.metrics.inc("serve.refit_ticks")
         self.metrics.inc("serve.refits_adopted", len(adopted))
         return adopted
+
+    def _adopt_refits(
+        self, planned: list[PlannedRefit], fits: list[FitResult | FitError]
+    ) -> dict[str, FitResult]:
+        """Adopt solved refits on the loop, counting the failed ones.
+
+        ``allow_reselect=False``: adoption happens on the loop, so a
+        drift-triggered reselection sweep (cold ``fit_many``) must not
+        ride along — the remediation loop reselects off-thread.
+        """
+        failed = sum(isinstance(fit, FitError) for fit in fits)
+        self.metrics.inc("serve.refits_failed", failed)
+        return self.session.adopt_refits(planned, fits, allow_reselect=False)
 
     async def remediation_tick(self) -> dict[str, int]:
         """One remediation cycle with the solves on a worker thread."""
@@ -637,13 +648,16 @@ class ForecastServer:
             plan = forecaster.refit_plan()
             if plan is None:  # raced with the refit ticker
                 return
+            planned = [PlannedRefit(key, forecaster, plan)]
             loop = asyncio.get_running_loop()
-            fit = await loop.run_in_executor(None, forecaster._execute_plan, plan)
-            if self.session.forecasters.get(key) is forecaster:
-                # allow_reselect=False: adopting on the loop; drift
-                # reselection belongs to the remediation loop.
-                forecaster.adopt_fit(fit, plan, allow_reselect=False)
+            fits = await loop.run_in_executor(
+                None, self.session.execute_refits, planned
+            )
+            if self._adopt_refits(planned, fits):
                 self.metrics.inc("serve.first_fits")
+            (fit,) = fits
+            if isinstance(fit, FitError):
+                raise fit
         finally:
             self._inflight_refits -= 1
 

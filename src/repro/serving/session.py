@@ -5,41 +5,27 @@
 concurrently disrupted systems" workload — behind one resolved
 cache/tracer/executor. Observations are routed by stream key
 (auto-registering unknown keys), and :meth:`ForecastSession.refit_stale`
-runs every due refit as one batch on the shared executor instead of
-N sequential solves.
+solves every due refit in one stacked solve
+(:func:`~repro.fitting.least_squares._fit_pairs`) instead of N
+sequential fits. Each stream's refit fails on its own: a stream whose
+refit cannot converge is skipped, counted, and not planned again until
+it receives a new observation.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.core.curve import ResilienceCurve
 from repro.datasets.stream import StreamEvent
-from repro.exceptions import ServingError
+from repro.exceptions import FitError, ServingError
 from repro.serving.errors import StreamNotFound
-from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.least_squares import _FailedPair, _FitPair, _fit_pairs
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.serving.online import Forecast, ForecastReport, OnlineForecaster, RefitPolicy
 
 __all__ = ["ForecastSession", "PlannedRefit"]
-
-
-class _BatchRefitWork(NamedTuple):
-    """Picklable work unit: one stream's planned refit.
-
-    The solve runs serially inside the unit (the batch itself is the
-    parallel dimension) and without cache/trace plumbing, which cannot
-    cross a process boundary; the session re-attaches results — and
-    hit-rate accounting — in the parent.
-    """
-
-    key: str
-    family: ResilienceModel
-    curve: ResilienceCurve
-    fit_kwargs: dict
-    solver_kwargs: dict
 
 
 class PlannedRefit(NamedTuple):
@@ -55,26 +41,6 @@ class PlannedRefit(NamedTuple):
     key: str
     forecaster: OnlineForecaster
     plan: Any  # _RefitPlan; private to repro.serving.online
-    work: _BatchRefitWork
-
-
-#: Plumbing for batch work units: the batch itself is the parallel
-#: dimension, and cache/trace handles cannot cross a process boundary,
-#: so each unit solves serially with both disabled (the session
-#: re-attaches hit-rate accounting in the parent).
-_BATCH_REFIT_OPTIONS = EngineOptions(cache=False, trace=False, executor="serial")
-
-
-def _execute_batch_refit(work: _BatchRefitWork) -> tuple[str, FitResult]:
-    # Plan kwargs (warm starts, shrunk budgets) win over the session's
-    # baseline solver kwargs, mirroring the inline merge order.
-    kwargs = {**work.solver_kwargs, **work.fit_kwargs}
-    return work.key, fit_least_squares(
-        work.family,
-        work.curve,
-        options=_BATCH_REFIT_OPTIONS,
-        **kwargs,
-    )
 
 
 class ForecastSession:
@@ -111,10 +77,17 @@ class ForecastSession:
             executor=self._engine.executor,
             n_workers=None,
         )
+        # Remediation solves: the streams' bundle with the cache off,
+        # since a candidate refit never repeats a key.
+        self._refit_options = self._stream_options.replace(cache=False)
         self._default_family = family
         self._default_policy = policy
         self._default_candidates = candidates
         self._forecasters: dict[str, OnlineForecaster] = {}
+        #: Stream key → observation count its last refit failed on; the
+        #: stream is not planned again until it grows past it.
+        self._failed_at: dict[str, int] = {}
+        self._refits_failed = 0
 
     # ------------------------------------------------------------------
     # Stream registry
@@ -156,6 +129,7 @@ class ForecastSession:
         StreamNotFound
             If *key* is not registered.
         """
+        self._failed_at.pop(key, None)
         try:
             return self._forecasters.pop(key)
         except KeyError:
@@ -211,43 +185,54 @@ class ForecastSession:
 
         The plan/execute/adopt split exists for the async server: plans
         are built on the event loop (cheap — each is a curve snapshot
-        plus solver kwargs), :meth:`execute_refits` runs the blocking
-        solves on a worker thread, and :meth:`adopt_refits` installs the
-        results back on the loop. The registry is snapshotted up front,
-        so streams may be added or removed while the solves run.
+        plus its start settings), :meth:`execute_refits` runs the
+        blocking solve on a worker thread, and :meth:`adopt_refits`
+        installs the results back on the loop. The registry is
+        snapshotted up front, so streams may be added or removed while
+        the solve runs. A stream whose last refit failed is skipped
+        until it receives a new observation.
         """
-        solver_kwargs = {
-            name: value
-            for name, value in self.options.to_kwargs().items()
-            if name in ("jac", "seed", "n_random_starts", "max_nfev")
-        }
         planned: list[PlannedRefit] = []
         for key, forecaster in list(self._forecasters.items()):
+            if self._failed_at.get(key) == forecaster.n_observations:
+                continue
             plan = forecaster.refit_plan()
             if plan is not None:
-                work = _BatchRefitWork(
-                    key, plan.family, plan.curve, plan.fit_kwargs, solver_kwargs
-                )
-                planned.append(PlannedRefit(key, forecaster, plan, work))
+                planned.append(PlannedRefit(key, forecaster, plan))
         return planned
 
-    def execute_refits(self, planned: Sequence[PlannedRefit]) -> list[FitResult]:
-        """Solve *planned* as one batch on the shared executor.
+    def execute_refits(
+        self, planned: Sequence[PlannedRefit]
+    ) -> list[FitResult | FitError]:
+        """Solve *planned* in one stacked solve.
 
-        Pure compute: session state is untouched, so this step is safe
-        to run off-thread while the event loop keeps serving.
+        Every plan is one pair of
+        :func:`~repro.fitting.least_squares._fit_pairs`, run with the
+        session's options (engine, cache, tracer and executor). Only a
+        cold plan, a stream's first fit, consults the cache: streams
+        with identical points share it, while a warm or full refit
+        never repeats a key. Returns one entry per plan: its fit, or
+        the :class:`~repro.exceptions.FitError` that stopped it, so one
+        failing stream never stops the others. Pure compute: session
+        state is untouched, so this step is safe to run off-thread
+        while the event loop keeps serving.
         """
-        if not planned:
-            return []
-        outcomes = self._engine.executor.map(
-            _execute_batch_refit, [entry.work for entry in planned]
+        fits = _fit_pairs(
+            [
+                _FitPair(
+                    entry.plan.family, entry.plan.curve,
+                    use_cache=entry.plan.kind == "cold", **entry.plan.fit_kwargs,
+                )
+                for entry in planned
+            ],
+            options=self._stream_options,
         )
-        return [fit for _, fit in outcomes]
+        return [fit.error if isinstance(fit, _FailedPair) else fit for fit in fits]
 
     def adopt_refits(
         self,
         planned: Sequence[PlannedRefit],
-        fits: Sequence[FitResult],
+        fits: Sequence[FitResult | FitError],
         *,
         allow_reselect: bool = True,
     ) -> dict[str, FitResult]:
@@ -256,32 +241,38 @@ class ForecastSession:
         A plan whose stream was unregistered — or unregistered and
         re-registered as a *new* forecaster — while the batch was in
         flight is skipped: the solve is discarded rather than installed
-        into a stream it no longer describes. Returns the fits actually
-        adopted, keyed by stream. ``allow_reselect`` threads through to
-        :meth:`OnlineForecaster.adopt_fit` — pass ``False`` when
-        adopting on an event loop so drift never triggers an inline
-        reselection sweep.
+        into a stream it no longer describes. A failed entry is skipped
+        and counted (``refits_failed`` in :meth:`stats`), and its
+        stream is not planned again until it grows. Returns the fits
+        actually adopted, keyed by stream. ``allow_reselect`` threads
+        through to :meth:`OnlineForecaster.adopt_fit` — pass ``False``
+        when adopting on an event loop so drift never triggers an
+        inline reselection sweep.
         """
         results: dict[str, FitResult] = {}
         for entry, fit in zip(planned, fits):
-            if self._forecasters.get(entry.key) is not entry.forecaster:
-                continue
-            entry.forecaster.adopt_fit(
-                fit, entry.plan, allow_reselect=allow_reselect
-            )
-            results[entry.key] = fit
+            live = self._forecasters.get(entry.key) is entry.forecaster
+            if isinstance(fit, FitError):
+                self._refits_failed += 1
+                if live:
+                    self._failed_at[entry.key] = len(entry.plan.curve)
+            elif live:
+                self._failed_at.pop(entry.key, None)
+                entry.forecaster.adopt_fit(
+                    fit, entry.plan, allow_reselect=allow_reselect
+                )
+                results[entry.key] = fit
         return results
 
     def refit_stale(self) -> dict[str, FitResult]:
         """Refit every stream whose policy says a refit is due.
 
-        The due streams' planned solves run as one batch on the shared
-        executor — each solve runs serially inside its work unit — and
-        the results are installed through each forecaster's normal
-        adoption path (counters, reselection). Results are keyed by
-        stream and identical to refitting each stream inline. Streams
-        unregistered between planning and adoption are skipped (see
-        :meth:`adopt_refits`).
+        The due streams' plans are solved in one stacked solve and the
+        results installed through each forecaster's normal adoption
+        path (counters, reselection). Results are keyed by stream and
+        identical to refitting each stream inline. Streams unregistered
+        between planning and adoption, and streams whose refit failed,
+        are skipped (see :meth:`adopt_refits`).
         """
         planned = self.refit_plans()
         if not planned:
@@ -314,7 +305,8 @@ class ForecastSession:
         return self[key].report(**kwargs)
 
     def stats(self) -> dict[str, Any]:
-        """Aggregated per-stream counters plus cache statistics."""
+        """Aggregated per-stream counters, the failed-refit count and
+        cache statistics."""
         totals: dict[str, int] = {}
         for forecaster in self._forecasters.values():
             for name, value in forecaster.stats.items():
@@ -322,6 +314,7 @@ class ForecastSession:
         payload: dict[str, Any] = {
             "streams": len(self._forecasters),
             **totals,
+            "refits_failed": self._refits_failed,
         }
         if self._engine.cache is not None:
             payload["cache"] = self._engine.cache.stats()

@@ -12,18 +12,21 @@ near-boundary parameters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any
 
 import numpy as np
 
 from repro._typing import ArrayLike, FloatArray
 from repro.core.curve import ResilienceCurve
-from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.least_squares import fit_least_squares
+from repro.exceptions import FitError
+from repro.fitting.least_squares import (
+    _converged,
+    _fit_pairs,
+    _FitPair,
+    _pop_start_settings,
+)
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
-from repro.models.base import ResilienceModel
-from repro.parallel import get_executor
 from repro.validation.intervals import ConfidenceBand
 
 __all__ = ["BootstrapResult", "residual_bootstrap"]
@@ -84,27 +87,6 @@ class BootstrapResult:
         )
 
 
-class _ReplicationWork(NamedTuple):
-    """Picklable work unit: one bootstrap refit."""
-
-    family: ResilienceModel
-    curve: ResilienceCurve
-    starts: tuple[tuple[float, ...], ...]
-    fit_kwargs: dict
-
-
-def _bootstrap_refit(work: _ReplicationWork) -> tuple[float, ...] | None:
-    """Refit one synthetic curve; ``None`` encodes convergence failure
-    (module-level so the process backend can pickle it)."""
-    try:
-        refit = fit_least_squares(
-            work.family, work.curve, starts=work.starts, **work.fit_kwargs
-        )
-    except ConvergenceError:
-        return None
-    return refit.model.params
-
-
 def residual_bootstrap(
     fit: FitResult,
     *,
@@ -112,7 +94,7 @@ def residual_bootstrap(
     seed: int = 0,
     max_failure_fraction: float = 0.25,
     options: EngineOptions | None = None,
-    **fit_kwargs: object,
+    **fit_kwargs: Any,
 ) -> BootstrapResult:
     """Residual bootstrap around a least-squares fit.
 
@@ -123,12 +105,14 @@ def residual_bootstrap(
     replication set — and therefore the ensemble — is identical on
     every executor backend and worker count.
 
-    The replications run on ``options.executor``/``options.n_workers``
-    and each refit runs serially with the bundle's other fields. The
-    bundle's ``cache`` defaults to off here: resampled curves are unique
-    per (seed, replication), so lookups could never hit. Science
-    *fit_kwargs* are passed through to
-    :func:`~repro.fitting.fit_least_squares`.
+    Every replicate is one pair of a single stacked solve
+    (:func:`~repro.fitting.least_squares._fit_pairs`); ``options``
+    configures it, and its ``executor`` maps the starts of all
+    replicates. The bundle's ``cache`` defaults to off here: resampled
+    curves are unique per (seed, replication), so lookups could never
+    hit. Science *fit_kwargs* are as for
+    :func:`~repro.fitting.fit_least_squares`. A replicate that fails to
+    converge is dropped; any other fit error is raised.
 
     Raises
     ------
@@ -138,16 +122,15 @@ def residual_bootstrap(
     if n_replications < 10:
         raise FitError(f"n_replications must be >= 10, got {n_replications}")
     opts = options or DEFAULT_ENGINE_OPTIONS
-    fit_kwargs["options"] = opts.replace(
-        executor="serial", cache=False if opts.cache is None else opts.cache
-    )
+    opts = opts.replace(cache=False if opts.cache is None else opts.cache)
     curve = fit.curve
     predictions = fit.predict(curve.times)
     residuals = curve.performance - predictions
     rng = np.random.default_rng(seed)
 
     starts = (fit.model.params,)
-    work_units = []
+    extra = _pop_start_settings(fit_kwargs)
+    pairs: list[_FitPair] = []
     for _ in range(n_replications):
         resampled = rng.choice(residuals, size=residuals.size, replace=True)
         synthetic = ResilienceCurve(
@@ -156,14 +139,12 @@ def residual_bootstrap(
             nominal=curve.nominal,
             name=f"{curve.name}-boot",
         )
-        work_units.append(
-            _ReplicationWork(fit.model, synthetic, starts, dict(fit_kwargs))
-        )
+        pairs.append(_FitPair(fit.model, synthetic, starts=starts, **extra))
 
-    outcomes = get_executor(opts.executor, max_workers=opts.n_workers).map(
-        _bootstrap_refit, work_units
-    )
-    samples = [params for params in outcomes if params is not None]
+    refits = _fit_pairs(pairs, options=opts, **fit_kwargs)
+    samples = [
+        refit.model.params for refit in map(_converged, refits) if refit is not None
+    ]
     failed = n_replications - len(samples)
 
     if failed > max_failure_fraction * n_replications:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core.curve import ResilienceCurve
 from repro.core.shapes import CurveShape, classify_shape
-from repro.exceptions import MetricError
+from repro.exceptions import MetricError, ReproError
 from repro.models.registry import make_model
 from repro.validation.crossval import PredictiveEvaluation, evaluate_predictive
 from repro.validation.gof import aic, bic
@@ -119,6 +119,10 @@ def recommend_model(
     train_fraction:
         Paper-protocol fitting fraction.
 
+    A candidate whose fit raises a :class:`~repro.exceptions.ReproError`
+    (e.g. no convergence) is listed in ``failed``; any other exception,
+    such as the ``TypeError`` of a misspelled keyword, propagates.
+
     Raises
     ------
     MetricError
@@ -144,7 +148,7 @@ def recommend_model(
             evaluation = evaluate_predictive(
                 make_model(name), curve, train_fraction=train_fraction, **fit_kwargs
             )
-        except Exception:
+        except ReproError:
             failed.append(name)
             continue
         evaluations[name] = evaluation

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.fleet import episode_scorecard
 from repro.core.curve import ResilienceCurve
+from repro.exceptions import ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +75,18 @@ class TestEpisodeScorecard:
         assert scorecard.n_episodes == 1
         assert scorecard.scores[0].observed_recovery is None
         assert "unrecovered" in scorecard.to_table()
+
+    def test_unrecovered_episode_keeps_its_rapidity(self):
+        # Dips, partly recovers, and ends still below the band: the
+        # recovery time is unavailable but the recovering slope is not.
+        p = np.concatenate([np.ones(6), [0.9, 0.8, 0.75, 0.78, 0.82, 0.86, 0.9]])
+        history = ResilienceCurve(np.arange(13.0), p, name="half-back")
+        scorecard = episode_scorecard(history, min_samples=4, n_random_starts=0)
+        assert scorecard.n_episodes == 1
+        score = scorecard.scores[0]
+        assert score.observed_recovery is None
+        assert score.rapidity is not None and score.rapidity > 0.0
+
+    def test_unknown_model_raises(self, history):
+        with pytest.raises(ParameterError, match="unknown model"):
+            episode_scorecard(history, model="nosuch")

@@ -12,6 +12,8 @@ import repro.analysis.experiments as experiments
 import repro.analysis.fleet as analysis_fleet
 import repro.fitting.least_squares as least_squares
 import repro.validation.bootstrap as bootstrap
+import repro.serving.remediation as remediation
+import repro.serving.session as session_module
 import repro.validation.crossval as crossval
 from repro.analysis.experiments import (
     table1,
@@ -25,6 +27,7 @@ from repro.analysis.pipeline import run_full_reproduction
 from repro.fitting import EngineOptions
 from repro.fitting.least_squares import fit_least_squares, fit_many
 from repro.models.registry import make_model
+from repro.serving import ForecastSession, RefitPolicy, RemediationLoop
 from repro.validation.bootstrap import residual_bootstrap
 from repro.validation.crossval import rolling_origin
 
@@ -158,12 +161,38 @@ def _spy_calls(monkeypatch, module, name):
     return calls
 
 
+def _spy_solves(monkeypatch, module):
+    """Record the pairs and keyword arguments of every stacked solve
+    (``_fit_pairs``) that *module* makes."""
+    calls: list[tuple[list, dict]] = []
+    real = module._fit_pairs
+
+    def spy(pairs, **kwargs):
+        calls.append((list(pairs), kwargs))
+        return real(pairs, **kwargs)
+
+    monkeypatch.setattr(module, "_fit_pairs", spy)
+    return calls
+
+
 def _budgets(calls):
     """The multi-start budget of each recorded fit: the loose
     ``n_random_starts`` if given, else the bundle's."""
     return [
         kwargs.get("n_random_starts", kwargs["options"].n_random_starts)
         for kwargs in calls
+    ]
+
+
+def _pair_budgets(solves):
+    """The multi-start budget of each pair of the recorded stacked
+    solves: the pair's own if set, else the call's."""
+    return [
+        pair.n_random_starts
+        if pair.n_random_starts is not None
+        else _budgets([kwargs])[0]
+        for pairs, kwargs in solves
+        for pair in pairs
     ]
 
 
@@ -200,59 +229,103 @@ class TestWarmBudget:
 
     @pytest.mark.parametrize("budget", CHOSEN)
     def test_truncation_grid_keeps_a_chosen_budget(self, monkeypatch, budget):
-        calls = _spy_calls(monkeypatch, experiments, "evaluate_predictive")
+        solves = _spy_solves(monkeypatch, experiments)
         truncation_grid(
             ("quadratic",), fractions=(0.8, 0.9), datasets=("1980",), **budget
         )
-        assert _budgets(calls) == [3, 3]
+        assert _pair_budgets(solves) == [3, 3]
 
     def test_truncation_grid_shrinks_the_default_budget(self, monkeypatch):
-        calls = _spy_calls(monkeypatch, experiments, "evaluate_predictive")
+        solves = _spy_solves(monkeypatch, experiments)
         truncation_grid(
             ("quadratic",), fractions=(0.8, 0.9), datasets=("1980",),
             options=PLUMBING,
         )
-        assert _budgets(calls) == [8, 2]
+        assert _pair_budgets(solves) == [8, 2]
 
 
-class TestCellFitsRunSerially:
-    """Entry points that map independent cells over ``options.executor``
-    run each cell's own fit on the serial executor."""
+class TestOneStackedSolvePerBatch:
+    """Entry points that fit a batch of independent problems hand the
+    whole batch to one stacked solve, whose executor (the bundle's)
+    maps every start of the call."""
 
     POOLED = PLUMBING.replace(executor="thread", n_workers=2, n_random_starts=2)
 
     @staticmethod
-    def _executors(calls):
-        return [kwargs["options"].executor for kwargs in calls]
+    def _executors(solves):
+        # A name, or the instance a session resolved it to.
+        return {
+            getattr(kwargs["options"].executor, "name", kwargs["options"].executor)
+            for _, kwargs in solves
+        }
+
+    def _assert_pooled(self, solves, count):
+        assert len(solves) == count
+        assert self._executors(solves) == {"thread"}
 
     def test_fit_many(self, recession_1990, monkeypatch):
-        calls = _spy_calls(monkeypatch, least_squares, "fit_least_squares")
+        solves = _spy_solves(monkeypatch, least_squares)
         fit_many(
             [make_model("quadratic"), make_model("competing_risks")],
             recession_1990,
             options=self.POOLED,
         )
-        assert self._executors(calls) == ["serial", "serial"]
+        self._assert_pooled(solves, 1)
+        assert [pair.family.name for pair in solves[0][0]] == [
+            "quadratic", "competing_risks",
+        ]
 
     def test_truncation_grid(self, monkeypatch):
-        calls = _spy_calls(monkeypatch, experiments, "evaluate_predictive")
+        solves = _spy_solves(monkeypatch, experiments)
         truncation_grid(
-            ("quadratic",), fractions=(0.8, 0.9), datasets=("1980",),
-            options=self.POOLED,
+            ("quadratic", "competing_risks"), fractions=(0.8, 0.9),
+            datasets=("1980",), options=self.POOLED,
         )
-        assert self._executors(calls) == ["serial", "serial"]
+        self._assert_pooled(solves, 2)  # one per training fraction
+        assert [len(pairs) for pairs, _ in solves] == [2, 2]
 
     def test_episode_scorecard(self, recession_1990, monkeypatch):
-        calls = _spy_calls(monkeypatch, analysis_fleet, "fit_least_squares")
-        episode_scorecard(
+        solves = _spy_solves(monkeypatch, analysis_fleet)
+        card = episode_scorecard(
             recession_1990, model="quadratic", tolerance=0.005, options=self.POOLED
         )
-        assert calls and set(self._executors(calls)) == {"serial"}
+        self._assert_pooled(solves, 1)
+        assert len(solves[0][0]) == card.n_episodes > 0
 
     def test_residual_bootstrap(self, recession_1990, monkeypatch):
         fit = fit_least_squares(
             make_model("quadratic"), recession_1990, options=self.POOLED
         )
-        calls = _spy_calls(monkeypatch, bootstrap, "fit_least_squares")
+        solves = _spy_solves(monkeypatch, bootstrap)
         residual_bootstrap(fit, n_replications=10, options=self.POOLED)
-        assert self._executors(calls) == ["serial"] * 10
+        self._assert_pooled(solves, 1)
+        assert len(solves[0][0]) == 10
+
+    def test_refit_tick(self, monkeypatch):
+        solves = _spy_solves(monkeypatch, session_module)
+        session = ForecastSession(options=self.POOLED, family="quadratic")
+        for key in ("a", "b", "c"):
+            for t, p in zip(range(7), (1.0, 0.9, 0.8, 0.7, 0.8, 0.9, 1.0)):
+                session.observe(key, float(t), p)
+        assert sorted(session.refit_stale()) == ["a", "b", "c"]
+        self._assert_pooled(solves, 1)
+        assert len(solves[0][0]) == 3
+
+    def test_remediation_cycle(self, monkeypatch):
+        solves = _spy_solves(monkeypatch, remediation)
+        session = ForecastSession(
+            options=self.POOLED, family="quadratic", policy=RefitPolicy(every_k=1000)
+        )
+        for key in ("a", "b"):
+            for t in range(9):
+                session.observe(key, float(t), 1.0 - 0.08 * t)
+            session[key].refit()
+            for t in range(9, 21):
+                session.observe(key, float(t), 0.2)
+        report = RemediationLoop(
+            session, candidates=("quadratic", "competing_risks")
+        ).run_cycle()
+        assert report.executed == 2
+        # Every plan's candidates in one solve, the verified wins in one more.
+        assert 1 <= len(solves) <= 2
+        assert self._executors(solves) == {"thread"}

@@ -107,9 +107,9 @@ class TestAllStartsPenalized:
                 options=EngineOptions(cache=False, executor="serial"),
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fleet_cell_fails_without_crashing(self, engine):
-        result = fit_fleet(
+    @staticmethod
+    def _exploding_fleet(engine):
+        return fit_fleet(
             [_bathtub_curve("a"), _bathtub_curve("b")],
             (ExplodingModel(),),
             engine=engine,
@@ -117,6 +117,10 @@ class TestAllStartsPenalized:
             seed=5,
             options=EngineOptions(executor="serial"),
         )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fleet_cell_fails_without_crashing(self, engine):
+        result = self._exploding_fleet(engine)
         assert np.all(result.failed["exploding"])
         assert np.all(np.isnan(result.sse["exploding"]))
         # Every attempted start failed; failed cells never report a win.
@@ -124,6 +128,12 @@ class TestAllStartsPenalized:
             result.n_failures["exploding"], result.n_starts["exploding"]
         )
         assert not np.any(result.converged["exploding"])
+        # The starts actually tried, the same on both engines.
+        assert np.all(result.n_starts["exploding"] > 0)
+        other = self._exploding_fleet("batched" if engine == "scipy" else "scipy")
+        assert np.array_equal(
+            result.n_starts["exploding"], other.n_starts["exploding"]
+        )
 
     def test_mixed_families_keep_good_results(self):
         """An exploding family must not poison a healthy one."""

@@ -304,3 +304,24 @@ def test_loose_plumbing_kwarg_is_a_type_error(entry, knob, recession_1990):
     """cache/trace/executor/n_workers travel only inside options=."""
     with pytest.raises(TypeError, match=knob):
         ENTRY_POINTS[entry](recession_1990, **{knob: LOOSE_KNOBS[knob]})
+
+
+#: Keywords of the stacked solve's core, which no entry point forwards
+#: (fit_fleet's own ``confirm=`` aside).
+SOLVER_INTERNALS = {"confirm": False, "fit_spans": False}
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        (entry, name)
+        for entry in sorted(ENTRY_POINTS)
+        for name in sorted(SOLVER_INTERNALS)
+        if (entry, name) != ("fit_fleet", "confirm")
+    ],
+)
+def test_solver_internal_kwarg_is_a_type_error(entry, name, recession_1990):
+    """A batch entry point rejects the solver's internal keywords, as a
+    lone fit does."""
+    with pytest.raises(TypeError, match=name):
+        ENTRY_POINTS[entry](recession_1990, **{name: SOLVER_INTERNALS[name]})

@@ -82,14 +82,17 @@ class TestFitManyFailures:
         error message (and a warning log) instead of vanishing."""
         import repro.fitting.least_squares as ls
 
-        real = ls.fit_least_squares
+        real = ls._fit_pairs
 
-        def flaky(family, curve, **kwargs):
-            if family.name == "competing_risks":
-                raise ConvergenceError("forced failure")
-            return real(family, curve, **kwargs)
+        def flaky(pairs, **kwargs):
+            return [
+                ls._FailedPair(ConvergenceError("forced failure"), 0)
+                if pair.family.name == "competing_risks"
+                else fit
+                for pair, fit in zip(pairs, real(pairs, **kwargs))
+            ]
 
-        monkeypatch.setattr(ls, "fit_least_squares", flaky)
+        monkeypatch.setattr(ls, "_fit_pairs", flaky)
         with caplog.at_level(logging.WARNING, logger="repro.fitting"):
             result = fit_many(
                 [make_model("quadratic"), make_model("competing_risks")],

@@ -15,7 +15,6 @@ from repro.serving.remediation import (
     Detection,
     RemediationConfig,
     RemediationLoop,
-    execute_remediation,
 )
 from repro.serving.session import ForecastSession
 
@@ -202,7 +201,7 @@ class TestVerifier:
         )
         plans = loop.plan([Detection("s1", 0.1)])
         assert len(plans) == 1
-        outcome = execute_remediation(plans[0])
+        (outcome,) = loop.execute([plans[0]])
         # the incumbent was fit on ALL points, the candidate only on
         # train — on a perfect quadratic both extrapolate the holdout
         # essentially exactly, so no strict win is available
@@ -216,7 +215,7 @@ class TestVerifier:
         inject_drift(session)
         loop = RemediationLoop(session, candidates=CANDIDATES)
         plans = loop.plan()
-        outcome = execute_remediation(plans[0])
+        (outcome,) = loop.execute([plans[0]])
         assert outcome.candidate_holdout_sse < outcome.incumbent_holdout_sse
         assert outcome.adopted
 
@@ -268,6 +267,23 @@ class TestEndToEnd:
         # and the loop is idempotent: the healed stream is not
         # re-flagged until it grows again
         assert loop.detect() == []
+
+    def test_installed_fit_uses_the_session_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FIT_ENGINE", raising=False)
+        session = make_session(options=CHEAP_OPTIONS.replace(engine="batched"))
+        for t, p in declining_points():
+            session.observe("s1", t, p)
+        session["s1"].refit()
+        for t, p in plateau_tail(session["s1"].n_observations):
+            session.observe("s1", t, p)
+        loop = RemediationLoop(
+            session,
+            candidates=CANDIDATES,
+            config=RemediationConfig(drift_threshold=0.25, reselect_threshold=0.5),
+        )
+        report = loop.run_cycle()
+        assert report.adopted == 1
+        assert session["s1"].fit.engine == "batched"
 
     def test_cooldown_lifts_when_the_stream_grows(self):
         session = make_session()

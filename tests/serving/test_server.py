@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.exceptions import ServingError
+from repro.fitting.cache import FitCache
 from repro.fitting.options import EngineOptions
 from repro.serving.server import SERVER_OPS, ForecastServer, ServerConfig
 
@@ -265,21 +266,22 @@ class TestAdmission:
 
 
 class SlowFitSession:
-    """Patches a forecaster so its first fit blocks until released."""
+    """Patches a session so its refit solves (first fits included)
+    block until released."""
 
-    def __init__(self, forecaster, release: asyncio.Event):
+    def __init__(self, session, release: asyncio.Event):
         self.release = release
-        original = forecaster._execute_plan
+        original = session.execute_refits
 
-        def slow(plan):
+        def slow(planned):
             # runs on the executor thread; wait for the test to release
             while not release.is_set():
                 import time as _time
 
                 _time.sleep(0.005)
-            return original(plan)
+            return original(planned)
 
-        forecaster._execute_plan = slow
+        session.execute_refits = slow
 
 
 class TestFirstFitAdmission:
@@ -310,7 +312,7 @@ class TestFirstFitAdmission:
             await client.fill("s1")
             await client.fill("s2", [(t, p * 0.9) for t, p in DIP])
             release = asyncio.Event()
-            SlowFitSession(server.session["s1"], release)
+            SlowFitSession(server.session, release)
             other = await Client.connect(server)
             try:
                 # occupy the only slot with s1's (blocked) first fit
@@ -335,7 +337,7 @@ class TestFirstFitAdmission:
         async def body(server, client):
             await client.fill("s1")
             release = asyncio.Event()
-            SlowFitSession(server.session["s1"], release)
+            SlowFitSession(server.session, release)
             response = await client.rpc(op="forecast", key="s1")
             assert response["error"]["code"] == 504
             assert response["error"]["type"] == "RefitTimeout"
@@ -351,7 +353,7 @@ class TestFirstFitAdmission:
         async def body(server, client):
             await client.fill("s1")
             release = asyncio.Event()
-            SlowFitSession(server.session["s1"], release)
+            SlowFitSession(server.session, release)
             other = await Client.connect(server)
             try:
                 first = asyncio.create_task(other.rpc(op="forecast", key="s1"))
@@ -407,6 +409,76 @@ class TestRefitTicker:
             assert server.metrics.counter("serve.first_fits") == 0
 
         serve(body, config=cheap_config(refit_interval=0.02))
+
+
+class TestRefitFailureIsolation:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stream_that_cannot_converge_does_not_stall_the_ticker(self):
+        async def body(server, client):
+            await client.fill("healthy", DIP[:6])
+            # Finite values no start can fit: its refit always fails.
+            await client.fill("huge", [(t, p * 1e200) for t, p in DIP])
+            await client.fill("healthy", DIP[6:])
+            healthy = server.session["healthy"]
+            for _ in range(250):
+                if healthy.fit is not None and healthy.pending == 0:
+                    break
+                await asyncio.sleep(0.02)
+            assert healthy.n_observations == len(DIP)
+            assert healthy.fit is not None and healthy.pending == 0
+            assert server.session["huge"].fit is None
+            assert server.metrics.counter("serve.ticker_errors") == 0
+            assert server.metrics.counter("serve.refits_failed") >= 1
+            assert server.session.stats()["refits_failed"] >= 1
+
+        serve(body, config=cheap_config(refit_interval=0.02))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_first_fit_answers_with_its_error_code(self):
+        async def body(server, client):
+            await client.fill("huge", [(t, p * 1e200) for t, p in DIP])
+            response = await client.rpc(op="forecast", key="huge")
+            assert response["error"]["code"] == 500
+            assert response["error"]["type"] == "ConvergenceError"
+            assert server.metrics.counter("serve.first_fits") == 0
+            assert server.metrics.counter("serve.refits_failed") == 1
+
+        serve(body)
+
+
+class TestFirstFitCache:
+    def test_identical_streams_share_a_cached_first_fit(self):
+        cache = FitCache()
+
+        async def body(server, client):
+            await client.fill("s1")
+            await client.fill("s2")
+            assert (await client.rpc(op="forecast", key="s1"))["ok"]
+            assert cache.stats()["hits"] == 0
+            assert (await client.rpc(op="forecast", key="s2"))["ok"]
+            assert server.metrics.counter("serve.first_fits") == 2
+            assert cache.stats()["hits"] == 1
+            assert server.session["s2"].fit.details["cache_hit"]
+
+        serve(body, config=cheap_config(options=CHEAP_OPTIONS.replace(cache=cache)))
+
+
+class TestEngineOption:
+    """First fits and tick refits run on the session's engine."""
+
+    def test_first_fit_and_tick_refit_use_the_session_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FIT_ENGINE", raising=False)
+
+        async def body(server, client):
+            await client.fill("s1", DIP[:5])
+            assert (await client.rpc(op="forecast", key="s1"))["ok"]
+            assert server.metrics.counter("serve.first_fits") == 1
+            assert server.session["s1"].fit.engine == "batched"
+            await client.fill("s1", DIP[5:])
+            assert (await server.refit_tick())["s1"].engine == "batched"
+
+        batched = CHEAP_OPTIONS.replace(engine="batched")
+        serve(body, config=cheap_config(options=batched))
 
 
 class TestStats:

@@ -117,6 +117,68 @@ class TestBatchRefit:
         assert sorted(results) == ["a", "b"]
 
 
+class TestFailureIsolation:
+    """One stream whose refit cannot converge never stops the others."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_refit_is_skipped_counted_and_parked(self, recession_1990):
+        session = make_session()
+        for t, p in zip(recession_1990.times, recession_1990.performance):
+            session.observe("healthy", t, p)
+            # Finite, so observe accepts it, but no start can fit it.
+            session.observe("huge", t, p * 1e200)
+        adopted = session.refit_stale()
+        assert set(adopted) == {"healthy"}
+        assert session["healthy"].fit is adopted["healthy"]
+        assert session["huge"].fit is None
+        assert session.stats()["refits_failed"] == 1
+        # Not planned again until the failing stream grows.
+        assert session.refit_plans() == []
+        session.observe("huge", float(recession_1990.times[-1]) + 1.0, 1e200)
+        assert [entry.key for entry in session.refit_plans()] == ["huge"]
+
+
+class TestRefitCache:
+    """First fits (cold plans) use the session cache; warm refits don't."""
+
+    def test_identical_streams_share_a_cached_first_fit(self):
+        cache = FitCache()
+        session = make_session(
+            options=OPTIONS.replace(cache=cache), policy=RefitPolicy(every_k=1)
+        )
+        for t, p in V_POINTS:
+            session.observe("a", t, p)
+        first = session.refit_stale()["a"]
+        assert not first.details["cache_hit"]
+        for t, p in V_POINTS:
+            session.observe("b", t, p)
+        second = session.refit_stale()["b"]
+        assert second.details["cache_hit"]
+        assert second.params == first.params
+        assert cache.stats()["hits"] == 1
+        # A warm refit neither looks the cache up nor writes to it.
+        before = cache.stats()
+        session.observe("a", 7.0, 1.0)
+        assert not session.refit_stale()["a"].details["cache_hit"]
+        assert cache.stats() == before
+
+
+class TestEngineOption:
+    """Tick refits run on the session's engine, like inline refits."""
+
+    def test_tick_refit_uses_the_session_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FIT_ENGINE", raising=False)
+        session = make_session(options=OPTIONS.replace(engine="batched"))
+        for t, p in V_POINTS:
+            session.observe("a", t, p)
+        inline = OnlineForecaster(
+            "quadratic", options=OPTIONS.replace(engine="batched")
+        )
+        inline.observe_many(V_POINTS)
+        assert session.refit_stale()["a"].engine == "batched"
+        assert inline.refit().engine == "batched"
+
+
 class TestSessionSurface:
     def test_forecast_and_report_delegate(self):
         session = make_session()
@@ -201,14 +263,14 @@ class TestConcurrentMutation:
 
         started = threading.Event()
         release = threading.Event()
-        original = session_module._execute_batch_refit
+        original = session_module._fit_pairs
 
-        def gated(work):
+        def gated(pairs, **kwargs):
             started.set()
             assert release.wait(timeout=30)
-            return original(work)
+            return original(pairs, **kwargs)
 
-        monkeypatch.setattr(session_module, "_execute_batch_refit", gated)
+        monkeypatch.setattr(session_module, "_fit_pairs", gated)
 
         results = {}
         errors = []

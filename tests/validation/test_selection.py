@@ -25,6 +25,12 @@ class TestRecommendModel:
             "wei-wei",
         )
 
+    def test_misspelled_keyword_is_a_type_error(self, recession_1990):
+        """A typo in a fit keyword must not read as every candidate
+        failing to converge."""
+        with pytest.raises(TypeError, match="n_random_start"):
+            recommend_model(recession_1990, n_random_start=2)
+
     def test_scores_sorted_best_first(self, recession_1990):
         rec = recommend_model(recession_1990, criterion="aic", **_FAST)
         values = list(rec.scores.values())
