@@ -213,19 +213,43 @@ def _run_kernels(ctx: BenchContext) -> Mapping[str, float]:
 
 def _run_fleet(ctx: BenchContext) -> Mapping[str, float]:
     from repro.datasets.outage import generate_fleet
-    from repro.fitting.fleet import fit_fleet
+    from repro.fitting.fleet import FleetFitResult, fit_fleet
 
     root = ctx.workdir / "smoke_fleet"
     store = generate_fleet(
         64, root, seed=SMOKE_SEED, chunk_size=32, overwrite=True
     )
-    result = fit_fleet(
-        store,
-        ("quadratic", "competing_risks"),
-        options=_smoke_options(ctx),
-        chunk_size=32,
-        length_bucket=8,
+    families = ("quadratic", "competing_risks")
+
+    def fit(**overrides: object) -> FleetFitResult:
+        return fit_fleet(
+            store,
+            families,
+            options=_smoke_options(ctx, **overrides),
+            chunk_size=32,
+            length_bucket=8,
+        )
+
+    result = fit()
+    # The scipy engine is the oracle: the batched screen must pick the
+    # same cell results on the same store (the context's own fit is
+    # reused for whichever engine it ran).
+    oracle, screened = (
+        result if result.engine == engine else fit(engine=engine)
+        for engine in ("scipy", "batched")
     )
+    mismatched = 0
+    for family in families:
+        same = (
+            np.all(
+                _same_or_both_nan(oracle.params[family], screened.params[family]),
+                axis=1,
+            )
+            & _same_or_both_nan(oracle.sse[family], screened.sse[family])
+            & (oracle.winner_start[family] == screened.winner_start[family])
+            & (oracle.converged[family] == screened.converged[family])
+        )
+        mismatched += int(np.count_nonzero(~same))
     return {
         "n_episodes": result.n_episodes,
         "failed_cells": sum(
@@ -236,7 +260,13 @@ def _run_fleet(ctx: BenchContext) -> Mapping[str, float]:
         ),
         "fit_seconds": result.seconds,
         "episodes_per_sec": result.episodes_per_sec,
+        "engine_mismatched_cells": mismatched,
     }
+
+
+def _same_or_both_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise equality that treats two NaNs (failed cells) as equal."""
+    return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
 def _run_serving(ctx: BenchContext) -> Mapping[str, float]:
@@ -409,10 +439,11 @@ register_workload(
             MetricSpec("total_nfev", kind="counted"),
             MetricSpec("fit_seconds", direction="lower"),
             MetricSpec("episodes_per_sec", direction="higher"),
+            MetricSpec("engine_mismatched_cells", kind="counted"),
         ),
         suites=("smoke", "full"),
         description="64-episode synthetic outage fleet through fit_fleet "
-        "on a 2-family grid",
+        "on a 2-family grid, plus scipy-vs-batched cell agreement",
     )
 )
 register_workload(

@@ -13,10 +13,16 @@ classic damped Levenberg–Marquardt iteration across the whole batch:
   ``diag(JᵀJ)``), accepted steps divide it, rejected steps multiply it;
 * the normal equations of every active problem are solved in one
   batched ``np.linalg.solve`` on ``(P, k, k)`` systems;
-* box bounds are enforced by projecting each trial step onto the
-  feasible box (the winning start is re-polished by scipy's
-  trust-region-reflective solver in ``fit_least_squares``, so the final
-  optimum is always a scipy-converged point — the golden-table oracle);
+* box bounds are handled with an active set: a parameter on a bound
+  whose descent direction points out of the box is *pinned*, the step
+  solves the damped normal equations over the free parameters only, and
+  a step that would cross a bound is projected onto the box. A pinned
+  parameter stays exactly on its bound, so a start whose optimum lies
+  on the box (the quadratic's β ≤ 0 bathtub orientation on a rising
+  curve) converges instead of crawling along the bound to ``max_nfev``
+  (the winning start is re-solved by scipy's trust-region-reflective
+  solver in ``fit_least_squares``, so the final optimum is always a
+  scipy-converged point — the golden-table oracle);
 * converged problems are *frozen out* of the active index set: their
   parameters and counters never move again, and stragglers no longer pay
   for finished work;
@@ -26,11 +32,12 @@ classic damped Levenberg–Marquardt iteration across the whole batch:
 
 Per-problem termination mirrors scipy's semantics: ``ftol`` on the
 relative cost reduction of an accepted step, ``xtol`` on the step norm
-(accepted or stalled), ``gtol`` on ``‖Jᵀr‖∞``, and a per-problem
-``max_nfev`` budget. Counters stay honest — every batched residual
-evaluation charges one ``nfev`` to each problem it served, and each
-analytic Jacobian refresh one ``njev`` (the 2-point mode charges ``k``
-extra ``nfev`` per refresh, like scipy's differencing would).
+(accepted or stalled), ``gtol`` on ``‖Jᵀr‖∞`` with the pinned entries
+zeroed (the projected gradient, as scipy's trf scaling sees it), and a
+per-problem ``max_nfev`` budget. Counters stay honest — every batched
+residual evaluation charges one ``nfev`` to each problem it served, and
+each analytic Jacobian refresh one ``njev`` (the 2-point mode charges
+``k`` extra ``nfev`` per refresh, like scipy's differencing would).
 """
 
 from __future__ import annotations
@@ -383,6 +390,16 @@ def _solve_group(
 
         jac_active = jacobian[active]
         gradient = np.einsum("pnk,pn->pk", jac_active, residuals[active])
+        # A parameter on a bound whose descent direction −g points out of
+        # the box is pinned: gtol sees the projected gradient (pinned
+        # entries zeroed, as scipy's Coleman–Li scaling does for trf) and
+        # the step moves only the free parameters. With nothing pinned
+        # both masks are no-ops, so interior arithmetic is unchanged.
+        x_active = x[active]
+        pinned = ((x_active <= group.lower[active]) & (gradient > 0.0)) | (
+            (x_active >= group.upper[active]) & (gradient < 0.0)
+        )
+        gradient = np.where(pinned, 0.0, gradient)
         hit_gtol = np.max(np.abs(gradient), axis=1) < gtol
         if hit_gtol.any():
             status[active[hit_gtol]] = _STATUS_GTOL
@@ -391,14 +408,24 @@ def _solve_group(
                 continue
             jac_active = jac_active[~hit_gtol]
             gradient = gradient[~hit_gtol]
+            pinned = pinned[~hit_gtol]
 
         n_iterations[active] += 1
         normal = np.einsum("pnk,pnl->pkl", jac_active, jac_active)
+        diag = np.arange(n_params)
+        if pinned.any():
+            # Reduce to the free parameters: a pinned row and column of
+            # JᵀJ become a unit diagonal, which with its zeroed gradient
+            # entry gives a step of exactly 0, so it stays on its bound.
+            free = ~pinned
+            normal = np.where(
+                free[:, :, np.newaxis] & free[:, np.newaxis, :], normal, 0.0
+            )
+            normal[:, diag, diag] = np.where(pinned, 1.0, normal[:, diag, diag])
         scale = np.clip(
             np.einsum("pkk->pk", normal).copy(), 1e-12, None
         )  # Marquardt scaling by diag(JᵀJ), floored for flat directions
         damped = normal.copy()
-        diag = np.arange(n_params)
         damped[:, diag, diag] += lam[active][:, np.newaxis] * scale
         try:
             step = np.linalg.solve(damped, -gradient[..., np.newaxis])[..., 0]

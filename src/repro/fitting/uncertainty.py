@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro._typing import ArrayLike, FloatArray
 from repro.exceptions import FitError
@@ -77,7 +77,7 @@ class ParameterUncertainty:
     def confidence_intervals(self, names: tuple[str, ...], params: tuple[float, ...],
                              confidence: float = 0.95) -> dict[str, tuple[float, float]]:
         """Normal-approximation CIs for each parameter."""
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        z = float(special.ndtri(0.5 + confidence / 2.0))
         return {
             name: (value - z * self.std_errors[name], value + z * self.std_errors[name])
             for name, value in zip(names, params)
@@ -143,7 +143,7 @@ def delta_method_band(
     variance = np.einsum("ij,jk,ik->i", gradients, uncertainty.covariance, gradients)
     if include_noise:
         variance = variance + uncertainty.sigma2
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     half = z * np.sqrt(np.maximum(variance, 0.0))
     return ConfidenceBand(
         center=base,

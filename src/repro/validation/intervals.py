@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro._typing import ArrayLike, FloatArray
 from repro.exceptions import MetricError
@@ -49,7 +49,9 @@ def _critical_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise MetricError(f"confidence must lie in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
-    return float(stats.norm.ppf(1.0 - alpha / 2.0))
+    # ndtri is norm.ppf's own kernel: the same value without the ~100 µs
+    # of generic argument handling, paid on every served forecast band.
+    return float(special.ndtri(1.0 - alpha / 2.0))
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,48 @@ class TestFreezing:
         assert "maximum number of function evaluations" in outcome.message
 
 
+class TestBoundPinning:
+    """A parameter held on its bound by the gradient stays pinned there.
+
+    The rising curve wants β > 0, but the bathtub orientation bounds β
+    above by 0, so β lands on its bound with ``g < 0`` and the fit is a
+    bound-constrained optimum.
+    """
+
+    @staticmethod
+    def _rising_curve():
+        times = np.arange(40.0)
+        noise = np.random.default_rng(3).normal(0.0, 0.001, size=times.shape)
+        return ResilienceCurve(
+            times, 0.94 + 0.002 * times + noise, nominal=1.0, name="rising"
+        )
+
+    def test_pinned_start_converges_on_the_bound(self, recession_1990):
+        quad = make_model("quadratic")
+        pinned = _problem_for(quad, self._rising_curve(), x0=(1.0, -0.05, 0.004))
+        interior = _problem_for(quad, recession_1990, x0=(1.0, 0.0, 0.0))
+        [solo] = solve_batched([interior])
+        outcome, together = solve_batched([pinned, interior])
+        assert outcome.converged, outcome.message
+        assert outcome.n_iterations <= 50
+        assert outcome.vector[1] == 0.0
+        # Pinning is per problem: an interior neighbour's trajectory is
+        # untouched, counters included.
+        assert together._replace(seconds=0.0) == solo._replace(seconds=0.0)
+
+    def test_pinned_fit_matches_scipy(self):
+        curve = self._rising_curve()
+        ref = fit_least_squares(
+            make_model("quadratic"), curve, engine="scipy", options=NO_CACHE
+        )
+        alt = fit_least_squares(
+            make_model("quadratic"), curve, engine="batched", options=NO_CACHE
+        )
+        assert alt.params == ref.params
+        assert alt.sse == ref.sse
+        assert alt.details["winner_start"] == ref.details["winner_start"]
+
+
 class TestCacheIntegration:
     def test_engines_use_separate_cache_keys(self, recession_1990):
         cache = FitCache()

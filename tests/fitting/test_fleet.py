@@ -128,6 +128,22 @@ class TestBitIdentity:
         assert screened.nfev["quadratic"].sum() < confirmed.nfev["quadratic"].sum()
 
 
+class TestCrossEngine:
+    def test_engines_pick_the_same_winners(self, tmp_path):
+        # Outage episodes often put the quadratic's β on its bound; the
+        # batched screen must still pick the start the scipy engine picks.
+        store = generate_fleet(16, tmp_path / "fleet", seed=20220926)
+        ref = fit_fleet(store, engine="scipy")
+        alt = fit_fleet(store, engine="batched")
+        for name in ref.families:
+            np.testing.assert_array_equal(alt.params[name], ref.params[name])
+            np.testing.assert_array_equal(alt.sse[name], ref.sse[name])
+            np.testing.assert_array_equal(
+                alt.winner_start[name], ref.winner_start[name]
+            )
+            np.testing.assert_array_equal(alt.converged[name], ref.converged[name])
+
+
 class TestResultSurface:
     @pytest.fixture(scope="class")
     def result(self, ragged_store):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.datasets.synthetic import curve_from_model
 from repro.exceptions import FitError
 from repro.fitting.least_squares import fit_least_squares
 from repro.fitting.uncertainty import (
+    ParameterUncertainty,
     delta_method_band,
     derived_quantity_interval,
     parameter_uncertainty,
@@ -62,6 +64,26 @@ class TestParameterUncertainty:
         )
         for name, (lo, hi) in intervals.items():
             assert lo < noisy_fit.model.param_dict[name] < hi
+
+    def test_z_bit_equal_to_norm_ppf_without_its_dispatch(
+        self, noisy_fit, monkeypatch
+    ):
+        levels = [*np.linspace(0.001, 0.999, 999), 0.95, 0.975, 1.0 - 1e-9]
+        expected = [float(stats.norm.ppf(0.5 + c / 2.0)) for c in levels]
+
+        def generic_ppf(*args, **kwargs):
+            raise AssertionError("z went through stats.norm.ppf")
+
+        monkeypatch.setattr(stats.norm, "ppf", generic_ppf)
+        unit = ParameterUncertainty(
+            covariance=np.eye(1), std_errors={"a": 1.0}, sigma2=1.0
+        )
+        got = [
+            unit.confidence_intervals(("a",), (0.0,), confidence=c)["a"][1]
+            for c in levels
+        ]
+        assert got == expected
+        delta_method_band(noisy_fit, _TIMES)  # the same z, same path
 
     def test_no_degrees_of_freedom(self):
         from dataclasses import replace

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.exceptions import MetricError
 from repro.validation.intervals import (
@@ -51,6 +52,25 @@ class TestConfidenceBand:
         band = confidence_band([1.0, 1.0, 1.0, 1.0], sse_value=0.08, n_observations=10)
         observations = [1.0, 1.05, 5.0, 1.01]
         assert band.coverage_of(observations) == pytest.approx(0.75)
+
+
+class TestCriticalValue:
+    def test_bit_equal_to_norm_ppf_without_its_dispatch(self, monkeypatch):
+        # Every served forecast computes a band, so z must not pay for
+        # scipy.stats' generic argument handling (~100 µs a call).
+        levels = [*np.linspace(0.001, 0.999, 999), 0.95, 0.975, 1.0 - 1e-9]
+        expected = [float(stats.norm.ppf(1.0 - (1.0 - c) / 2.0)) for c in levels]
+
+        def generic_ppf(*args, **kwargs):
+            raise AssertionError("critical value went through stats.norm.ppf")
+
+        monkeypatch.setattr(stats.norm, "ppf", generic_ppf)
+        # σ = √(SSE/(n − 2)) = 1, so the half width is z itself.
+        got = [
+            confidence_band([0.0], 10.0, 12, confidence=c).half_width
+            for c in levels
+        ]
+        assert got == expected
 
 
 class TestDeltaBand:
