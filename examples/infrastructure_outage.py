@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Infrastructure outage: predict recovery of a simulated power grid.
+"""Infrastructure outage: predict recovery of a utility during a storm.
 
 The paper motivates predictive resilience modeling with emergency
 management: during a disruption, decision makers need to know *when*
 the system will be back, not a retrospective score. This example plays
-that scenario end-to-end on the repairable-system substrate:
+that scenario end-to-end on the Poisson outage/restore process of
+:mod:`repro.datasets.outage` (component outages arrive in a burst, each
+restores after a random delay, and performance is the fraction of
+components in service):
 
-1. build a 60-feeder distribution grid (exponential failure/repair),
-2. hit it with a storm that knocks out 45% of feeders,
-3. observe only the first hours of the outage,
-4. fit the competing-risks model to the partial curve, and
-5. predict time-to-recovery and the interval-based resilience metrics —
+1. draw a 96-hour "V" outage episode (one tight burst, fast restores),
+2. observe only its first 36 hours,
+3. fit the competing-risks model to the partial curve, and
+4. predict time-to-recovery and the interval-based resilience metrics —
    then compare against what actually happened.
+
+A "U" episode (a drawn-out burst with a restore plateau) closes the
+example: its trough falls after the observed window, and a fit that has
+not yet seen the recovery cannot predict it.
 
 Run:  python examples/infrastructure_outage.py
 """
@@ -19,45 +25,39 @@ Run:  python examples/infrastructure_outage.py
 import numpy as np
 
 from repro import ResilienceCurve, fit_least_squares, make_model
-from repro.core.events import DisruptionEvent
-from repro.distributions import Exponential
+from repro.datasets.outage import episode_curve
 from repro.metrics.interval import METRICS, MetricContext
-from repro.simulation.system import Component, RepairableSystem
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_table
 
-GRID_SIZE = 60
+SEED = 2022
 HORIZON_HOURS = 96.0
 OBSERVED_HOURS = 36.0
+TARGET = 0.95
 
 
-def build_grid() -> RepairableSystem:
-    """A feeder network: rare spontaneous failures, ~8h repairs."""
-    return RepairableSystem(
-        [
-            Component(
-                name=f"feeder-{i}",
-                time_to_failure=Exponential(2000.0),
-                time_to_repair=Exponential(8.0),
-            )
-            for i in range(GRID_SIZE)
-        ]
+def outage(scenario: str) -> ResilienceCurve:
+    """Hourly telemetry of one outage episode over the full horizon."""
+    return episode_curve(
+        scenario, seed=SEED, n_points=int(HORIZON_HOURS) + 1, horizon=HORIZON_HOURS
     )
+
+
+def actual_recovery(truth: ResilienceCurve) -> float | None:
+    """First hour after the trough at which capacity is back to TARGET."""
+    recovered = truth.times[
+        (truth.times > truth.trough_time) & (truth.performance >= TARGET)
+    ]
+    return float(recovered[0]) if recovered.size else None
 
 
 def main() -> None:
-    grid = build_grid()
-    storm = DisruptionEvent(
-        "storm", onset=4.0, magnitude=0.45, metadata={"kind": "windstorm"}
-    )
-    truth = grid.simulate(
-        HORIZON_HOURS, time_step=1.0, shocks=[storm], seed=2022, name="grid-outage"
-    )
+    truth = outage("V")
     observed = truth.window(0.0, OBSERVED_HOURS)
 
     print(
-        f"Storm at hour {storm.onset:.0f} knocked the grid to "
-        f"{truth.min_performance:.0%} capacity."
+        f"The storm knocked the grid to {truth.min_performance:.1%} capacity "
+        f"at hour {truth.trough_time:.0f}."
     )
     print(f"Fitting on the first {OBSERVED_HOURS:.0f}h of telemetry only.\n")
 
@@ -66,17 +66,13 @@ def main() -> None:
     print(f"Fitted competing-risks model: {model.param_dict}")
 
     # --- When will the grid be back to 95% capacity? -------------------
-    target = 0.95
-    predicted_recovery = model.recovery_time(target, horizon=10 * HORIZON_HOURS)
-    actually_recovered = truth.times[
-        (truth.times > truth.trough_time) & (truth.performance >= target)
-    ]
-    actual_recovery = float(actually_recovered[0]) if actually_recovered.size else None
-    print(f"\nPredicted return to {target:.0%} capacity: hour {predicted_recovery:.1f}")
-    if actual_recovery is None:
-        print("Actual: never within the simulated horizon")
+    predicted_recovery = model.recovery_time(TARGET, horizon=10 * HORIZON_HOURS)
+    actual = actual_recovery(truth)
+    print(f"\nPredicted return to {TARGET:.0%} capacity: hour {predicted_recovery:.1f}")
+    if actual is None:
+        print("Actual: never within the observed horizon")
     else:
-        print(f"Actual return to {target:.0%} capacity:    hour {actual_recovery:.1f}")
+        print(f"Actual return to {TARGET:.0%} capacity:    hour {actual:.1f}")
 
     # --- Interval metrics over the unobserved future -------------------
     # Use the paper's piecewise form: hold P(t_r) constant once the
@@ -98,12 +94,16 @@ def main() -> None:
     rows = []
     for name, metric in METRICS.items():
         try:
-            actual = metric(actual_ctx)
-            predicted = metric(predicted_ctx)
+            actual_value = metric(actual_ctx)
+            predicted_value = metric(predicted_ctx)
         except Exception:
             continue
-        delta = abs(actual - predicted) / abs(actual) if actual else float("nan")
-        rows.append([name, actual, predicted, delta])
+        delta = (
+            abs(actual_value - predicted_value) / abs(actual_value)
+            if actual_value
+            else float("nan")
+        )
+        rows.append([name, actual_value, predicted_value, delta])
     print()
     print(
         format_table(
@@ -115,17 +115,37 @@ def main() -> None:
     )
 
     # --- Picture --------------------------------------------------------
+    # Later series draw over earlier ones: reality goes over the dense
+    # forecast, and the telemetry over the part of reality it observed.
     print()
     print(
         ascii_plot(
             {
-                "telemetry (observed)": (observed.times, observed.performance),
-                "what actually happened": (truth.times, truth.performance),
                 "model forecast": (forecast.times, forecast.performance),
+                "what actually happened": (truth.times, truth.performance),
+                "telemetry (observed)": (observed.times, observed.performance),
             },
             title="Grid capacity: observed window, reality, and the model's forecast",
         )
     )
+
+    # --- A trough the window has not reached ---------------------------
+    slow = outage("U")
+    slow_fit = fit_least_squares(
+        make_model("competing_risks"), slow.window(0.0, OBSERVED_HOURS)
+    )
+    print(
+        f"\nA U-shaped outage bottoms out at hour {slow.trough_time:.0f}, after "
+        f"the {OBSERVED_HOURS:.0f}h window."
+    )
+    try:
+        slow_recovery = slow_fit.model.recovery_time(TARGET, horizon=10 * HORIZON_HOURS)
+        print(f"Its fit predicts a return to {TARGET:.0%} at hour {slow_recovery:.1f}.")
+    except ValueError:
+        print(f"Its fit never returns to {TARGET:.0%}: the window shows no recovery yet.")
+    slow_actual = actual_recovery(slow)
+    if slow_actual is not None:
+        print(f"Actual return to {TARGET:.0%} capacity: hour {slow_actual:.1f}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Episode scorecards for long operational histories.
 
-Formalizes the multi-event pipeline (simulated in
-``examples/operational_history.py``): segment a history into
+Formalizes the multi-event pipeline: segment a history into
 disruption episodes, compute each episode's point metrics, fit a model
 per episode, and aggregate — turning the paper's single-event
 machinery into an operational report. Every episode's fit is one pair

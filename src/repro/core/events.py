@@ -1,8 +1,7 @@
 """Disruption event descriptors.
 
-Events carry the provenance of a resilience curve (what happened, when,
-how severe) and parameterize the synthetic-curve generators and the
-Monte-Carlo shock simulator.
+Events carry the provenance of a resilience curve: what happened, when,
+and how severe.
 """
 
 from __future__ import annotations

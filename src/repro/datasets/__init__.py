@@ -21,7 +21,6 @@ from repro.datasets.synthetic import (
     make_shape_curve,
 )
 from repro.datasets.loader import curve_from_csv, curve_to_csv
-from repro.datasets.bls import curve_from_levels, read_bls_wide_csv
 from repro.datasets.outage import (
     SCENARIOS,
     OutageBurst,
@@ -43,8 +42,6 @@ from repro.datasets.stream import (
 )
 
 __all__ = [
-    "read_bls_wide_csv",
-    "curve_from_levels",
     "RECESSION_NAMES",
     "load_recession",
     "load_all_recessions",

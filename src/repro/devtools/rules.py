@@ -188,7 +188,6 @@ def default_config() -> LintConfig:
             fit_entry("fitting/least_squares.py", "fit_least_squares"),
             fit_entry("fitting/least_squares.py", "fit_many"),
             fit_entry("fitting/fleet.py", "fit_fleet"),
-            fit_entry("fitting/uncertainty.py", "derived_quantity_interval"),
             fit_entry("analysis/experiments.py", "table1"),
             fit_entry("analysis/experiments.py", "table2"),
             fit_entry("analysis/experiments.py", "table3"),
@@ -197,7 +196,6 @@ def default_config() -> LintConfig:
             fit_entry("analysis/fleet.py", "episode_scorecard"),
             fit_entry("analysis/pipeline.py", "run_full_reproduction"),
             fit_entry("validation/crossval.py", "evaluate_predictive"),
-            fit_entry("validation/crossval.py", "rolling_origin"),
             fit_entry("validation/bootstrap.py", "residual_bootstrap"),
             EntryPointSpec(
                 "src/repro/datasets/outage.py",

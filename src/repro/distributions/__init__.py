@@ -5,7 +5,7 @@ distribution functions: one for degradation and one for recovery. The
 evaluation uses the Exponential and Weibull distributions; this
 subpackage also provides Gamma, Lognormal, Gompertz, and Log-logistic
 distributions so that the mixture family can be extended beyond the
-paper's four pairings.
+paper's four pairings (e.g. ``make_model("gamma-exp")``).
 
 Every distribution exposes the classical reliability quantities: pdf,
 cdf, survival (reliability) function, hazard rate, cumulative hazard,
@@ -19,7 +19,6 @@ from repro.distributions.gamma import Gamma
 from repro.distributions.lognormal import Lognormal
 from repro.distributions.gompertz import Gompertz
 from repro.distributions.loglogistic import LogLogistic
-from repro.distributions.from_hazard import HazardInducedDistribution
 from repro.distributions.registry import (
     available_distributions,
     get_distribution_class,
@@ -34,7 +33,6 @@ __all__ = [
     "Lognormal",
     "Gompertz",
     "LogLogistic",
-    "HazardInducedDistribution",
     "available_distributions",
     "get_distribution_class",
     "register_distribution",

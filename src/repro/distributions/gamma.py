@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import ClassVar
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro._typing import ArrayLike, FloatArray
 from repro.distributions.base import LifetimeDistribution
@@ -31,9 +31,12 @@ class Gamma(LifetimeDistribution):
         self.theta = self._require_positive("theta", theta)
 
     def pdf(self, times: ArrayLike) -> FloatArray:
+        # scipy.stats.gamma.pdf's own formula, without importing
+        # scipy.stats: exp((k−1)·log x − x − ln Γ(k)) / θ at x = t/θ.
         t = as_float_array(times, "times")
-        density = stats.gamma.pdf(np.maximum(t, 0.0), a=self.k, scale=self.theta)
-        return np.where(t < 0.0, 0.0, density)
+        x = np.maximum(t, 0.0) / self.theta
+        log_density = special.xlogy(self.k - 1.0, x) - x - special.gammaln(self.k)
+        return np.where(t < 0.0, 0.0, np.exp(log_density) / self.theta)
 
     def cdf(self, times: ArrayLike) -> FloatArray:
         t = as_float_array(times, "times")

@@ -16,7 +16,6 @@ from repro.fitting.batched import (
 from repro.fitting.cache import FitCache, default_fit_cache, fit_cache_key
 from repro.fitting.fleet import EpisodeFamilyFit, FleetFitResult, fit_fleet
 from repro.fitting.least_squares import FitManyResult, fit_least_squares, fit_many
-from repro.fitting.mle import MleResult, fit_mle, profile_likelihood_interval
 from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS,
@@ -27,7 +26,6 @@ from repro.fitting.result import FitResult
 from repro.fitting.uncertainty import (
     ParameterUncertainty,
     delta_method_band,
-    derived_quantity_interval,
     parameter_uncertainty,
 )
 
@@ -51,11 +49,7 @@ __all__ = [
     "fit_cache_key",
     "generate_starts",
     "FitResult",
-    "MleResult",
-    "fit_mle",
-    "profile_likelihood_interval",
     "ParameterUncertainty",
     "parameter_uncertainty",
     "delta_method_band",
-    "derived_quantity_interval",
 ]

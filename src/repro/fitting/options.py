@@ -7,7 +7,6 @@ value that is built once and handed to
 :func:`~repro.fitting.fit_least_squares`, :func:`~repro.fitting.fit_many`,
 :func:`~repro.fitting.fleet.fit_fleet`, the table grids,
 :func:`~repro.analysis.experiments.truncation_grid`,
-:func:`~repro.validation.crossval.rolling_origin`,
 :func:`~repro.analysis.fleet.episode_scorecard`,
 :func:`~repro.analysis.pipeline.run_full_reproduction`, and the whole
 :mod:`repro.serving` subsystem.

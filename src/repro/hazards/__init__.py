@@ -4,29 +4,15 @@ The paper's first modeling approach (Section II-A) treats a resilience
 curve as a scaled bathtub-shaped hazard function: performance starts
 high, dips, and rises again exactly as a bathtub hazard does. This
 subpackage provides the two hazard forms the paper evaluates — the
-quadratic (Eq. 1) and Hjorth's competing-risks form (Eq. 4) — plus
-simpler rates (constant, linear, Weibull, exponential-power) used in
-tests, ablations, and the repairable-system simulator.
+quadratic (Eq. 1) and Hjorth's competing-risks form (Eq. 4).
 """
 
 from repro.hazards.base import HazardFunction
 from repro.hazards.quadratic import QuadraticHazard
 from repro.hazards.hjorth import HjorthHazard
-from repro.hazards.constant import ConstantHazard
-from repro.hazards.linear import LinearHazard
-from repro.hazards.weibull_hazard import WeibullHazard
-from repro.hazards.exponential_power import ExponentialPowerHazard
-from repro.hazards.registry import available_hazards, get_hazard_class, register_hazard
 
 __all__ = [
     "HazardFunction",
     "QuadraticHazard",
     "HjorthHazard",
-    "ConstantHazard",
-    "LinearHazard",
-    "WeibullHazard",
-    "ExponentialPowerHazard",
-    "available_hazards",
-    "get_hazard_class",
-    "register_hazard",
 ]

@@ -2,12 +2,12 @@
 
 The hot path of every artifact the paper reproduces is dozens to
 thousands of independent bounded least-squares problems (multi-start
-points, model families, episodes, bootstrap replications, Monte-Carlo
-draws, experiment grid cells). :class:`~repro.parallel.executor.FitExecutor`
-abstracts *how* those independent work units run — serially, on a
-thread pool (NumPy/scipy release the GIL inside the linear algebra), or
-on a process pool (sidesteps the GIL entirely at pickling cost) — while
-guaranteeing deterministic, input-ordered results on every backend.
+points, model families, episodes, experiment grid cells).
+:class:`~repro.parallel.executor.FitExecutor` abstracts *how* those
+independent work units run — serially, on a thread pool (NumPy/scipy
+release the GIL inside the linear algebra), or on a process pool
+(sidesteps the GIL entirely at pickling cost) — while guaranteeing
+deterministic, input-ordered results on every backend.
 """
 
 from repro.parallel.executor import (

@@ -32,6 +32,7 @@ construction so every refit shares the same cache/tracer/executor.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -586,8 +587,8 @@ class OnlineForecaster:
         blocks the event loop on a solve; freshness is delegated to the
         batched refit ticker and the remediation loop.
         """
-        if horizon <= 0.0:
-            raise ServingError(f"horizon must be positive, got {horizon}")
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise ServingError(f"horizon must be positive and finite, got {horizon}")
         if n_points < 2:
             raise ServingError(f"n_points must be >= 2, got {n_points}")
         if allow_refit:

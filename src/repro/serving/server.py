@@ -39,6 +39,10 @@ Design rules, in order of importance:
   land in a :class:`~repro.observability.metrics.MetricsRegistry`
   histogram per op, so ``stats`` answers p50/p99 straight from the
   sliding window.
+* **Only finite JSON on the wire.** A request holding ``NaN``,
+  ``Infinity`` or a number past the float range is a 400; a result
+  that cannot be encoded as strict JSON is answered, in its place, with
+  a typed 400 instead.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NoReturn
 
 from repro._env import read_env
 from repro.exceptions import FitError, ReproError, ServingError
@@ -79,6 +85,9 @@ SERVER_OPS: tuple[str, ...] = (
     "drift",
     "stats",
 )
+
+#: Most points a ``forecast`` may ask for; bounds one response line.
+MAX_FORECAST_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -206,6 +215,46 @@ def _error_body(exc: BaseException) -> dict[str, Any]:
         "type": type(exc).__name__,
         "message": str(exc),
     }
+
+
+def _non_finite(text: str) -> NoReturn:
+    raise ProtocolError(
+        "request holds a non-finite number; the protocol carries only "
+        "finite JSON numbers"
+    )
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _non_finite(text)
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        _non_finite(text)
+    return value
+
+
+#: One decoder for every request line: ``json.loads`` with hooks would
+#: build a new decoder per call.
+_REQUEST_DECODER = json.JSONDecoder(
+    parse_constant=_non_finite,
+    parse_float=_finite_float,
+    parse_int=_float_range_int,
+)
+
+
+def _parse_request(line: bytes) -> Any:
+    """The request line as JSON, holding only finite numbers."""
+    try:
+        # Decoded as json.loads decodes bytes.
+        text = line.decode(json.detect_encoding(line), "surrogatepass")
+        return _REQUEST_DECODER.decode(text)
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
+        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
 
 
 class ForecastServer:
@@ -428,10 +477,37 @@ class ForecastServer:
     async def _write(
         self, writer: asyncio.StreamWriter, payload: dict[str, Any]
     ) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+        writer.write(self._encode(payload))
         # Backpressure: a consumer that stops reading suspends this
         # connection's processing here instead of growing the buffer.
         await writer.drain()
+
+    def _encode(self, response: dict[str, Any]) -> bytes:
+        """One response line of strict JSON.
+
+        A result that strict JSON cannot carry (``NaN`` or ``±inf``, as
+        a model evaluated far outside its fit can produce) is answered
+        in its place with a typed 400, like a non-finite observation.
+        """
+        try:
+            text = json.dumps(response, allow_nan=False)
+        except ValueError as exc:
+            error = ServingError(
+                f"op {response.get('op')!r} produced a result that is not "
+                f"valid JSON: {exc}"
+            )
+            self._count_error(error)
+            fallback = {
+                "id": response.get("id"),
+                "ok": False,
+                "op": response.get("op"),
+                "error": _error_body(error),
+            }
+            for name in ("elapsed_ms", "deadline_exceeded"):
+                if name in response:
+                    fallback[name] = response[name]
+            text = json.dumps(fallback, allow_nan=False)
+        return text.encode("utf-8") + b"\n"
 
     async def _handle_line(self, line: bytes) -> dict[str, Any]:
         start = time.perf_counter()
@@ -439,10 +515,7 @@ class ForecastServer:
         deadline: float | None = None
         op = "?"
         try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+            request = _parse_request(line)
             if not isinstance(request, dict):
                 raise ProtocolError(
                     f"request must be a JSON object, got {type(request).__name__}"
@@ -565,10 +638,20 @@ class ForecastServer:
         if not isinstance(horizon, (int, float)):
             raise ProtocolError(f"'horizon' must be a number, got {horizon!r}")
         n_points = request.get("n_points", 25)
+        # JSON true/false arrive as the ints 1 and 0: the range rejects them.
+        if not (isinstance(n_points, int) and 2 <= n_points <= MAX_FORECAST_POINTS):
+            raise ProtocolError(
+                f"'n_points' must be an integer from 2 to {MAX_FORECAST_POINTS}, "
+                f"got {n_points!r}"
+            )
         confidence = request.get("confidence", 0.95)
+        if not (isinstance(confidence, (int, float)) and 0.0 < confidence < 1.0):
+            raise ProtocolError(
+                f"'confidence' must be a number in (0, 1), got {confidence!r}"
+            )
         forecast = forecaster.forecast(
             float(horizon),
-            n_points=int(n_points),
+            n_points=n_points,
             confidence=float(confidence),
             allow_refit=False,
         )

@@ -10,10 +10,6 @@ from repro.utils.numerics import (
 )
 from repro.utils.integrate import trapezoid_integral, cumulative_trapezoid, adaptive_quad
 
-# NOTE: repro.utils.serialization is intentionally NOT re-exported here:
-# it depends on repro.core/models, which themselves import repro.utils —
-# import it as `repro.utils.serialization` directly.
-
 __all__ = [
     "as_float_array",
     "clip_positive",

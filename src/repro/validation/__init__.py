@@ -25,17 +25,9 @@ from repro.validation.intervals import (
     empirical_coverage,
     residual_variance,
 )
-from repro.validation.crossval import PredictiveEvaluation, evaluate_predictive, rolling_origin
+from repro.validation.crossval import PredictiveEvaluation, evaluate_predictive
 from repro.validation.comparison import ModelComparison, compare_models
 from repro.validation.bootstrap import BootstrapResult, residual_bootstrap
-from repro.validation.residuals import (
-    ResidualDiagnostics,
-    diagnose_residuals,
-    durbin_watson,
-    jarque_bera,
-    ljung_box,
-    runs_test,
-)
 from repro.validation.selection import (
     DEFAULT_CANDIDATES,
     ModelRecommendation,
@@ -60,17 +52,10 @@ __all__ = [
     "empirical_coverage",
     "PredictiveEvaluation",
     "evaluate_predictive",
-    "rolling_origin",
     "ModelComparison",
     "compare_models",
     "BootstrapResult",
     "residual_bootstrap",
-    "ResidualDiagnostics",
-    "diagnose_residuals",
-    "durbin_watson",
-    "ljung_box",
-    "jarque_bera",
-    "runs_test",
     "ModelRecommendation",
     "recommend_model",
     "DEFAULT_CANDIDATES",

@@ -14,7 +14,6 @@ import repro.fitting.least_squares as least_squares
 import repro.validation.bootstrap as bootstrap
 import repro.serving.remediation as remediation
 import repro.serving.session as session_module
-import repro.validation.crossval as crossval
 from repro.analysis.experiments import (
     table1,
     table2,
@@ -29,7 +28,6 @@ from repro.fitting.least_squares import fit_least_squares, fit_many
 from repro.models.registry import make_model
 from repro.serving import ForecastSession, RefitPolicy, RemediationLoop
 from repro.validation.bootstrap import residual_bootstrap
-from repro.validation.crossval import rolling_origin
 
 #: Hermetic engine plumbing used on both sides of each comparison.
 PLUMBING = EngineOptions(cache=False, trace=False)
@@ -55,7 +53,6 @@ class TestSignatures:
             table3,
             table4,
             truncation_grid,
-            rolling_origin,
             episode_scorecard,
             run_full_reproduction,
         ],
@@ -64,32 +61,6 @@ class TestSignatures:
         parameters = inspect.signature(entry_point).parameters
         assert "options" in parameters
         assert parameters["options"].default is None
-
-
-class TestRollingOrigin:
-    def test_options_bundle_matches_kwargs(self, recession_1990):
-        family = make_model("quadratic")
-        via_kwargs = rolling_origin(
-            family, recession_1990, min_train=12, step=12,
-            options=PLUMBING, **SCIENCE,
-        )
-        via_options = rolling_origin(
-            family, recession_1990, min_train=12, step=12,
-            options=CHEAP_OPTIONS,
-        )
-        assert via_options == via_kwargs
-
-    def test_explicit_kwarg_overrides_options_field(self, recession_1990):
-        family = make_model("quadratic")
-        reference = rolling_origin(
-            family, recession_1990, min_train=12, step=12,
-            options=PLUMBING, **SCIENCE,
-        )
-        overridden = rolling_origin(
-            family, recession_1990, min_train=12, step=12,
-            options=CHEAP_OPTIONS.replace(seed=99), seed=5,
-        )
-        assert overridden == reference
 
 
 class TestTruncationGrid:
@@ -148,19 +119,6 @@ class TestValidationSweep:
         assert via_options.to_table() == via_kwargs.to_table()
 
 
-def _spy_calls(monkeypatch, module, name):
-    """Record the keyword arguments of every call to ``module.name``."""
-    calls: list[dict] = []
-    real = getattr(module, name)
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 def _spy_solves(monkeypatch, module):
     """Record the pairs and keyword arguments of every stacked solve
     (``_fit_pairs``) that *module* makes."""
@@ -175,22 +133,14 @@ def _spy_solves(monkeypatch, module):
     return calls
 
 
-def _budgets(calls):
-    """The multi-start budget of each recorded fit: the loose
-    ``n_random_starts`` if given, else the bundle's."""
-    return [
-        kwargs.get("n_random_starts", kwargs["options"].n_random_starts)
-        for kwargs in calls
-    ]
-
-
 def _pair_budgets(solves):
     """The multi-start budget of each pair of the recorded stacked
-    solves: the pair's own if set, else the call's."""
+    solves: the pair's own if set, else the call's loose
+    ``n_random_starts``, else its bundle's."""
     return [
         pair.n_random_starts
         if pair.n_random_starts is not None
-        else _budgets([kwargs])[0]
+        else kwargs.get("n_random_starts", kwargs["options"].n_random_starts)
         for pairs, kwargs in solves
         for pair in pairs
     ]
@@ -205,27 +155,6 @@ class TestWarmBudget:
         pytest.param({"options": PLUMBING.replace(n_random_starts=3)}, id="bundle"),
         pytest.param({"options": PLUMBING, "n_random_starts": 3}, id="loose"),
     ]
-
-    @pytest.mark.parametrize("budget", CHOSEN)
-    def test_rolling_origin_keeps_a_chosen_budget(
-        self, recession_1990, monkeypatch, budget
-    ):
-        calls = _spy_calls(monkeypatch, crossval, "fit_least_squares")
-        rolling_origin(
-            make_model("quadratic"), recession_1990, min_train=12, step=12, **budget
-        )
-        assert len(calls) > 1 and set(_budgets(calls)) == {3}
-
-    def test_rolling_origin_shrinks_the_default_budget(
-        self, recession_1990, monkeypatch
-    ):
-        calls = _spy_calls(monkeypatch, crossval, "fit_least_squares")
-        rolling_origin(
-            make_model("quadratic"), recession_1990, min_train=12, step=12,
-            options=PLUMBING,
-        )
-        budgets = _budgets(calls)
-        assert budgets[0] == 8 and set(budgets[1:]) == {2}
 
     @pytest.mark.parametrize("budget", CHOSEN)
     def test_truncation_grid_keeps_a_chosen_budget(self, monkeypatch, budget):

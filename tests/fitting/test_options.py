@@ -13,11 +13,10 @@ from repro.fitting.cache import FitCache
 from repro.fitting.fleet import fit_fleet
 from repro.fitting.least_squares import fit_least_squares, fit_many
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
-from repro.fitting.uncertainty import derived_quantity_interval
 from repro.models.registry import make_model
 from repro.observability import Tracer
 from repro.validation.bootstrap import residual_bootstrap
-from repro.validation.crossval import evaluate_predictive, rolling_origin
+from repro.validation.crossval import evaluate_predictive
 
 #: Hermetic engine plumbing shared by the equivalence tests.
 PLUMBING = EngineOptions(cache=False, trace=False)
@@ -283,14 +282,8 @@ ENTRY_POINTS = {
     "evaluate_predictive": lambda curve, **kw: evaluate_predictive(
         make_model("quadratic"), curve, **kw
     ),
-    "rolling_origin": lambda curve, **kw: rolling_origin(
-        make_model("quadratic"), curve, min_train=12, step=12, **kw
-    ),
     "residual_bootstrap": lambda curve, **kw: residual_bootstrap(
         _cheap_fit(curve), n_replications=10, **kw
-    ),
-    "derived_quantity_interval": lambda curve, **kw: derived_quantity_interval(
-        _cheap_fit(curve), lambda model: model.params[0], n_samples=10, **kw
     ),
 }
 

@@ -10,7 +10,6 @@ from repro.fitting.least_squares import fit_least_squares
 from repro.fitting.uncertainty import (
     ParameterUncertainty,
     delta_method_band,
-    derived_quantity_interval,
     parameter_uncertainty,
 )
 from repro.models.quadratic import QuadraticResilienceModel
@@ -125,46 +124,3 @@ class TestDeltaMethodBand:
         full = delta_method_band(noisy_fit, _TIMES, include_noise=True)
         assert ((full.upper - full.lower) > (pure.upper - pure.lower)).all()
 
-
-class TestDerivedQuantityInterval:
-    def test_recovery_time_interval_brackets_estimate(self, noisy_fit):
-        estimate, lo, hi = derived_quantity_interval(
-            noisy_fit, lambda m: m.recovery_time(1.0), n_samples=100, seed=3
-        )
-        assert lo <= estimate <= hi
-        assert hi - lo < 20.0  # informative, not vacuous
-
-    def test_trough_value_interval(self, noisy_fit):
-        estimate, lo, hi = derived_quantity_interval(
-            noisy_fit, lambda m: m.minimum(47.0)[1], n_samples=100, seed=4
-        )
-        assert lo <= estimate <= hi
-        # Informative but consistent with the noise level (σ = 0.002).
-        assert 0.0 < hi - lo < 0.05
-        truth_value = QuadraticResilienceModel().bind(_TRUTH).minimum(47.0)[1]
-        assert abs(estimate - truth_value) < 0.01
-
-    def test_deterministic(self, noisy_fit):
-        first = derived_quantity_interval(
-            noisy_fit, lambda m: m.recovery_time(1.0), n_samples=60, seed=8
-        )
-        second = derived_quantity_interval(
-            noisy_fit, lambda m: m.recovery_time(1.0), n_samples=60, seed=8
-        )
-        assert first == second
-
-    def test_too_few_samples(self, noisy_fit):
-        with pytest.raises(FitError, match=">= 10"):
-            derived_quantity_interval(noisy_fit, lambda m: 1.0, n_samples=5)
-
-    def test_mostly_undefined_quantity_rejected(self, noisy_fit):
-        optimum = noisy_fit.model.params
-
-        def picky(model):
-            # Defined only at the exact optimum: every perturbed draw fails.
-            if model.params != optimum:
-                raise ValueError("undefined away from the optimum")
-            return 1.0
-
-        with pytest.raises(FitError, match="undefined"):
-            derived_quantity_interval(noisy_fit, picky, n_samples=50)

@@ -1,123 +1,21 @@
-"""Tests for the constant, linear, Weibull, and exponential-power hazards."""
+"""Tests for the base-class hazard fallbacks shared by every hazard."""
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ParameterError
-from repro.hazards import (
-    ConstantHazard,
-    ExponentialPowerHazard,
-    LinearHazard,
-    WeibullHazard,
-)
-from repro.utils.integrate import adaptive_quad
-
-
-class TestConstantHazard:
-    def test_flat(self):
-        hazard = ConstantHazard(0.3)
-        np.testing.assert_allclose(hazard.rate(np.linspace(0, 10, 5)), 0.3)
-
-    def test_cumulative_linear(self):
-        hazard = ConstantHazard(0.3)
-        assert float(hazard.cumulative(np.array([10.0]))[0]) == pytest.approx(3.0)
-
-    def test_never_bathtub(self):
-        assert not ConstantHazard(1.0).is_bathtub()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            ConstantHazard(-0.1)
-
-
-class TestLinearHazard:
-    def test_affine_values(self):
-        hazard = LinearHazard(1.0, 0.5)
-        np.testing.assert_allclose(hazard.rate(np.array([0.0, 2.0])), [1.0, 2.0])
-
-    def test_clipped_at_zero(self):
-        hazard = LinearHazard(1.0, -0.5)
-        assert float(hazard.rate(np.array([4.0]))[0]) == 0.0
-
-    def test_cumulative_with_clipping(self):
-        hazard = LinearHazard(1.0, -0.5)  # hits zero at t=2
-        # ∫₀⁴ = area of triangle with base 2, height 1 = 1.0
-        assert float(hazard.cumulative(np.array([4.0]))[0]) == pytest.approx(1.0)
-
-    def test_cumulative_matches_quadrature(self):
-        hazard = LinearHazard(0.5, -0.1)
-        numeric = adaptive_quad(
-            lambda u: float(hazard.rate(np.array([u]))[0]), 0.0, 10.0
-        )
-        assert float(hazard.cumulative(np.array([10.0]))[0]) == pytest.approx(
-            numeric, rel=1e-6
-        )
-
-    def test_minimum_of_decreasing(self):
-        hazard = LinearHazard(1.0, -0.5)
-        t_min, value = hazard.minimum(10.0)
-        assert t_min == pytest.approx(2.0)
-        assert value == pytest.approx(0.0)
-
-
-class TestWeibullHazard:
-    def test_monotone_regimes(self):
-        t = np.linspace(0.5, 10.0, 20)
-        assert (np.diff(WeibullHazard(2.0, 0.5).rate(t)) < 0).all()
-        assert (np.diff(WeibullHazard(2.0, 3.0).rate(t)) > 0).all()
-
-    def test_shape_one_is_constant(self):
-        hazard = WeibullHazard(4.0, 1.0)
-        np.testing.assert_allclose(hazard.rate(np.linspace(0, 10, 5)), 0.25)
-
-    def test_infinite_at_zero_for_small_shape(self):
-        assert float(WeibullHazard(1.0, 0.5).rate(np.array([0.0]))[0]) == np.inf
-
-    def test_cumulative_power_law(self):
-        hazard = WeibullHazard(2.0, 2.0)
-        assert float(hazard.cumulative(np.array([4.0]))[0]) == pytest.approx(4.0)
-
-    def test_never_bathtub(self):
-        assert not WeibullHazard(2.0, 0.5).is_bathtub()
-
-
-class TestExponentialPowerHazard:
-    def test_bathtub_iff_shape_below_one(self):
-        assert ExponentialPowerHazard(10.0, 0.5).is_bathtub()
-        assert not ExponentialPowerHazard(10.0, 2.0).is_bathtub()
-
-    def test_minimum_closed_form_is_stationary(self):
-        hazard = ExponentialPowerHazard(10.0, 0.5)
-        t_min, _ = hazard.minimum(1000.0)
-        h = t_min * 1e-6
-        left = float(hazard.rate(np.array([t_min - h]))[0])
-        right = float(hazard.rate(np.array([t_min + h]))[0])
-        center = float(hazard.rate(np.array([t_min]))[0])
-        assert center <= left and center <= right
-
-    def test_cumulative_closed_form(self):
-        hazard = ExponentialPowerHazard(5.0, 2.0)
-        numeric = adaptive_quad(
-            lambda u: float(hazard.rate(np.array([u]))[0]), 0.0, 4.0
-        )
-        assert float(hazard.cumulative(np.array([4.0]))[0]) == pytest.approx(
-            numeric, rel=1e-6
-        )
+from repro.hazards import HjorthHazard, QuadraticHazard
+from repro.hazards.base import HazardFunction
 
 
 class TestGenericBathtubDetector:
     """The base-class grid detector must agree with closed forms."""
 
     def test_base_detector_on_hjorth(self):
-        from repro.hazards import HjorthHazard
-        from repro.hazards.base import HazardFunction
-
         hazard = HjorthHazard(1.0, 0.2, 0.002)
         generic = HazardFunction.is_bathtub(hazard, horizon=100.0)
         assert generic == hazard.is_bathtub(horizon=100.0) == True  # noqa: E712
 
     def test_base_detector_on_monotone(self):
-        from repro.hazards.base import HazardFunction
-
-        hazard = WeibullHazard(2.0, 3.0)
+        hazard = QuadraticHazard(1.0, 0.1, 0.01)
+        assert (np.diff(hazard.rate(np.linspace(0.0, 50.0, 20))) > 0).all()
         assert HazardFunction.is_bathtub(hazard, horizon=50.0) is False
+        assert hazard.is_bathtub(horizon=50.0) is False

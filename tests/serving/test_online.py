@@ -222,6 +222,13 @@ class TestForecastSurface:
         with pytest.raises(ServingError, match="n_points"):
             forecaster.forecast(4.0, n_points=1)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_forecast_requires_a_finite_horizon(self, horizon):
+        forecaster = make_forecaster()
+        forecaster.observe_many(V_POINTS)
+        with pytest.raises(ServingError, match="horizon"):
+            forecaster.forecast(horizon)
+
     def test_forecast_to_dict_is_json_serializable(self):
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS)

@@ -238,6 +238,61 @@ class TestProtocol:
         serve(body)
 
 
+#: Requests each once answered with a dropped connection, a 500 or a
+#: NaN/Infinity on the wire: ``(prelude, request)``, where the prelude
+#: lines must succeed on the fitted stream ``s1`` first.
+FAR_OBSERVATION = b'{"op": "observe", "key": "s1", "t": 1e200, "p": 0.9}'
+BAD_REQUESTS = [
+    pytest.param((), b'{"op": "forecast", "key": "s1", "n_points": "abc"}', id="n_points-string"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "n_points": null}', id="n_points-null"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "confidence": "x"}', id="confidence-string"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "horizon": NaN}', id="forecast-horizon-nan"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "horizon": Infinity}', id="forecast-horizon-inf"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "horizon": 1e400}', id="forecast-horizon-overflow"),
+    pytest.param((), b'{"op": "report", "key": "s1", "horizon": NaN}', id="report-horizon-nan"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "confidence": 1.0}', id="confidence-one"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "confidence": -1}', id="confidence-negative"),
+    pytest.param((), b'{"op": "register", "key": "s2", "nominal": NaN}', id="nominal-nan"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "n_points": 200000}', id="n_points-huge"),
+    pytest.param(
+        (), b'{"op": "observe", "key": "s1", "t": 1' + b"0" * 400 + b', "p": 0.9}',
+        id="observe-int-overflow",
+    ),
+    pytest.param((), b'{"id": ' + b"9" * 5000 + b', "op": "ping"}', id="int-past-digit-limit"),
+    pytest.param((), b'{"op": "ping", "key": "\xc3\x28"}', id="invalid-utf8"),
+    pytest.param((FAR_OBSERVATION,), b'{"op": "drift", "key": "s1"}', id="far-drift"),
+    pytest.param((FAR_OBSERVATION,), b'{"op": "forecast", "key": "s1"}', id="far-forecast"),
+    pytest.param((FAR_OBSERVATION,), b'{"op": "report", "key": "s1"}', id="far-report"),
+]
+
+
+class TestMalformedAndNonFinite:
+    """Every bad request gets a typed 400 of strict JSON, and the
+    connection goes on answering in order."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("prelude, request_line", BAD_REQUESTS)
+    def test_typed_400_then_next_request_in_order(self, prelude, request_line):
+        async def body(server, client):
+            await client.fill("s1")
+            assert (await client.rpc(op="forecast", key="s1"))["ok"]
+            for line in prelude:
+                await client.send_raw(line + b"\n")
+                assert (await client.read())["ok"]
+            await client.send_raw(request_line + b"\n" + b'{"id": "next", "op": "ping"}\n')
+            raw = await client.reader.readline()
+            assert b"NaN" not in raw and b"Infinity" not in raw
+            response = json.loads(raw)
+            assert response["ok"] is False
+            assert response["error"]["code"] == 400
+            assert response["error"]["type"] in ("ProtocolError", "ServingError")
+            following = await client.read()
+            assert following["id"] == "next" and following["ok"]
+            assert server.metrics.counter("serve.errors.400") == 1
+
+        serve(body)
+
+
 class TestAdmission:
     def test_register_beyond_cap_is_429(self):
         async def body(server, client):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
 import types
 
 import repro
@@ -40,7 +43,21 @@ def test_no_public_surface_drift():
 
 
 def test_version_matches_package_metadata():
-    assert repro.__version__ == "1.1.0"
+    assert repro.__version__ == "2.0.0"
+
+
+def test_entry_modules_do_not_import_scipy_stats():
+    """The package, the CLI, the table builder and the server import
+    without scipy.stats, which costs every process ~0.5 s to load."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import repro, repro.cli, repro.analysis.experiments, repro.serving.server\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+        "assert not loaded, loaded\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_serving_surface_is_pinned():

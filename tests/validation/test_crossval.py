@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import MetricError
 from repro.models.competing_risks import CompetingRisksResilienceModel
 from repro.models.quadratic import QuadraticResilienceModel
-from repro.validation.crossval import evaluate_predictive, rolling_origin
+from repro.validation.crossval import evaluate_predictive
 from repro.validation.gof import pmse
 
 
@@ -50,22 +49,3 @@ class TestEvaluatePredictive:
         evaluation = evaluate_predictive(QuadraticResilienceModel(), recession_2020)
         assert evaluation.measures.r2_adjusted < 0.5
 
-
-class TestRollingOrigin:
-    def test_origins_and_types(self, recession_1990):
-        results = rolling_origin(
-            QuadraticResilienceModel(), recession_1990, min_train=12, step=12
-        )
-        assert [k for k, _ in results] == [12, 24, 36]
-        for _, value in results:
-            assert value >= 0.0
-
-    def test_min_train_must_exceed_params(self, recession_1990):
-        with pytest.raises(MetricError, match="exceed"):
-            rolling_origin(QuadraticResilienceModel(), recession_1990, min_train=3)
-
-    def test_step_validation(self, recession_1990):
-        with pytest.raises(MetricError, match="step"):
-            rolling_origin(
-                QuadraticResilienceModel(), recession_1990, min_train=12, step=0
-            )
