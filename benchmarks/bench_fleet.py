@@ -74,7 +74,7 @@ store = EpisodeStore(sys.argv[1])
 t0 = time.perf_counter()
 result = fit_fleet(
     store, ("quadratic",), engine="batched", confirm=False,
-    n_random_starts=2, chunk_size=int(sys.argv[2]), length_bucket=8,
+    n_random_starts=2, chunk_size=int(sys.argv[2]),
 )
 seconds = time.perf_counter() - t0
 print(json.dumps({
@@ -166,7 +166,6 @@ def test_bench_fleet(benchmark, artifact_dir, tmp_path):
             FAMILIES,
             engine="batched",
             chunk_size=N_TIMING,
-            length_bucket=8,
         )
     )
     loop_batched, loop_batched_seconds = _best_of_two(

@@ -109,7 +109,7 @@ def test_bench_serving(benchmark, artifact_dir):
 
     forecaster = data["forecaster"]
     stats = dict(forecaster.stats)
-    refits = stats["refits_warm"] + stats["refits_cold"] + stats["refits_full"]
+    refits = stats["refits_warm"] + stats["refits_cold"]
     final = data["final"]
     oneshot = data["oneshot"]
     bit_identical = (

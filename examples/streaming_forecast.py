@@ -6,9 +6,10 @@ sees one. This example replays two recessions as interleaved telemetry
 into a :class:`~repro.serving.ForecastSession` — one shared fit cache,
 tracer, and executor for the whole fleet — and after every quarter of
 new data prints each stream's current model, forecast recovery month,
-and 95% confidence band at the forecast horizon. Warm-started
-incremental refits keep each update cheap: the previous optimum is the
-only start unless the policy schedules a periodic full sweep.
+and 95% confidence band at the forecast horizon. Each update first
+asks the stream to `refit()`, which solves only when the refit policy
+says one is due; warm-started refits keep that cheap, because the
+previous optimum is the only start.
 
 At the end, `finalize()` re-fits each completed curve cold and shows
 that streaming lost nothing: the final parameters are bit-identical to
@@ -28,7 +29,7 @@ HORIZON = 12.0  # forecast one year ahead
 
 def main() -> None:
     options = EngineOptions(cache=True, executor="serial")
-    policy = RefitPolicy(every_k=1, full_refit_every=12)
+    policy = RefitPolicy(every_k=1)
     session = ForecastSession(options=options, family=MODEL, policy=policy)
 
     print(f"Streaming {', '.join(DATASETS)} into one forecast session\n")
@@ -36,6 +37,7 @@ def main() -> None:
         forecaster = session.push(event)
         if not forecaster.ready or (event.index + 1) % 3 != 0:
             continue
+        forecaster.refit()
         forecast = forecaster.forecast(HORIZON, n_points=5)
         recovery = (
             f"month {forecast.recovery_time:5.1f}"
@@ -68,8 +70,7 @@ def main() -> None:
     stats = session.stats()
     print(
         f"\nSession totals: {stats['observations']} observations, "
-        f"{stats['refits_warm']} warm / {stats['refits_cold']} cold / "
-        f"{stats['refits_full']} full refits, "
+        f"{stats['refits_warm']} warm / {stats['refits_cold']} cold refits, "
         f"{stats['forecasts']} forecasts served."
     )
 

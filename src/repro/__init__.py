@@ -17,7 +17,6 @@ True
 """
 
 from repro.core.curve import ResilienceCurve
-from repro.core.events import DisruptionEvent
 from repro.core.phases import ResiliencePhases, detect_phases
 from repro.core.shapes import CurveShape, classify_shape
 from repro.datasets.recessions import (
@@ -41,14 +40,13 @@ from repro.serving import ForecastSession, OnlineForecaster, RefitPolicy
 from repro.validation.comparison import compare_models
 from repro.validation.crossval import evaluate_predictive
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: The public batch + serving surface, alphabetized;
 #: tests/test_public_api.py asserts it matches what is importable.
 __all__ = [
     "CompetingRisksResilienceModel",
     "CurveShape",
-    "DisruptionEvent",
     "EngineOptions",
     "FitExecutor",
     "FitManyResult",

@@ -227,7 +227,6 @@ def _run_fleet(ctx: BenchContext) -> Mapping[str, float]:
             families,
             options=_smoke_options(ctx, **overrides),
             chunk_size=32,
-            length_bucket=8,
         )
 
     result = fit()

@@ -484,13 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="episodes per batched solve; bounds peak memory (default 1024)",
     )
     fit_fleet.add_argument(
-        "--length-bucket",
-        type=int,
-        default=8,
-        metavar="N",
-        help="pad episode lengths up to a multiple of N per chunk (default 8)",
-    )
-    fit_fleet.add_argument(
         "--no-confirm",
         action="store_true",
         help="skip the bit-identity confirmation re-solve and report the "
@@ -880,7 +873,6 @@ def _cmd_fit_fleet(args: argparse.Namespace) -> int:
         store,
         tuple(args.families) if args.families else DEFAULT_FLEET_FAMILIES,
         chunk_size=args.chunk_size,
-        length_bucket=args.length_bucket,
         confirm=not args.no_confirm,
         options=_engine_options(args),
     )

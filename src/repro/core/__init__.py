@@ -2,7 +2,6 @@
 
 from repro.core.curve import ResilienceCurve
 from repro.core.episodes import Episode, split_episodes
-from repro.core.events import DisruptionEvent
 from repro.core.phases import ResiliencePhases, detect_phases
 from repro.core.shapes import CurveShape, classify_shape
 
@@ -10,7 +9,6 @@ __all__ = [
     "ResilienceCurve",
     "Episode",
     "split_episodes",
-    "DisruptionEvent",
     "ResiliencePhases",
     "detect_phases",
     "CurveShape",

@@ -353,8 +353,7 @@ def generate_fleet(
         library default seed.
     n_points, n_points_choices:
         Observation-grid size; when *n_points_choices* is given, each
-        episode draws its size from the choices (a ragged fleet — the
-        padding path of :func:`repro.fitting.fleet.fit_fleet`).
+        episode draws its size from the choices (a ragged fleet).
     horizon:
         Observation-window length in time units.
     noise_std:

@@ -20,13 +20,6 @@ name. Three mechanisms keep the over-approximation useful:
 * callables passed *as arguments* (``loop.run_in_executor(None, fn)``,
   ``executor.map(fn, …)``) never become edges — only calls do — which
   is precisely the worker-pool funnel R7 permits.
-
-Guard dataflow: calls under ``if <guard>:`` (or after an early
-``if not <guard>: return``) are annotated as requiring that guard,
-and call sites passing ``guard=False`` — or forwarding an already
-false guard — prune those edges during reachability. This models the
-``allow_refit`` / ``allow_reselect`` contract the serving layer uses
-to keep solves off the event loop.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ import dataclasses
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
-from repro.devtools.rules import LintConfig, ModuleSource, _dotted_name
+from repro.devtools.rules import ModuleSource, _dotted_name
 
 __all__ = [
     "BlockingPath",
@@ -177,12 +170,6 @@ class CallSite:
     #: True when resolution was exact (types/imports), False when the
     #: callees come from the name-based fallback.
     exact: bool
-    #: Guard parameters that must be truthy for this call to execute.
-    requires: frozenset[str]
-    #: Guard keyword arguments at the site: ``(guard, source)`` where
-    #: source ``""`` means a literal falsy constant and a name means
-    #: the caller forwards its own guard parameter.
-    guards: tuple[tuple[str, str], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,25 +286,16 @@ class CallGraph:
     def blocking_path(
         self, root: str, sinks: Sequence[str]
     ) -> BlockingPath | None:
-        """Shortest guarded-reachability path from *root* to any sink.
+        """Shortest call path from *root* to any sink, or ``None``.
 
-        Returns ``None`` when every path to a blocking sink is pruned
-        by the guard dataflow (or none exists). Deterministic: BFS in
-        source order.
+        Deterministic: BFS in source order.
         """
         matcher = _SinkMatcher(sinks)
-        start = (root, frozenset())
-        parents: dict[
-            tuple[str, frozenset[str]],
-            tuple[tuple[str, frozenset[str]] | None, int],
-        ] = {start: (None, 0)}
-        queue: deque[tuple[str, frozenset[str]]] = deque([start])
+        parents: dict[str, tuple[str | None, int]] = {root: (None, 0)}
+        queue: deque[str] = deque([root])
         while queue:
-            state = queue.popleft()
-            qual, falsy = state
+            qual = queue.popleft()
             for site in self.calls.get(qual, ()):
-                if site.requires & falsy:
-                    continue
                 hit = matcher.match(site.external)
                 if hit is None:
                     for callee in site.callees:
@@ -325,38 +303,29 @@ class CallGraph:
                         if hit is not None:
                             break
                 if hit is not None:
-                    return self._reconstruct(parents, state, site.lineno, hit)
+                    return self._reconstruct(parents, qual, site.lineno, hit)
                 for callee in site.callees:
-                    propagated = frozenset(
-                        guard
-                        for guard, source in site.guards
-                        if source == "" or source in falsy
-                    )
-                    next_state = (callee, propagated)
-                    if next_state not in parents:
-                        parents[next_state] = (state, site.lineno)
-                        queue.append(next_state)
+                    if callee not in parents:
+                        parents[callee] = (qual, site.lineno)
+                        queue.append(callee)
         return None
 
     def _reconstruct(
         self,
-        parents: Mapping[
-            tuple[str, frozenset[str]],
-            tuple[tuple[str, frozenset[str]] | None, int],
-        ],
-        last: tuple[str, frozenset[str]],
+        parents: Mapping[str, tuple[str | None, int]],
+        last: str,
         sink_lineno: int,
         sink: str,
     ) -> BlockingPath:
         chain: list[str] = []
         lines: list[int] = [sink_lineno]
-        state: tuple[str, frozenset[str]] | None = last
-        while state is not None:
-            chain.append(state[0])
-            prev, lineno = parents[state]
+        node: str | None = last
+        while node is not None:
+            chain.append(node)
+            prev, lineno = parents[node]
             if prev is not None:
                 lines.append(lineno)
-            state = prev
+            node = prev
         chain.reverse()
         lines.reverse()
         hops = tuple(
@@ -457,9 +426,7 @@ def _annotation_candidates(expr: ast.expr | None) -> list[str]:
     return []
 
 
-def build_callgraph(
-    modules: Sequence[ModuleSource], config: LintConfig
-) -> CallGraph:
+def build_callgraph(modules: Sequence[ModuleSource]) -> CallGraph:
     """Assemble the symbol table and call edges for *modules*."""
     functions: dict[str, FunctionInfo] = {}
     classes: dict[str, ClassInfo] = {}
@@ -581,11 +548,9 @@ def build_callgraph(
     )
 
     # Pass 3: call sites.
-    guard_params = frozenset(config.guard_params)
     for fn in list(functions.values()):
         ctx = ctx_of_fn[fn.qualname]
-        scanner = _CallScanner(graph, ctx, fn, guard_params)
-        graph.calls[fn.qualname] = scanner.scan()
+        graph.calls[fn.qualname] = _CallScanner(graph, ctx, fn).scan()
     return graph
 
 
@@ -593,24 +558,11 @@ class _CallScanner:
     """Collects the call sites of one function, flow-sensitively."""
 
     def __init__(
-        self,
-        graph: CallGraph,
-        ctx: _ModuleContext,
-        fn: FunctionInfo,
-        guard_params: frozenset[str],
+        self, graph: CallGraph, ctx: _ModuleContext, fn: FunctionInfo
     ) -> None:
         self.graph = graph
         self.ctx = ctx
         self.fn = fn
-        self.guard_params = guard_params
-        self.own_guards = guard_params & {
-            arg.arg
-            for arg in (
-                *fn.node.args.posonlyargs,
-                *fn.node.args.args,
-                *fn.node.args.kwonlyargs,
-            )
-        }
         self.sites: list[CallSite] = []
         self.env: dict[str, str] = {}
         for arg in (
@@ -623,7 +575,7 @@ class _CallScanner:
                 self.env[arg.arg] = resolved
 
     def scan(self) -> tuple[CallSite, ...]:
-        self._stmts(self.fn.node.body, frozenset())
+        self._stmts(self.fn.node.body)
         return tuple(self.sites)
 
     # -- resolution helpers -------------------------------------------
@@ -727,62 +679,40 @@ class _CallScanner:
         return (), None, True
 
     # -- traversal ----------------------------------------------------
-    def _stmts(self, body: Sequence[ast.stmt], requires: frozenset[str]) -> None:
-        extra = requires
+    def _stmts(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
-            extra = self._stmt(stmt, extra)
+            self._stmt(stmt)
 
-    def _stmt(self, stmt: ast.stmt, requires: frozenset[str]) -> frozenset[str]:
-        """Process one statement; returns the (possibly narrowed)
-        guard set for the statements that follow it in the same block
-        (an early ``if not guard: return`` implies the rest of the
-        block requires the guard)."""
+    def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested function: attribute its calls to the enclosing
             # function (it can only run when the parent runs).
-            self._stmts(stmt.body, requires)
-            return requires
-        if isinstance(stmt, ast.ClassDef):
-            self._stmts(stmt.body, requires)
-            return requires
-        if isinstance(stmt, ast.If):
-            self._expr(stmt.test, requires)
-            guard = self._guard_name(stmt.test)
-            negated = self._negated_guard_name(stmt.test)
-            body_req = requires | {guard} if guard is not None else requires
-            else_req = requires | {negated} if negated is not None else requires
-            self._stmts(stmt.body, body_req)
-            self._stmts(stmt.orelse, else_req)
-            if negated is not None and self._terminates(stmt.body):
-                return requires | {negated}
-            return requires
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._expr(stmt.iter, requires)
+            self._stmts(stmt.body)
+        elif isinstance(stmt, ast.ClassDef):
+            self._stmts(stmt.body)
+        elif isinstance(stmt, (ast.If, ast.While)):
+            self._expr(stmt.test)
+            self._stmts(stmt.body)
+            self._stmts(stmt.orelse)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._expr(stmt.iter)
             self._forget_target(stmt.target)
-            self._stmts(stmt.body, requires)
-            self._stmts(stmt.orelse, requires)
-            return requires
-        if isinstance(stmt, ast.While):
-            self._expr(stmt.test, requires)
-            self._stmts(stmt.body, requires)
-            self._stmts(stmt.orelse, requires)
-            return requires
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            self._stmts(stmt.body)
+            self._stmts(stmt.orelse)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                self._expr(item.context_expr, requires)
+                self._expr(item.context_expr)
                 if item.optional_vars is not None:
                     self._forget_target(item.optional_vars)
-            self._stmts(stmt.body, requires)
-            return requires
-        if isinstance(stmt, ast.Try):
-            self._stmts(stmt.body, requires)
+            self._stmts(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            self._stmts(stmt.body)
             for handler in stmt.handlers:
-                self._stmts(handler.body, requires)
-            self._stmts(stmt.orelse, requires)
-            self._stmts(stmt.finalbody, requires)
-            return requires
-        if isinstance(stmt, ast.Assign):
-            self._expr(stmt.value, requires)
+                self._stmts(handler.body)
+            self._stmts(stmt.orelse)
+            self._stmts(stmt.finalbody)
+        elif isinstance(stmt, ast.Assign):
+            self._expr(stmt.value)
             inferred = self._expr_type(stmt.value)
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
@@ -792,102 +722,63 @@ class _CallScanner:
                         self.env.pop(target.id, None)
                 else:
                     self._forget_target(target)
-                    self._expr_store(target, requires)
-            return requires
-        if isinstance(stmt, ast.AnnAssign):
+                    self._expr_store(target)
+        elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
-                self._expr(stmt.value, requires)
+                self._expr(stmt.value)
             if isinstance(stmt.target, ast.Name):
                 resolved = self._resolve_annotation(stmt.annotation)
                 if resolved is not None:
                     self.env[stmt.target.id] = resolved
                 else:
                     self.env.pop(stmt.target.id, None)
-            return requires
-        if isinstance(stmt, ast.AugAssign):
-            self._expr(stmt.value, requires)
-            return requires
-        if isinstance(stmt, ast.Return):
+        elif isinstance(stmt, ast.AugAssign):
+            self._expr(stmt.value)
+        elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self._expr(stmt.value, requires)
-            return requires
-        if isinstance(stmt, (ast.Expr, ast.Raise, ast.Assert, ast.Delete)):
+                self._expr(stmt.value)
+        elif isinstance(stmt, (ast.Expr, ast.Raise, ast.Assert, ast.Delete)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
-                    self._expr(child, requires)
-            return requires
-        return requires
+                    self._expr(child)
 
-    def _expr_store(self, target: ast.expr, requires: frozenset[str]) -> None:
+    def _expr_store(self, target: ast.expr) -> None:
         """Scan the value parts of a non-Name assignment target."""
         for child in ast.walk(target):
             if isinstance(child, ast.Call):
-                self._expr(child, requires)
+                self._expr(child)
 
     def _forget_target(self, target: ast.expr) -> None:
         for child in ast.walk(target):
             if isinstance(child, ast.Name):
                 self.env.pop(child.id, None)
 
-    def _guard_name(self, test: ast.expr) -> str | None:
-        if isinstance(test, ast.Name) and test.id in self.own_guards:
-            return test.id
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            # ``if guard and <more>:`` — the body still only runs with
-            # the guard truthy, so it prunes the same way.
-            for value in test.values:
-                if isinstance(value, ast.Name) and value.id in self.own_guards:
-                    return value.id
-        return None
-
-    def _negated_guard_name(self, test: ast.expr) -> str | None:
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            return self._guard_name(test.operand)
-        return None
-
-    @staticmethod
-    def _terminates(body: Sequence[ast.stmt]) -> bool:
-        return bool(body) and isinstance(
-            body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-        )
-
-    def _expr(self, expr: ast.expr, requires: frozenset[str]) -> None:
+    def _expr(self, expr: ast.expr) -> None:
         if isinstance(expr, ast.Call):
             callees, external, exact = self._resolve_call_func(expr.func)
-            guards: list[tuple[str, str]] = []
-            for keyword in expr.keywords:
-                if keyword.arg is None or keyword.arg not in self.guard_params:
-                    continue
-                value = keyword.value
-                if isinstance(value, ast.Constant) and not value.value:
-                    guards.append((keyword.arg, ""))
-                elif isinstance(value, ast.Name) and value.id in self.own_guards:
-                    guards.append((keyword.arg, value.id))
             self.sites.append(
                 CallSite(
                     lineno=expr.lineno,
                     callees=callees,
                     external=external,
                     exact=exact,
-                    requires=requires,
-                    guards=tuple(guards),
                 )
             )
             # Receiver of a method call may itself contain calls.
             if isinstance(expr.func, ast.Attribute):
-                self._expr(expr.func.value, requires)
+                self._expr(expr.func.value)
             for arg in expr.args:
-                self._expr(arg, requires)
+                self._expr(arg)
             for keyword in expr.keywords:
-                self._expr(keyword.value, requires)
+                self._expr(keyword.value)
             return
         if isinstance(expr, ast.Lambda):
-            self._expr(expr.body, requires)
+            self._expr(expr.body)
             return
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
-                self._expr(child, requires)
+                self._expr(child)
             elif isinstance(child, ast.comprehension):
-                self._expr(child.iter, requires)
+                self._expr(child.iter)
                 for condition in child.ifs:
-                    self._expr(condition, requires)
+                    self._expr(condition)

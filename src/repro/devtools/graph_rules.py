@@ -5,7 +5,7 @@ Rule id   Name                Invariant enforced
 ========  ==================  ====================================================
 ``R7``    async-purity        No registered blocking sink (scipy solves, fit
                               entry points, store I/O, ``time.sleep``, ``open``,
-                              ``subprocess``) is guard-reachable from an
+                              ``subprocess``) is reachable from an
                               ``async def`` in the serving layer except through
                               the ``run_in_executor`` / worker-pool funnel.
 ``R8``    lock-discipline     No ``await`` while a synchronous lock is held; no
@@ -82,11 +82,7 @@ class AsyncPurityRule:
                         f"blocking sink reachable from async "
                         f"{fn.shortname}: {path.render()}"
                     ),
-                    hint=(
-                        "move the blocking call behind "
-                        "loop.run_in_executor, or prune the path with a "
-                        "guard parameter (allow_refit=False)"
-                    ),
+                    hint="move the blocking call behind loop.run_in_executor",
                 )
             )
         return sorted(findings)

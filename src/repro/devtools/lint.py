@@ -213,7 +213,7 @@ def run_lint(
         for rule in active:
             raw.extend(rule.check(module, config))
     if graph_active and modules:
-        graph = build_callgraph(modules, config)
+        graph = build_callgraph(modules)
         for rule in graph_active:
             raw.extend(rule.check_project(graph, config))
     suppressed = 0

@@ -138,14 +138,11 @@ class LintConfig:
         segment).
     async_prefixes:
         Path prefixes whose ``async def`` functions are R7 roots: no
-        blocking sink may be guard-reachable from them.
+        blocking sink may be reachable from them.
     blocking_sinks:
         Blocking-call registry for R7 — dotted names, bare-name
         suffixes, or ``pkg.mod.*`` prefixes (see
         :class:`repro.devtools.callgraph.CallGraph.blocking_path`).
-    guard_params:
-        Keyword parameters whose ``=False`` call sites prune
-        guard-annotated edges during reachability (``allow_refit``).
     shared_state:
         Mutation-funnel contracts checked by R8.
     kernel_prefixes:
@@ -164,7 +161,6 @@ class LintConfig:
     executor_names: tuple[str, ...] = ("executor", "pool")
     async_prefixes: tuple[str, ...] = ()
     blocking_sinks: tuple[str, ...] = ()
-    guard_params: tuple[str, ...] = ()
     shared_state: tuple[SharedStateSpec, ...] = ()
     kernel_prefixes: tuple[str, ...] = ()
     error_base: str = ""
@@ -196,7 +192,6 @@ def default_config() -> LintConfig:
             fit_entry("analysis/fleet.py", "episode_scorecard"),
             fit_entry("analysis/pipeline.py", "run_full_reproduction"),
             fit_entry("validation/crossval.py", "evaluate_predictive"),
-            fit_entry("validation/bootstrap.py", "residual_bootstrap"),
             EntryPointSpec(
                 "src/repro/datasets/outage.py",
                 "generate_fleet",
@@ -275,13 +270,15 @@ def default_config() -> LintConfig:
             "open",
             "subprocess.*",
         ),
-        guard_params=("allow_refit", "allow_reselect"),
         shared_state=(
             SharedStateSpec(
                 "_first_fits",
                 frozenset({"_ensure_first_fit", "_forget_first_fit"}),
             ),
             SharedStateSpec("_inflight_refits", frozenset({"_run_first_fit"})),
+            SharedStateSpec(
+                "_connections", frozenset({"_accept", "_forget_connection"})
+            ),
             SharedStateSpec("_forecasters", frozenset({"register", "unregister"})),
         ),
         kernel_prefixes=(

@@ -25,7 +25,6 @@ from repro.fitting.options import (
 from repro.fitting.result import FitResult
 from repro.fitting.uncertainty import (
     ParameterUncertainty,
-    delta_method_band,
     parameter_uncertainty,
 )
 
@@ -51,5 +50,4 @@ __all__ = [
     "FitResult",
     "ParameterUncertainty",
     "parameter_uncertainty",
-    "delta_method_band",
 ]

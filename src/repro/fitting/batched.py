@@ -71,8 +71,14 @@ ENGINE_NAMES = ("scipy", "batched")
 #: Environment variable supplying the default engine when ``engine=None``.
 ENGINE_ENV_VAR = "REPRO_FIT_ENGINE"
 
-#: Penalty scale — must match ``least_squares._PENALTY_SCALE`` so both
-#: engines optimize the identical objective (asserted by the test suite).
+#: Magnitude of the penalty applied to non-finite residuals, shared
+#: with :mod:`repro.fitting.least_squares` so both engines optimize the
+#: identical objective. The penalty is ``scale·(1 + ‖θ‖)`` rather than
+#: a constant: a constant plateau has zero gradient everywhere, so once
+#: a step lands in a non-finite pocket the optimizer sees a flat
+#: landscape and stalls there. The ‖θ‖ term restores a slope pointing
+#: back toward the origin (feasible vectors in every family are bounded
+#: well below the scales that overflow), letting the solver walk out.
 _PENALTY_SCALE = 1e6
 
 #: Damping schedule: accepted steps divide λ, rejected steps multiply

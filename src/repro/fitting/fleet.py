@@ -8,17 +8,12 @@ kernel call:
 
 * The kernel groups problems by ``(family fingerprint, length, jac
   mode)``, so every episode of a given length advances through the
-  damped-LM iteration in lockstep with every other.
-* Ragged episode lengths inside a chunk are padded up to a
-  ``length_bucket`` multiple with **zero-weight** observations
-  (repeating the final sample), a fleet-only step. A zero weight
-  multiplies the padded row's residual and Jacobian by exactly
-  ``0.0``, so padding changes nothing about a problem's trajectory
-  beyond last-ulp summation noise — which the winner-selection band of
-  :mod:`repro.fitting.least_squares` absorbs by design.
+  damped-LM iteration in lockstep with every other. Each pair is
+  solved on its own episode: a ragged chunk makes one group per
+  distinct length.
 * Each cell is finished like a lone fit: its winning start is
-  re-solved by scipy from its original x0 on the unpadded episode, so
-  fleet winners are **bit-identical** (params and SSE) to looping
+  re-solved by scipy from its original x0, so fleet winners are
+  **bit-identical** (params and SSE) to looping
   :func:`~repro.fitting.fit_least_squares` over the episodes.
 
 Episodes stream in fixed-size chunks — from an
@@ -27,9 +22,8 @@ any curve iterable — so peak memory is set by ``chunk_size``, not the
 fleet size. Results accumulate columnar (a few dozen bytes per
 episode), keeping million-episode fleets in reach.
 
-The scipy engine makes the same chunk call: it ignores the padded
-screens and runs one scipy solve per start on the episode itself, with
-``options.executor`` mapping every start of the chunk.
+The scipy engine makes the same chunk call: it runs one scipy solve per
+start, with ``options.executor`` mapping every start of the chunk.
 
 Fleet fits default to **cache-off**: synthetic fleets never repeat a
 ``(family, curve, config)`` key, so the LRU would only churn. On the
@@ -241,31 +235,6 @@ class _FamilyAccumulator:
         return np.concatenate(parts)
 
 
-def _bucket_length(n_points: int, length_bucket: int) -> int:
-    """Smallest multiple of *length_bucket* that is ≥ *n_points*."""
-    return ((n_points + length_bucket - 1) // length_bucket) * length_bucket
-
-
-def _padded_problem_arrays(
-    curve: ResilienceCurve, padded_length: int
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...] | None]:
-    """Times/targets/sqrt-weights for *curve* padded to *padded_length*.
-
-    Padding repeats the final observation with weight zero: the padded
-    rows multiply out to exact zeros in the residual and Jacobian, so
-    they cannot change the solve (beyond last-ulp reduction order).
-    """
-    times = tuple(float(v) for v in curve.times)
-    targets = tuple(float(v) for v in curve.performance)
-    pad = padded_length - len(times)
-    if pad <= 0:
-        return times, targets, None
-    times = times + (times[-1],) * pad
-    targets = targets + (targets[-1],) * pad
-    sqrt_weights = (1.0,) * len(curve) + (0.0,) * pad
-    return times, targets, sqrt_weights
-
-
 def _iter_episode_chunks(
     episodes: EpisodeStore | Iterable[ResilienceCurve], chunk_size: int
 ) -> Iterator[list[ResilienceCurve]]:
@@ -310,7 +279,6 @@ def fit_fleet(
     *,
     options: EngineOptions | None = None,
     chunk_size: int = 1024,
-    length_bucket: int = 8,
     confirm: bool = True,
     n_random_starts: int | None = None,
     seed: int | None = None,
@@ -335,18 +303,13 @@ def fit_fleet(
         defaults to **off** for fleet fits (synthetic episodes never
         repeat a cache key); set it to ``True`` or a
         :class:`~repro.fitting.cache.FitCache` to opt in (scipy engine
-        only: the batched engine's padded screens never use the cache).
+        only: the batched engine never uses the cache).
         Its ``executor``/``n_workers`` map every start of a chunk on the
         scipy engine.
     chunk_size:
         Episodes fitted per batched solve. Peak memory scales with
         ``chunk_size × families × starts × grid length`` and is
         independent of the fleet size.
-    length_bucket:
-        Episode lengths are padded up to a multiple of this inside
-        each chunk (zero-weight padding), so ragged fleets share shape
-        buckets instead of solving one group per distinct length.
-        ``1`` disables padding.
     confirm:
         Keep the screen-then-confirm contract (default): each cell's
         winning start is re-solved by scipy from its original x0,
@@ -377,8 +340,6 @@ def fit_fleet(
     )
     if chunk_size < 1:
         raise FitError(f"chunk_size must be >= 1, got {chunk_size}")
-    if length_bucket < 1:
-        raise FitError(f"length_bucket must be >= 1, got {length_bucket}")
     resolved_families: list[ResilienceModel] = [
         make_model(family) if isinstance(family, str) else family
         for family in families
@@ -394,9 +355,8 @@ def fit_fleet(
         _resolve_jac_mode(family, opts.jac)  # reject a bad jac= up front
     # The fleet-specific cache default: off unless the options bundle
     # chooses it (None normally means "defer to the environment default
-    # cache"). The batched engine never caches: its screens are padded
-    # and confirm=False skips the confirmation, so its records would not
-    # match a lone fit's.
+    # cache"). The batched engine never caches: with confirm=False its
+    # records would not match a lone fit's.
     fleet_cache: bool | FitCache = False if opts.cache is None else opts.cache
     chunk_options = opts.replace(
         engine=engine_mode, cache=fleet_cache if engine_mode == "scipy" else False
@@ -420,7 +380,6 @@ def fit_fleet(
                 resolved_families,
                 chunk_columns,
                 opts=chunk_options,
-                length_bucket=length_bucket,
                 confirm=confirm,
             )
             if tracer.enabled:
@@ -478,24 +437,16 @@ def _fit_chunk(
     chunk_columns: list[dict[str, np.ndarray]],
     *,
     opts: EngineOptions,
-    length_bucket: int,
     confirm: bool,
 ) -> None:
     """Fit one chunk in one stacked solve.
 
     Every ``(episode, family)`` cell becomes one pair of the shared
     stacked solve (:func:`~repro.fitting.least_squares._solve_pairs`).
-    The batched kernel screens each cell on its episode's zero-weight
-    padded copy, so ragged lengths share kernel groups; scipy ignores
-    the screens. A cell the solve rejects (an episode too short for the
+    A cell the solve rejects (an episode too short for the
     family) or cannot fit becomes a failed row with the starts it tried.
     """
-    pairs: list[_FitPair] = []
-    for curve in chunk:
-        screen = _padded_problem_arrays(
-            curve, _bucket_length(len(curve), length_bucket)
-        )
-        pairs.extend(_FitPair(family, curve, screen) for family in families)
+    pairs = [_FitPair(family, curve) for curve in chunk for family in families]
     fits = iter(_solve_pairs(pairs, opts, confirm=confirm))
     for episode_slot, curve in enumerate(chunk):
         for family, columns in zip(families, chunk_columns):

@@ -53,7 +53,12 @@ from scipy import optimize
 
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.batched import BatchedProblem, resolve_engine, solve_batched
+from repro.fitting.batched import (
+    _PENALTY_SCALE,
+    BatchedProblem,
+    resolve_engine,
+    solve_batched,
+)
 from repro.fitting.cache import (
     FitCache,
     fit_cache_key,
@@ -79,15 +84,6 @@ from repro.parallel import get_executor
 __all__ = ["fit_least_squares", "fit_many", "FitManyResult"]
 
 logger = logging.getLogger("repro.fitting")
-
-#: Magnitude of the penalty applied to non-finite residuals. The
-#: penalty is ``scale·(1 + ‖θ‖)`` rather than a constant: a constant
-#: plateau has zero gradient everywhere, so once a trust-region step
-#: lands in a non-finite pocket the optimizer sees a flat landscape and
-#: stalls there. The ‖θ‖ term restores a slope pointing back toward the
-#: origin (feasible vectors in every family are bounded well below the
-#: scales that overflow), letting the solver walk out of the pocket.
-_PENALTY_SCALE = 1e6
 
 #: Recognized ``jac=`` modes for :func:`fit_least_squares`.
 _JAC_MODES = ("auto", "analytic", "2-point")
@@ -270,9 +266,7 @@ def _select_and_confirm(
     contract), and 2-point winners of analytic families are polished.
 
     *curve* and *sqrt_weights* describe the problem the confirmation
-    solves run on; the fleet engine screens padded copies of an episode
-    but confirms on the original, which is valid because zero-weight
-    padding rows contribute exactly nothing to the screened objective.
+    solves run on.
 
     Raises
     ------
@@ -596,29 +590,18 @@ def _record_fit(tracer: Any, span: Any, result: FitResult, seconds: float) -> No
     tracer.metrics.observe("fit.seconds", seconds)
 
 
-#: What the batched kernel screens a pair's starts on: times, targets
-#: and optional per-observation √weights.
-_Screen = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...] | None]
-
-
 class _FitPair(NamedTuple):
     """One ``(family, curve)`` fit of a stacked solve.
 
-    ``screen`` replaces the arrays the batched kernel screens this
-    pair's starts on; the fleet passes zero-weight padded copies of an
-    episode so ragged lengths share kernel groups. Confirmation, the
-    reported SSE and the cache always use ``curve`` itself.
-
     ``starts``, ``extra_starts`` and ``n_random_starts`` mean what the
-    :func:`fit_least_squares` keywords do, per pair (a cold, a warm and
-    a full refit can share a call); a pair's budget wins over the call's.
+    :func:`fit_least_squares` keywords do, per pair (a cold and a warm
+    refit can share a call); a pair's budget wins over the call's.
     ``use_cache=False`` keeps the pair out of the call's fit cache: no
     lookup and no write.
     """
 
     family: ResilienceModel
     curve: ResilienceCurve
-    screen: _Screen | None = None
     starts: Sequence[Sequence[float]] | None = None
     extra_starts: Sequence[Sequence[float]] | None = None
     n_random_starts: int | None = None
@@ -946,15 +929,13 @@ def _solve_starts(
         problems: list[BatchedProblem] = []
         for entry in prepared:
             curve = entry.pair.curve
-            times, targets, sqrt_weights = entry.pair.screen or (
-                tuple(float(v) for v in curve.times),
-                tuple(float(v) for v in curve.performance),
-                entry.sqrt_weights,
-            )
+            times = tuple(float(v) for v in curve.times)
+            targets = tuple(float(v) for v in curve.performance)
             problems.extend(
                 BatchedProblem(
                     entry.pair.family, times, targets, start, entry.lower,
-                    entry.upper, opts.max_nfev, sqrt_weights, entry.jac_mode,
+                    entry.upper, opts.max_nfev, entry.sqrt_weights,
+                    entry.jac_mode,
                 )
                 for start in entry.start_vectors
             )

@@ -1,4 +1,4 @@
-"""Parameter and prediction uncertainty for fitted models.
+"""Parameter uncertainty for fitted models.
 
 The paper quantifies uncertainty only through the Eq. (12–13) residual
 band. This module adds the standard nonlinear-regression machinery on
@@ -8,9 +8,7 @@ top of a :class:`~repro.fitting.result.FitResult`:
   ``σ²·(JᵀJ)⁻¹``, using the model family's
   :meth:`~repro.models.base.ResilienceModel.prediction_jacobian` at the
   optimum (closed form where available, validated finite differences
-  otherwise),
-* **delta-method prediction bands** that widen with parameter
-  uncertainty instead of staying constant-width like Eq. (13).
+  otherwise).
 """
 
 from __future__ import annotations
@@ -20,16 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from repro._typing import ArrayLike, FloatArray
+from repro._typing import FloatArray
 from repro.exceptions import FitError
 from repro.fitting.result import FitResult
-from repro.validation.intervals import ConfidenceBand
 
-__all__ = [
-    "ParameterUncertainty",
-    "parameter_uncertainty",
-    "delta_method_band",
-]
+__all__ = ["ParameterUncertainty", "parameter_uncertainty"]
+
 
 def _jacobian(fit: FitResult) -> FloatArray:
     """Jacobian of the model prediction w.r.t. parameters at the
@@ -108,39 +102,3 @@ def parameter_uncertainty(fit: FitResult) -> ParameterUncertainty:
         std_errors=dict(zip(fit.model.param_names, (float(s) for s in stds))),
         sigma2=float(sigma2),
     )
-
-
-def delta_method_band(
-    fit: FitResult,
-    times: ArrayLike,
-    *,
-    confidence: float = 0.95,
-    include_noise: bool = True,
-) -> ConfidenceBand:
-    """Pointwise prediction band that accounts for parameter uncertainty.
-
-    Variance at each time is ``g(t)ᵀ·Cov·g(t)`` (delta method, with
-    ``g`` the parameter gradient of the prediction) plus, when
-    *include_noise* is true, the residual variance — so the band is a
-    *prediction* interval comparable to Eq. (13), but wider where the
-    fit is less constrained (typically the extrapolation region).
-    """
-    uncertainty = parameter_uncertainty(fit)
-    model = fit.model
-    params = np.asarray(model.params, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    base = model.evaluate(t, params)
-    gradients = model.prediction_jacobian(t)
-    variance = np.einsum("ij,jk,ik->i", gradients, uncertainty.covariance, gradients)
-    if include_noise:
-        variance = variance + uncertainty.sigma2
-    z = float(special.ndtri(0.5 + confidence / 2.0))
-    half = z * np.sqrt(np.maximum(variance, 0.0))
-    return ConfidenceBand(
-        center=base,
-        lower=base - half,
-        upper=base + half,
-        confidence=confidence,
-        sigma=float(np.sqrt(uncertainty.sigma2)),
-    )
-

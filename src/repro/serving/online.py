@@ -2,23 +2,28 @@
 
 :class:`OnlineForecaster` wraps a :class:`~repro.core.curve.ResilienceCurve`
 that is still being observed. ``observe(t, p)`` appends points;
-``forecast(horizon)`` and ``report()`` return the current best fit,
-the predicted trajectory with its Eq. (13) confidence band, the
-predicted recovery time, and the paper's eight interval metrics —
-refitting lazily and *incrementally* by warm-starting from the
-previous optimum.
+``forecast(horizon)`` and ``report()`` serve the incumbent fit: the
+predicted trajectory with its Eq. (13) confidence band, the predicted
+recovery time, and the paper's eight interval metrics. Reads never
+solve.
 
 Refit mechanics
 ---------------
-The first fit (and any policy-scheduled "full" refit) runs the normal
-cold multi-start sweep. Every other refit warm-starts: the previous
-optimum becomes the only start (or is prepended to a small random
-budget via :attr:`RefitPolicy.warm_random_starts`), because a curve
-that grew by a few points almost never moves the optimum to a
-different basin. :class:`RefitPolicy` controls *when* refits happen
-(every k points and/or when the incumbent's SSE drifts) and when the
-incumbent family is re-selected via
-:func:`~repro.fitting.fit_many` across candidate families.
+A stream's fit changes one way: *plan → stacked solve → adopt*.
+:meth:`OnlineForecaster.refit_plan` says what the
+:class:`RefitPolicy` wants (every k points and/or when the incumbent's
+SSE drifts), the plan is solved by
+:func:`~repro.fitting.least_squares._fit_pairs`, and
+:meth:`OnlineForecaster.adopt_fit` installs the result. A
+:class:`~repro.serving.session.ForecastSession` solves every due
+stream's plan in one call; :meth:`OnlineForecaster.refit` does the
+same for one stream. The first fit runs the normal cold multi-start
+sweep; every later refit warm-starts from the previous optimum alone,
+because a curve that grew by a few points almost never moves the
+optimum to a different basin. The incumbent *family* changes only
+through :meth:`OnlineForecaster.install_fit`, which the remediation
+loop (:mod:`repro.serving.remediation`) calls after a candidate beats
+the incumbent on held-out points.
 
 :meth:`OnlineForecaster.finalize` runs one cold fit with the exact
 configuration of a one-shot :func:`~repro.fitting.fit_least_squares`
@@ -35,13 +40,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
 from repro.core.curve import ResilienceCurve
-from repro.exceptions import ConvergenceError, ReproError, ServingError
-from repro.fitting.least_squares import fit_least_squares, fit_many
+from repro.exceptions import ReproError, ServingError
+from repro.fitting.least_squares import (
+    _FailedPair,
+    _FitPair,
+    _fit_pairs,
+    fit_least_squares,
+)
 from repro.fitting.options import EngineOptions, ResolvedEngine
 from repro.fitting.result import FitResult
 from repro.metrics.predictive import (
@@ -57,7 +67,7 @@ __all__ = ["Forecast", "ForecastReport", "OnlineForecaster", "RefitPolicy"]
 
 @dataclass(frozen=True)
 class RefitPolicy:
-    """When and how an :class:`OnlineForecaster` refits.
+    """When an :class:`OnlineForecaster` refits.
 
     Attributes
     ----------
@@ -70,32 +80,10 @@ class RefitPolicy:
         cadence ticks: refit when the incumbent model's SSE/point on
         the grown curve exceeds ``(1 + sse_drift)`` times its fitted
         SSE/point. ``None`` disables the drift trigger.
-    warm_random_starts:
-        Random starts solved *in addition to* the previous optimum on a
-        warm refit. ``0`` (the default) makes warm refits a single
-        solve from the previous optimum — the fast path.
-    full_refit_every:
-        Run every Nth refit with the full cold multi-start budget
-        (previous optimum still injected), guarding against a warm
-        chain that got stuck in a stale basin. ``None`` never schedules
-        one.
-    reselect_drift:
-        Relative degradation of the incumbent family's per-point SSE —
-        against the best it ever achieved on this stream — that
-        triggers model reselection with
-        :func:`~repro.fitting.fit_many` over the candidate families.
-        ``None`` disables reselection.
-    min_points:
-        Observations required before the first fit; ``None`` defaults
-        to ``family.n_params + 2``.
     """
 
     every_k: int | None = 1
     sse_drift: float | None = None
-    warm_random_starts: int = 0
-    full_refit_every: int | None = None
-    reselect_drift: float | None = None
-    min_points: int | None = None
 
     def __post_init__(self) -> None:
         if self.every_k is None and self.sse_drift is None:
@@ -107,16 +95,6 @@ class RefitPolicy:
             raise ServingError(f"every_k must be >= 1, got {self.every_k}")
         if self.sse_drift is not None and self.sse_drift < 0.0:
             raise ServingError(f"sse_drift must be >= 0, got {self.sse_drift}")
-        if self.warm_random_starts < 0:
-            raise ServingError(
-                f"warm_random_starts must be >= 0, got {self.warm_random_starts}"
-            )
-        if self.full_refit_every is not None and self.full_refit_every < 1:
-            raise ServingError(
-                f"full_refit_every must be >= 1, got {self.full_refit_every}"
-            )
-        if self.min_points is not None and self.min_points < 2:
-            raise ServingError(f"min_points must be >= 2, got {self.min_points}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +115,6 @@ class Forecast:
     times: tuple[float, ...]
     band: ConfidenceBand
     recovery_time: float | None
-    refit_performed: bool
 
     @property
     def age(self) -> int:
@@ -153,7 +130,9 @@ class Forecast:
             "sse": float(self.sse),
             "n": self.n_observations,
             "n_fit": self.n_fit,
-            "refit": self.refit_performed,
+            # A forecast never solves; serve-replay sets this on the
+            # updates whose refit() call did.
+            "refit": False,
             "recovery_time": self.recovery_time,
             "times": [float(t) for t in self.times],
             "center": [float(v) for v in self.band.center],
@@ -200,29 +179,34 @@ class ForecastReport:
 
 
 class _RefitPlan:
-    """One planned refit: its start settings plus bookkeeping labels.
+    """One planned refit: the pair to solve and its kind.
 
-    Built by :meth:`OnlineForecaster.refit_plan` and consumed either
-    inline or by :class:`~repro.serving.session.ForecastSession`'s
-    batch scheduler (which solves every due plan in one stacked solve
-    and hands each result back to :meth:`OnlineForecaster.adopt_fit`).
-    ``fit_kwargs`` holds only ``starts``, ``extra_starts`` and
-    ``n_random_starts``: the settings that differ between refits.
+    Built by :meth:`OnlineForecaster.refit_plan`, solved by
+    :func:`~repro.fitting.least_squares._fit_pairs` (one stream's plan
+    in :meth:`OnlineForecaster.refit`, every due stream's in
+    :meth:`~repro.serving.session.ForecastSession.execute_refits`) and
+    installed by :meth:`OnlineForecaster.adopt_fit`. A cold plan, a
+    stream's first fit, is the only one that uses the fit cache: a
+    warm refit starts from the previous optimum, so its key never
+    repeats.
     """
 
-    __slots__ = ("family", "curve", "kind", "fit_kwargs")
+    __slots__ = ("curve", "kind", "pair")
 
     def __init__(
         self,
         family: ResilienceModel,
         curve: ResilienceCurve,
-        kind: str,
-        fit_kwargs: dict[str, Any],
+        previous: tuple[float, ...] | None,
     ) -> None:
-        self.family = family
         self.curve = curve
-        self.kind = kind  # "cold" | "warm" | "full"
-        self.fit_kwargs = fit_kwargs
+        self.kind = "cold" if previous is None else "warm"
+        self.pair = _FitPair(
+            family,
+            curve,
+            starts=None if previous is None else (previous,),
+            use_cache=previous is None,
+        )
 
 
 class OnlineForecaster:
@@ -238,10 +222,6 @@ class OnlineForecaster:
         all refits share the resolved cache/tracer/executor.
     policy:
         :class:`RefitPolicy`; defaults to refit-on-every-point.
-    candidates:
-        Families considered when reselection triggers (see
-        :attr:`RefitPolicy.reselect_drift`). The incumbent is always
-        included.
     key:
         Stream label used in forecasts and replay output.
     nominal:
@@ -254,7 +234,6 @@ class OnlineForecaster:
         *,
         options: EngineOptions | None = None,
         policy: RefitPolicy | None = None,
-        candidates: Sequence[ResilienceModel | str] | None = None,
         key: str = "online",
         nominal: float | None = None,
     ) -> None:
@@ -262,14 +241,6 @@ class OnlineForecaster:
         self._family = make_model(family) if isinstance(family, str) else family
         self.options = options if options is not None else EngineOptions()
         self.policy = policy if policy is not None else RefitPolicy()
-        self._candidates: tuple[ResilienceModel, ...] = tuple(
-            make_model(c) if isinstance(c, str) else c
-            for c in (candidates or ())
-        )
-        if self.policy.reselect_drift is not None and not self._candidates:
-            raise ServingError(
-                "reselect_drift is set but no candidate families were given"
-            )
         self._nominal = nominal
 
         engine: ResolvedEngine = self.options.resolve()
@@ -292,16 +263,12 @@ class OnlineForecaster:
         self._curve_cache: ResilienceCurve | None = None
         self._fit: FitResult | None = None
         self._fit_n = 0
-        self._n_refits = 0
-        self._best_per_point: float | None = None
         #: Plain counters, always maintained (the tracer's metrics
         #: registry mirrors them when tracing is enabled).
         self.stats: dict[str, int] = {
             "observations": 0,
             "refits_warm": 0,
             "refits_cold": 0,
-            "refits_full": 0,
-            "reselections": 0,
             "forecasts": 0,
         }
 
@@ -350,14 +317,12 @@ class OnlineForecaster:
     @property
     def min_points(self) -> int:
         """Observations required before the first fit."""
-        if self.policy.min_points is not None:
-            return self.policy.min_points
         return self._family.n_params + 2
 
     @property
     def ready(self) -> bool:
         """Whether enough observations arrived for a fit."""
-        return len(self._times) >= max(self.min_points, 2)
+        return len(self._times) >= self.min_points
 
     @property
     def curve(self) -> ResilienceCurve:
@@ -378,7 +343,7 @@ class OnlineForecaster:
 
     @property
     def fit(self) -> FitResult | None:
-        """The most recent fit, without triggering a refit."""
+        """The incumbent fit (``None`` before the first one)."""
         return self._fit
 
     @property
@@ -433,110 +398,46 @@ class OnlineForecaster:
     def refit_plan(self) -> _RefitPlan | None:
         """The refit the policy wants now, or ``None``.
 
-        Exposed so :class:`~repro.serving.session.ForecastSession` can
-        solve many streams' plans in one stacked solve; pair with
-        :meth:`adopt_fit`.
+        Solve it with :func:`~repro.fitting.least_squares._fit_pairs`
+        and install the result with :meth:`adopt_fit`;
+        :class:`~repro.serving.session.ForecastSession` does this for
+        many streams in one stacked solve.
         """
         if not self.refit_due():
             return None
-        curve = self.curve
         previous = None if self._fit is None else self._fit.model.params
-        if previous is None:
-            return _RefitPlan(self._family, curve, "cold", {})
-        full_due = (
-            self.policy.full_refit_every is not None
-            and (self._n_refits % self.policy.full_refit_every) == 0
-        )
-        if full_due:
-            return _RefitPlan(
-                self._family, curve, "full", {"extra_starts": (previous,)}
-            )
-        if self.policy.warm_random_starts == 0:
-            kwargs: dict[str, Any] = {"starts": (previous,)}
-        else:
-            kwargs = {
-                "extra_starts": (previous,),
-                "n_random_starts": self.policy.warm_random_starts,
-            }
-        return _RefitPlan(self._family, curve, "warm", kwargs)
+        return _RefitPlan(self._family, self.curve, previous)
 
-    def adopt_fit(
-        self,
-        fit: FitResult,
-        plan: _RefitPlan,
-        *,
-        allow_reselect: bool = True,
-    ) -> None:
-        """Install a fit computed from *plan* (inline or by a session).
-
-        ``allow_reselect=False`` installs the fit but skips the
-        drift-triggered model reselection (a cold ``fit_many`` sweep).
-        The async server adopts this way on the event loop — the drift
-        watermark still updates, and the remediation loop performs the
-        actual reselection off-thread.
-        """
+    def adopt_fit(self, fit: FitResult, plan: _RefitPlan) -> None:
+        """Install a fit solved from *plan*."""
         self._fit = fit
         self._fit_n = len(plan.curve)
-        self._n_refits += 1
         self.stats[f"refits_{plan.kind}"] += 1
         if self._tracer.enabled:
             self._tracer.metrics.inc(f"serving.refit.{plan.kind}")
-        per_point = fit.sse / max(self._fit_n, 1)
-        if self._best_per_point is None or per_point < self._best_per_point:
-            self._best_per_point = per_point
-        elif (
-            allow_reselect
-            and self.policy.reselect_drift is not None
-            and self._best_per_point > 0.0
-            and per_point / self._best_per_point - 1.0 > self.policy.reselect_drift
-        ):
-            self._reselect(plan.curve)
 
     def install_fit(
         self, fit: FitResult, *, family: ResilienceModel | None = None
     ) -> None:
         """Install *fit* (and optionally a new incumbent *family*).
 
-        The adoption path for externally computed fits — the
-        remediation loop's verifier calls this after a proposed refit
-        or reselection beats the incumbent on held-out points. The
-        per-stream best-SSE watermark resets to the installed fit, so
-        reselection drift is measured against the new family from here
-        on.
+        The adoption path for externally computed fits, and the only
+        way a stream's family changes: the remediation loop's verifier
+        calls this after a proposed refit or reselection beats the
+        incumbent on held-out points.
         """
         if family is not None:
             self._family = family
         self._fit = fit
         self._fit_n = len(self._times)
-        self._n_refits += 1
-        self._best_per_point = fit.sse / max(self._fit_n, 1)
 
-    def _reselect(self, curve: ResilienceCurve) -> None:
-        """Refit all candidate families cold and adopt the best."""
-        families = list(self._candidates)
-        if all(f.name != self._family.name for f in families):
-            families.insert(0, self._family)
-        # _fit_options pins the executor to the resolved backend, which
-        # maps every candidate's starts in fit_many's one stacked solve.
-        results = fit_many(families, curve, options=self._fit_options)
-        self.stats["reselections"] += 1
-        if self._tracer.enabled:
-            self._tracer.metrics.inc("serving.reselections")
-        try:
-            best = results.best()
-        except ConvergenceError:
-            return  # keep the incumbent; nothing converged
-        if best.model.name != self._family.name:
-            by_name = {f.name: f for f in families}
-            self._family = by_name[best.model.name]
-        self._fit = best
-        self._fit_n = len(curve)
-        self._best_per_point = best.sse / max(len(curve), 1)
+    def refit(self) -> FitResult:
+        """Solve the refit the policy wants, if any; return the current fit.
 
-    def _ensure_fit(self) -> tuple[FitResult, bool]:
-        """Current fit, refitting first if the policy demands it.
-
-        Returns ``(fit, refit_performed)``.
+        The plan runs through the same stacked solve and adoption as a
+        session refit tick (:meth:`refit_plan`, then :meth:`adopt_fit`).
+        A fit that fails raises the :class:`~repro.exceptions.FitError`
+        a lone :func:`~repro.fitting.fit_least_squares` would.
         """
         if not self.ready:
             raise ServingError(
@@ -544,24 +445,18 @@ class OnlineForecaster:
                 f"needs {self.min_points} before the first fit"
             )
         plan = self.refit_plan()
-        if plan is None:
-            assert self._fit is not None
-            return self._fit, False
-        t0 = time.perf_counter()
-        fit = fit_least_squares(
-            plan.family, plan.curve, options=self._fit_options, **plan.fit_kwargs
-        )
-        self.adopt_fit(fit, plan)
-        if self._tracer.enabled:
-            self._tracer.metrics.observe(
-                "serving.refit_seconds", time.perf_counter() - t0
-            )
+        if plan is not None:
+            t0 = time.perf_counter()
+            (fit,) = _fit_pairs([plan.pair], options=self._fit_options)
+            if isinstance(fit, _FailedPair):
+                raise fit.error
+            self.adopt_fit(fit, plan)
+            if self._tracer.enabled:
+                self._tracer.metrics.observe(
+                    "serving.refit_seconds", time.perf_counter() - t0
+                )
         assert self._fit is not None
-        return self._fit, True
-
-    def refit(self) -> FitResult:
-        """Force a policy-driven refit check and return the current fit."""
-        return self._ensure_fit()[0]
+        return self._fit
 
     # ------------------------------------------------------------------
     # Forecast surface
@@ -572,7 +467,6 @@ class OnlineForecaster:
         *,
         n_points: int = 25,
         confidence: float = 0.95,
-        allow_refit: bool = True,
     ) -> Forecast:
         """Predicted trajectory over the next *horizon* time units.
 
@@ -581,25 +475,21 @@ class OnlineForecaster:
         ``last + horizon``; the recovery time is the model's first
         return to the nominal level.
 
-        ``allow_refit=False`` serves the incumbent fit as-is even when
-        the policy says a refit is due (raising if there is no fit
-        yet). The async server forecasts this way so a request never
-        blocks the event loop on a solve; freshness is delegated to the
-        batched refit ticker and the remediation loop.
+        Serves the incumbent fit as it is, even when the policy says a
+        refit is due: freshness is the job of :meth:`refit`, the
+        session's refit ticks and the remediation loop. Raises
+        :class:`~repro.exceptions.ServingError` before the first fit.
         """
         if not (math.isfinite(horizon) and horizon > 0.0):
             raise ServingError(f"horizon must be positive and finite, got {horizon}")
         if n_points < 2:
             raise ServingError(f"n_points must be >= 2, got {n_points}")
-        if allow_refit:
-            fit, refit_performed = self._ensure_fit()
-        else:
-            if self._fit is None:
-                raise ServingError(
-                    f"stream {self.key!r} has no fit yet and allow_refit "
-                    f"is off"
-                )
-            fit, refit_performed = self._fit, False
+        fit = self._fit
+        if fit is None:
+            raise ServingError(
+                f"stream {self.key!r} has no fit yet ({len(self._times)} "
+                f"observation(s); the first fit needs {self.min_points})"
+            )
         last = self._times[-1]
         future = np.linspace(last, last + float(horizon), int(n_points))
         band = confidence_band(
@@ -618,7 +508,6 @@ class OnlineForecaster:
             times=tuple(float(t) for t in future),
             band=band,
             recovery_time=self._recovery_time(fit),
-            refit_performed=refit_performed,
         )
 
     def _recovery_time(self, fit: FitResult) -> float | None:
@@ -636,26 +525,19 @@ class OnlineForecaster:
         n_points: int = 25,
         confidence: float = 0.95,
         alpha: float = 0.5,
-        allow_refit: bool = True,
     ) -> ForecastReport:
         """Forecast plus the eight interval metrics on the observed curve.
 
         The metrics treat the whole observed window as the predictive
         interval (split at the first observation), comparing the model's
         trajectory against everything seen so far. *horizon* defaults to
-        half the observed duration (at least one time unit).
-        ``allow_refit`` threads through to :meth:`forecast` — the async
-        server reports with it off so a report never solves inline.
+        half the observed duration (at least one time unit). Serves
+        the incumbent fit, like :meth:`forecast`.
         """
         curve = self.curve
         if horizon is None:
             horizon = max(curve.duration / 2.0, 1.0)
-        forecast = self.forecast(
-            horizon,
-            n_points=n_points,
-            confidence=confidence,
-            allow_refit=allow_refit,
-        )
+        forecast = self.forecast(horizon, n_points=n_points, confidence=confidence)
         fit = self._fit
         assert fit is not None
         metrics = predictive_metric_report(

@@ -12,7 +12,7 @@ these as JSONL.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.datasets.stream import StreamEvent
 from repro.fitting.options import EngineOptions
@@ -33,7 +33,6 @@ def replay_forecasts(
     family: ResilienceModel | str = "competing_risks",
     options: EngineOptions | None = None,
     policy: RefitPolicy | None = None,
-    candidates: Sequence[ResilienceModel | str] | None = None,
     finalize: bool = True,
     session: ForecastSession | None = None,
 ) -> Iterator[dict[str, Any]]:
@@ -48,11 +47,14 @@ def replay_forecasts(
     horizon:
         Forecast horizon (same time units as the stream).
     every:
-        Emit an update every this-many observations per stream (the
-        refit cadence is governed by *policy*, not by this).
+        Emit an update every this-many observations per stream. Each
+        update first calls
+        :meth:`~repro.serving.online.OnlineForecaster.refit`, which
+        solves only when *policy* says a refit is due; the update's
+        ``refit`` field says whether it did.
     n_points:
         Grid points per emitted forecast trajectory.
-    family, options, policy, candidates:
+    family, options, policy:
         Session defaults (see :class:`ForecastSession`); ignored when
         an existing *session* is supplied.
     finalize:
@@ -69,9 +71,7 @@ def replay_forecasts(
         ``{"type": "summary", ...}``.
     """
     if session is None:
-        session = ForecastSession(
-            options=options, family=family, policy=policy, candidates=candidates
-        )
+        session = ForecastSession(options=options, family=family, policy=policy)
     n_events = 0
     for event in events:
         forecaster = session.push(event)
@@ -80,10 +80,13 @@ def replay_forecasts(
             continue
         if every > 1 and (event.index + 1) % every != 0:
             continue
+        previous = forecaster.fit
+        forecaster.refit()
         forecast = forecaster.forecast(
             horizon, n_points=n_points, confidence=confidence
         )
         payload = forecast.to_dict()
+        payload["refit"] = forecaster.fit is not previous
         payload["type"] = "update"
         payload["t"] = event.time
         payload["p"] = event.performance

@@ -17,9 +17,9 @@ Request/response schema (see docs/serving.md for the full protocol)::
 
 Design rules, in order of importance:
 
-* **The event loop never solves.** Forecasts are served from the
-  incumbent fit (``allow_refit=False``); staleness is repaid by the
-  batched refit ticker, which runs the session's
+* **The event loop never solves.** Forecasts and reports are served
+  from the incumbent fit; staleness is repaid by the batched refit
+  ticker, which runs the session's
   plan → execute → adopt split with the blocking solves on a worker
   thread, and by the optional remediation loop
   (:mod:`repro.serving.remediation`), run the same way. The only
@@ -40,9 +40,10 @@ Design rules, in order of importance:
   histogram per op, so ``stats`` answers p50/p99 straight from the
   sliding window.
 * **Only finite JSON on the wire.** A request holding ``NaN``,
-  ``Infinity`` or a number past the float range is a 400; a result
-  that cannot be encoded as strict JSON is answered, in its place, with
-  a typed 400 instead.
+  ``Infinity`` or a number past the float range is a 400, and so is a
+  number field that is present but not a number (a bool, a string or
+  ``null``); a result that cannot be encoded as strict JSON is
+  answered, in its place, with a typed 400 instead.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ from dataclasses import dataclass, field
 from typing import Any, NoReturn
 
 from repro._env import read_env
-from repro.exceptions import FitError, ReproError, ServingError
+from repro.exceptions import FitError, ParameterError, ReproError, ServingError
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
+from repro.models.base import ResilienceModel
+from repro.models.registry import available_models, make_model
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.errors import (
     AdmissionError,
@@ -257,6 +260,39 @@ def _parse_request(line: bytes) -> Any:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
 
 
+def _is_number(value: Any) -> bool:
+    # JSON true/false decode to bool, a subclass of int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(request: dict[str, Any], name: str, default: Any = None) -> Any:
+    """The request's number field *name*, or *default* when it is absent.
+
+    A present field must be an int or a float: a bool, a string or
+    ``null`` is a :class:`~repro.serving.errors.ProtocolError`.
+    """
+    if name not in request:
+        return default
+    value = request[name]
+    if not _is_number(value):
+        raise ProtocolError(f"{name!r} must be a number, got {value!r}")
+    return value
+
+
+def _family(name: Any) -> ResilienceModel:
+    """The model family a ``register`` request's ``family`` names."""
+    error = ProtocolError(
+        f"'family' must name a registered model "
+        f"({', '.join(available_models())}), got {name!r}"
+    )
+    if not isinstance(name, str):
+        raise error
+    try:
+        return make_model(name)
+    except ParameterError as exc:
+        raise error from exc
+
+
 class ForecastServer:
     """The asyncio JSONL-over-TCP forecast service.
 
@@ -308,6 +344,9 @@ class ForecastServer:
                 self.session, metrics=self.metrics
             )
         self._server: asyncio.AbstractServer | None = None
+        #: Open connection → its handler task, so :meth:`stop` can close
+        #: every connection and wait for its handler.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._tickers: list[asyncio.Task] = []
         self._first_fits: dict[str, asyncio.Task] = {}
         self._inflight_refits = 0
@@ -328,7 +367,7 @@ class ForecastServer:
         if self._server is not None:
             raise ServingError("server is already started")
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._accept,
             self.config.host,
             self.config.port,
             limit=self.config.max_request_bytes,
@@ -356,7 +395,12 @@ class ForecastServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop tickers, close the listener, wait for a clean shutdown."""
+        """Stop tickers, close the listener, then every open connection.
+
+        A closed connection's handler reads end-of-file and returns once
+        any request it is answering is done; ``stop`` waits for every
+        handler, so no connection outlives the server.
+        """
         for task in self._tickers:
             task.cancel()
         for task in self._tickers:
@@ -367,6 +411,11 @@ class ForecastServer:
         self._tickers.clear()
         if self._server is not None:
             self._server.close()
+            while self._connections:
+                handlers = list(self._connections.items())
+                for writer, _ in handlers:
+                    writer.close()
+                await asyncio.wait([task for _, task in handlers])
             await self._server.wait_closed()
             self._server = None
 
@@ -411,15 +460,10 @@ class ForecastServer:
     def _adopt_refits(
         self, planned: list[PlannedRefit], fits: list[FitResult | FitError]
     ) -> dict[str, FitResult]:
-        """Adopt solved refits on the loop, counting the failed ones.
-
-        ``allow_reselect=False``: adoption happens on the loop, so a
-        drift-triggered reselection sweep (cold ``fit_many``) must not
-        ride along — the remediation loop reselects off-thread.
-        """
+        """Adopt solved refits on the loop, counting the failed ones."""
         failed = sum(isinstance(fit, FitError) for fit in fits)
         self.metrics.inc("serve.refits_failed", failed)
-        return self.session.adopt_refits(planned, fits, allow_reselect=False)
+        return self.session.adopt_refits(planned, fits)
 
     async def remediation_tick(self) -> dict[str, int]:
         """One remediation cycle with the solves on a worker thread."""
@@ -437,6 +481,24 @@ class ForecastServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Start and track the handler of a new connection.
+
+        The single mutation funnel for additions to ``_connections``;
+        the handler's completion removes it again.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._connections[writer] = task
+        task.add_done_callback(lambda _t: self._forget_connection(writer))
+
+    def _forget_connection(self, writer: asyncio.StreamWriter) -> None:
+        """Drop a finished connection (see :meth:`_accept`)."""
+        self._connections.pop(writer, None)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -521,9 +583,9 @@ class ForecastServer:
                     f"request must be a JSON object, got {type(request).__name__}"
                 )
             request_id = request.get("id")
-            tag = request.get("deadline_ms")
-            deadline = float(tag) if isinstance(tag, (int, float)) else None
             op = request.get("op")
+            tag = _number(request, "deadline_ms")
+            deadline = None if tag is None else float(tag)
             if op not in SERVER_OPS:
                 raise ProtocolError(
                     f"unknown op {op!r}; supported: {', '.join(SERVER_OPS)}"
@@ -591,13 +653,13 @@ class ForecastServer:
             )
 
     def _op_register(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
+        family = _family(request["family"]) if "family" in request else None
+        nominal = _number(request, "nominal")
         self._admit_stream(key)
-        family = request.get("family")
-        nominal = request.get("nominal")
         self.session.register(
             key,
-            family=family if isinstance(family, str) else None,
-            nominal=float(nominal) if isinstance(nominal, (int, float)) else None,
+            family=family,
+            nominal=None if nominal is None else float(nominal),
         )
         return {"key": key, "streams": len(self.session)}
 
@@ -608,7 +670,7 @@ class ForecastServer:
                 raise ProtocolError(
                     "op 'observe' requires 't' and 'p' (or a 'points' list)"
                 )
-            points = [[request["t"], request["p"]]]
+            points = [[_number(request, "t"), _number(request, "p")]]
         if not isinstance(points, list) or not points:
             raise ProtocolError("'points' must be a non-empty list of [t, p] pairs")
         self._admit_stream(key)
@@ -617,7 +679,7 @@ class ForecastServer:
             if (
                 not isinstance(pair, (list, tuple))
                 or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(_is_number(v) for v in pair)
             ):
                 raise ProtocolError(
                     f"'points' entries must be [t, p] number pairs, got {pair!r}"
@@ -633,10 +695,7 @@ class ForecastServer:
         }
 
     async def _op_forecast(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
-        forecaster = await self._ensure_first_fit(key)
-        horizon = request.get("horizon", self.config.default_horizon)
-        if not isinstance(horizon, (int, float)):
-            raise ProtocolError(f"'horizon' must be a number, got {horizon!r}")
+        horizon = _number(request, "horizon", self.config.default_horizon)
         n_points = request.get("n_points", 25)
         # JSON true/false arrive as the ints 1 and 0: the range rejects them.
         if not (isinstance(n_points, int) and 2 <= n_points <= MAX_FORECAST_POINTS):
@@ -649,24 +708,16 @@ class ForecastServer:
             raise ProtocolError(
                 f"'confidence' must be a number in (0, 1), got {confidence!r}"
             )
+        forecaster = await self._ensure_first_fit(key)
         forecast = forecaster.forecast(
-            float(horizon),
-            n_points=n_points,
-            confidence=float(confidence),
-            allow_refit=False,
+            float(horizon), n_points=n_points, confidence=float(confidence)
         )
         return forecast.to_dict()
 
     async def _op_report(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
+        horizon = _number(request, "horizon")
         forecaster = await self._ensure_first_fit(key)
-        horizon = request.get("horizon")
-        # report() would refit inline; pin freshness to the incumbent
-        # fit the same way forecast does by reporting through the
-        # forecaster only after the first fit exists.
-        report = forecaster.report(
-            horizon=float(horizon) if isinstance(horizon, (int, float)) else None,
-            allow_refit=False,
-        )
+        report = forecaster.report(horizon=None if horizon is None else float(horizon))
         return report.to_dict()
 
     # ------------------------------------------------------------------

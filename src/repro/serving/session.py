@@ -19,11 +19,11 @@ from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 from repro.datasets.stream import StreamEvent
 from repro.exceptions import FitError, ServingError
 from repro.serving.errors import StreamNotFound
-from repro.fitting.least_squares import _FailedPair, _FitPair, _fit_pairs
+from repro.fitting.least_squares import _FailedPair, _fit_pairs
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
-from repro.serving.online import Forecast, ForecastReport, OnlineForecaster, RefitPolicy
+from repro.serving.online import OnlineForecaster, RefitPolicy
 
 __all__ = ["ForecastSession", "PlannedRefit"]
 
@@ -52,7 +52,7 @@ class ForecastSession:
         :class:`~repro.fitting.EngineOptions` shared by every stream —
         resolved once; all forecasters reuse the same cache, tracer,
         and executor instance.
-    family, policy, candidates:
+    family, policy:
         Defaults for streams registered (or auto-registered) without
         their own.
     """
@@ -63,7 +63,6 @@ class ForecastSession:
         options: EngineOptions | None = None,
         family: ResilienceModel | str = "competing_risks",
         policy: RefitPolicy | None = None,
-        candidates: Sequence[ResilienceModel | str] | None = None,
     ) -> None:
         self.options = options if options is not None else EngineOptions()
         self._engine = self.options.resolve()
@@ -82,7 +81,6 @@ class ForecastSession:
         self._refit_options = self._stream_options.replace(cache=False)
         self._default_family = family
         self._default_policy = policy
-        self._default_candidates = candidates
         self._forecasters: dict[str, OnlineForecaster] = {}
         #: Stream key → observation count its last refit failed on; the
         #: stream is not planned again until it grows past it.
@@ -98,7 +96,6 @@ class ForecastSession:
         *,
         family: ResilienceModel | str | None = None,
         policy: RefitPolicy | None = None,
-        candidates: Sequence[ResilienceModel | str] | None = None,
         nominal: float | None = None,
     ) -> OnlineForecaster:
         """Create and track a new stream under *key*."""
@@ -108,9 +105,6 @@ class ForecastSession:
             family if family is not None else self._default_family,
             options=self._stream_options,
             policy=policy if policy is not None else self._default_policy,
-            candidates=(
-                candidates if candidates is not None else self._default_candidates
-            ),
             key=key,
             nominal=nominal,
         )
@@ -208,24 +202,16 @@ class ForecastSession:
 
         Every plan is one pair of
         :func:`~repro.fitting.least_squares._fit_pairs`, run with the
-        session's options (engine, cache, tracer and executor). Only a
-        cold plan, a stream's first fit, consults the cache: streams
-        with identical points share it, while a warm or full refit
-        never repeats a key. Returns one entry per plan: its fit, or
-        the :class:`~repro.exceptions.FitError` that stopped it, so one
+        session's options (engine, cache, tracer and executor); only a
+        cold plan, a stream's first fit, consults the cache. Returns one
+        entry per plan: its fit, or the
+        :class:`~repro.exceptions.FitError` that stopped it, so one
         failing stream never stops the others. Pure compute: session
         state is untouched, so this step is safe to run off-thread
         while the event loop keeps serving.
         """
         fits = _fit_pairs(
-            [
-                _FitPair(
-                    entry.plan.family, entry.plan.curve,
-                    use_cache=entry.plan.kind == "cold", **entry.plan.fit_kwargs,
-                )
-                for entry in planned
-            ],
-            options=self._stream_options,
+            [entry.plan.pair for entry in planned], options=self._stream_options
         )
         return [fit.error if isinstance(fit, _FailedPair) else fit for fit in fits]
 
@@ -233,8 +219,6 @@ class ForecastSession:
         self,
         planned: Sequence[PlannedRefit],
         fits: Sequence[FitResult | FitError],
-        *,
-        allow_reselect: bool = True,
     ) -> dict[str, FitResult]:
         """Install batch results through each forecaster's adoption path.
 
@@ -244,10 +228,7 @@ class ForecastSession:
         into a stream it no longer describes. A failed entry is skipped
         and counted (``refits_failed`` in :meth:`stats`), and its
         stream is not planned again until it grows. Returns the fits
-        actually adopted, keyed by stream. ``allow_reselect`` threads
-        through to :meth:`OnlineForecaster.adopt_fit` — pass ``False``
-        when adopting on an event loop so drift never triggers an
-        inline reselection sweep.
+        actually adopted, keyed by stream.
         """
         results: dict[str, FitResult] = {}
         for entry, fit in zip(planned, fits):
@@ -258,21 +239,21 @@ class ForecastSession:
                     self._failed_at[entry.key] = len(entry.plan.curve)
             elif live:
                 self._failed_at.pop(entry.key, None)
-                entry.forecaster.adopt_fit(
-                    fit, entry.plan, allow_reselect=allow_reselect
-                )
+                entry.forecaster.adopt_fit(fit, entry.plan)
                 results[entry.key] = fit
         return results
 
     def refit_stale(self) -> dict[str, FitResult]:
         """Refit every stream whose policy says a refit is due.
 
-        The due streams' plans are solved in one stacked solve and the
-        results installed through each forecaster's normal adoption
-        path (counters, reselection). Results are keyed by stream and
-        identical to refitting each stream inline. Streams unregistered
-        between planning and adoption, and streams whose refit failed,
-        are skipped (see :meth:`adopt_refits`).
+        The due streams' plans are solved in one stacked solve and each
+        result installed with
+        :meth:`~repro.serving.online.OnlineForecaster.adopt_fit`, so a
+        stream ends where its own
+        :meth:`~repro.serving.online.OnlineForecaster.refit` would.
+        Results are keyed by stream. Streams unregistered between
+        planning and adoption, and streams whose refit failed, are
+        skipped (see :meth:`adopt_refits`).
         """
         planned = self.refit_plans()
         if not planned:
@@ -280,30 +261,8 @@ class ForecastSession:
         return self.adopt_refits(planned, self.execute_refits(planned))
 
     # ------------------------------------------------------------------
-    # Forecast surface
+    # Accounting
     # ------------------------------------------------------------------
-    def forecast(
-        self,
-        key: str,
-        horizon: float,
-        *,
-        n_points: int = 25,
-        confidence: float = 0.95,
-        allow_refit: bool = True,
-    ) -> Forecast:
-        """Forecast for one stream (see
-        :meth:`OnlineForecaster.forecast`)."""
-        return self[key].forecast(
-            horizon,
-            n_points=n_points,
-            confidence=confidence,
-            allow_refit=allow_refit,
-        )
-
-    def report(self, key: str, **kwargs: Any) -> ForecastReport:
-        """Report for one stream (see :meth:`OnlineForecaster.report`)."""
-        return self[key].report(**kwargs)
-
     def stats(self) -> dict[str, Any]:
         """Aggregated per-stream counters, the failed-refit count and
         cache statistics."""

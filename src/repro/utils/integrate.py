@@ -19,7 +19,6 @@ from repro.utils.numerics import as_float_array
 
 __all__ = [
     "trapezoid_integral",
-    "cumulative_trapezoid",
     "adaptive_quad",
     "gauss_legendre_quad",
 ]
@@ -50,23 +49,6 @@ def trapezoid_integral(times: ArrayLike, values: ArrayLike) -> float:
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
     return float(np.trapezoid(v, t))
-
-
-def cumulative_trapezoid(times: ArrayLike, values: ArrayLike) -> FloatArray:
-    """Cumulative trapezoid integral, starting at 0 for the first sample."""
-    t = as_float_array(times, "times")
-    v = as_float_array(values, "values")
-    if t.size != v.size:
-        raise ValueError(f"times and values length mismatch: {t.size} vs {v.size}")
-    if t.size < 2:
-        raise ValueError("need at least two samples to integrate")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
-    increments = 0.5 * (v[1:] + v[:-1]) * np.diff(t)
-    out = np.empty_like(t)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
-    return out
 
 
 def adaptive_quad(

@@ -16,9 +16,7 @@ from repro._typing import ArrayLike, FloatArray
 __all__ = [
     "as_float_array",
     "clip_positive",
-    "is_finite_array",
     "safe_exp",
-    "safe_log",
     "solve_quadratic",
     "nearly_equal",
 ]
@@ -54,11 +52,6 @@ def as_float_array(values: ArrayLike, name: str = "values") -> FloatArray:
     return np.ascontiguousarray(arr)
 
 
-def is_finite_array(values: ArrayLike) -> bool:
-    """Return ``True`` when every element of *values* is finite."""
-    return bool(np.all(np.isfinite(np.asarray(values, dtype=np.float64))))
-
-
 def clip_positive(values: FloatArray, minimum: float = _TINY) -> FloatArray:
     """Clip *values* from below so the result is strictly positive."""
     return np.maximum(values, minimum)
@@ -73,16 +66,6 @@ def safe_exp(values: ArrayLike) -> FloatArray:
     """
     arr = np.asarray(values, dtype=np.float64)
     return np.exp(np.clip(arr, -_EXP_MAX, _EXP_MAX))
-
-
-def safe_log(values: ArrayLike) -> FloatArray:
-    """``np.log`` with non-positive inputs clamped to the smallest float.
-
-    This keeps optimizer objective functions finite when a search step
-    wanders to the boundary of the feasible region.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    return np.log(np.maximum(arr, _TINY))
 
 
 def nearly_equal(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:

@@ -27,7 +27,6 @@ from repro.validation.intervals import (
 )
 from repro.validation.crossval import PredictiveEvaluation, evaluate_predictive
 from repro.validation.comparison import ModelComparison, compare_models
-from repro.validation.bootstrap import BootstrapResult, residual_bootstrap
 from repro.validation.selection import (
     DEFAULT_CANDIDATES,
     ModelRecommendation,
@@ -54,8 +53,6 @@ __all__ = [
     "evaluate_predictive",
     "ModelComparison",
     "compare_models",
-    "BootstrapResult",
-    "residual_bootstrap",
     "ModelRecommendation",
     "recommend_model",
     "DEFAULT_CANDIDATES",

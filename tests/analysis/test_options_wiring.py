@@ -11,7 +11,6 @@ import pytest
 import repro.analysis.experiments as experiments
 import repro.analysis.fleet as analysis_fleet
 import repro.fitting.least_squares as least_squares
-import repro.validation.bootstrap as bootstrap
 import repro.serving.remediation as remediation
 import repro.serving.session as session_module
 from repro.analysis.experiments import (
@@ -24,10 +23,9 @@ from repro.analysis.experiments import (
 from repro.analysis.fleet import episode_scorecard
 from repro.analysis.pipeline import run_full_reproduction
 from repro.fitting import EngineOptions
-from repro.fitting.least_squares import fit_least_squares, fit_many
+from repro.fitting.least_squares import fit_many
 from repro.models.registry import make_model
 from repro.serving import ForecastSession, RefitPolicy, RemediationLoop
-from repro.validation.bootstrap import residual_bootstrap
 
 #: Hermetic engine plumbing used on both sides of each comparison.
 PLUMBING = EngineOptions(cache=False, trace=False)
@@ -220,15 +218,6 @@ class TestOneStackedSolvePerBatch:
         )
         self._assert_pooled(solves, 1)
         assert len(solves[0][0]) == card.n_episodes > 0
-
-    def test_residual_bootstrap(self, recession_1990, monkeypatch):
-        fit = fit_least_squares(
-            make_model("quadratic"), recession_1990, options=self.POOLED
-        )
-        solves = _spy_solves(monkeypatch, bootstrap)
-        residual_bootstrap(fit, n_replications=10, options=self.POOLED)
-        self._assert_pooled(solves, 1)
-        assert len(solves[0][0]) == 10
 
     def test_refit_tick(self, monkeypatch):
         solves = _spy_solves(monkeypatch, session_module)

@@ -1,4 +1,4 @@
-"""R7 fixture: a blocking sink guard-reachable from an async handler.
+"""R7 fixture: a blocking sink reachable from an async handler.
 
 Seeded regression of the serving-layer bug this rule was built to
 catch: an async protocol handler walks through a synchronous helper
@@ -15,10 +15,8 @@ def solve(data):
     return sum(data)
 
 
-def refresh(data, allow_refit=True):
-    if allow_refit:
-        return solve(data)
-    return sum(data)
+def refresh(data):
+    return solve(data)
 
 
 async def handle_report(data):

@@ -1,9 +1,9 @@
-"""R7 fixture: blocking work funneled off the loop or guard-pruned."""
+"""R7 fixture: blocking work funneled off the loop."""
 
 import asyncio
 import time
 
-__all__ = ["handle_report", "peek", "refresh", "solve"]
+__all__ = ["handle_report", "solve"]
 
 
 def solve(data):
@@ -11,16 +11,6 @@ def solve(data):
     return sum(data)
 
 
-def refresh(data, allow_refit=True):
-    if allow_refit:
-        return solve(data)
-    return sum(data)
-
-
 async def handle_report(data):
     loop = asyncio.get_running_loop()
     return await loop.run_in_executor(None, solve, data)
-
-
-async def peek(data):
-    return refresh(data, allow_refit=False)

@@ -1,5 +1,5 @@
-"""The interprocedural substrate: symbol table, call edges, guard
-dataflow and sink matching."""
+"""The interprocedural substrate: symbol table, call edges and sink
+matching."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 from repro.devtools.callgraph import build_callgraph, module_name_for
 from repro.devtools.lint import discover_project_root
-from repro.devtools.rules import LintConfig, ModuleSource
+from repro.devtools.rules import ModuleSource
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = discover_project_root(Path(__file__))
@@ -24,9 +24,8 @@ def load_fixture(name: str) -> ModuleSource:
     )
 
 
-def fixture_graph(*names: str, guard_params: tuple[str, ...] = ("allow_refit",)):
-    config = LintConfig(guard_params=guard_params)
-    return build_callgraph([load_fixture(name) for name in names], config)
+def fixture_graph(*names: str):
+    return build_callgraph([load_fixture(name) for name in names])
 
 
 def qual(name: str, symbol: str) -> str:
@@ -82,14 +81,6 @@ class TestCallEdges:
             for site in sites
         )
 
-    def test_guarded_call_annotated(self):
-        graph = fixture_graph("r7_bad.py")
-        sites = graph.calls[qual("r7_bad.py", "refresh")]
-        (solve_site,) = [
-            s for s in sites if qual("r7_bad.py", "solve") in s.callees
-        ]
-        assert solve_site.requires == frozenset({"allow_refit"})
-
     def test_callable_argument_is_not_an_edge(self):
         # run_in_executor(None, solve, data) funnels work off the loop;
         # passing the callable must not register a call to it.
@@ -108,16 +99,6 @@ class TestBlockingPath:
         )
         assert path is not None
         assert path.render() == "handle_report -> refresh -> solve -> time.sleep"
-
-    def test_falsy_guard_constant_prunes(self):
-        graph = fixture_graph("r7_good.py")
-        path = graph.blocking_path(qual("r7_good.py", "peek"), ["time.sleep"])
-        assert path is None
-
-    def test_unregistered_guard_does_not_prune(self):
-        graph = fixture_graph("r7_good.py", guard_params=())
-        path = graph.blocking_path(qual("r7_good.py", "peek"), ["time.sleep"])
-        assert path is not None
 
     def test_suffix_and_prefix_sink_matching(self):
         graph = fixture_graph("r7_bad.py")

@@ -1,5 +1,5 @@
 """Interprocedural rules R7–R10: each has a fixture that must trigger
-it and one that must not, plus guard-pruning/funnel behavior checks,
+it and one that must not, plus funnel behavior checks,
 the strict-clean contract on ``src/repro``, and the SARIF renderer."""
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def graph_config(**overrides: object) -> LintConfig:
     base = LintConfig(
         async_prefixes=(relpath("") + "/",),
         blocking_sinks=("time.sleep",),
-        guard_params=("allow_refit",),
         kernel_prefixes=(relpath("") + "/",),
     )
     return dataclasses.replace(base, **overrides)  # type: ignore[arg-type]
@@ -73,13 +72,6 @@ class TestAsyncPurity:
         # direct *call* would create a path to the sink.
         findings = lint_graph("r7_good.py", AsyncPurityRule)
         assert all("handle_report" not in f.message for f in findings)
-
-    def test_guard_pruning_requires_registered_param(self):
-        # Without ``allow_refit`` registered as a guard, the pruned
-        # path through ``peek`` -> ``refresh`` -> ``solve`` reappears.
-        config = graph_config(guard_params=())
-        findings = lint_graph("r7_good.py", AsyncPurityRule, config)
-        assert any("peek" in f.message for f in findings)
 
     def test_unregistered_sink_is_ignored(self):
         config = graph_config(blocking_sinks=("scipy.optimize.*",))

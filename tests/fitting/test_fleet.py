@@ -3,8 +3,8 @@
 The load-bearing contract: ``fit_fleet`` is a *performance* knob. On
 either engine, every (episode, family) cell must be **bit-identical**
 to calling :func:`repro.fitting.fit_least_squares` on that episode
-alone with the same options — stacking episodes into one kernel solve,
-zero-weight length padding, and chunking must never change a result.
+alone with the same options — stacking episodes into one kernel solve
+and chunking must never change a result.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ N_STARTS = 2  # small start budget keeps the loop reference affordable
 
 @pytest.fixture(scope="module")
 def ragged_store(tmp_path_factory):
-    """A small ragged fleet exercising the length-padding path."""
+    """A small ragged fleet: one kernel group per episode length."""
     root = tmp_path_factory.mktemp("fleet") / "ragged"
     return generate_fleet(
         18, root, seed=29, n_points_choices=(40, 44, 48), chunk_size=7
@@ -65,16 +65,12 @@ def _assert_matches_loop(result, cells):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("length_bucket", [1, 8])
-    def test_batched_matches_loop(
-        self, ragged_store, loop_reference, length_bucket
-    ):
+    def test_batched_matches_loop(self, ragged_store, loop_reference):
         result = fit_fleet(
             ragged_store,
             FAMILIES,
             engine="batched",
             n_random_starts=N_STARTS,
-            length_bucket=length_bucket,
             chunk_size=7,
         )
         _assert_matches_loop(result, loop_reference["batched"])
@@ -220,7 +216,6 @@ class TestOptions:
         "kwargs, match",
         [
             ({"chunk_size": 0}, "chunk_size"),
-            ({"length_bucket": 0}, "length_bucket"),
         ],
     )
     def test_validation(self, ragged_store, kwargs, match):

@@ -15,7 +15,6 @@ from repro.fitting.least_squares import fit_least_squares, fit_many
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.models.registry import make_model
 from repro.observability import Tracer
-from repro.validation.bootstrap import residual_bootstrap
 from repro.validation.crossval import evaluate_predictive
 
 #: Hermetic engine plumbing shared by the equivalence tests.
@@ -254,12 +253,6 @@ class TestJsonRoundTrip:
             EngineOptions.from_json("[1, 2]")
 
 
-def _cheap_fit(curve):
-    return fit_least_squares(
-        make_model("quadratic"), curve, options=PLUMBING, n_random_starts=2
-    )
-
-
 #: Every fit entry point, called on a curve with the cheapest arguments
 #: that reach its fit.
 ENTRY_POINTS = {
@@ -281,9 +274,6 @@ ENTRY_POINTS = {
     "run_full_reproduction": lambda curve, **kw: run_full_reproduction(**kw),
     "evaluate_predictive": lambda curve, **kw: evaluate_predictive(
         make_model("quadratic"), curve, **kw
-    ),
-    "residual_bootstrap": lambda curve, **kw: residual_bootstrap(
-        _cheap_fit(curve), n_replications=10, **kw
     ),
 }
 

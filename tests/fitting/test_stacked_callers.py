@@ -1,12 +1,11 @@
 """Every batch caller of the stacked solve against a loop of lone fits.
 
-``fit_many``, ``fit_fleet``, the residual bootstrap, the episode
-scorecard, the truncation sweep, the serving refit tick and the
-remediation verifier each hand their whole batch to one stacked solve.
-Each must return what a loop of lone ``fit_least_squares`` calls on the
-same inputs returns — params, SSE, start counts, the winning start and
-the evaluation counts, bit for bit — on both engines and on the serial
-and thread executors.
+``fit_many``, ``fit_fleet``, the episode scorecard, the truncation
+sweep, the serving refit tick and the remediation verifier each hand
+their whole batch to one stacked solve. Each must return what a loop
+of lone ``fit_least_squares`` calls on the same inputs returns —
+params, SSE, start counts, the winning start and the evaluation counts,
+bit for bit — on both engines and on the serial and thread executors.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from repro.analysis.experiments import truncation_grid
 from repro.analysis.fleet import episode_scorecard
-from repro.core.curve import ResilienceCurve
 from repro.core.episodes import split_episodes
 from repro.datasets.recessions import load_recession
 from repro.exceptions import ConvergenceError, FitError
@@ -27,7 +25,6 @@ from repro.fitting.options import DEFAULT_ENGINE_OPTIONS
 from repro.models.registry import make_model
 from repro.serving import ForecastSession, RefitPolicy, RemediationLoop
 from repro.serving.remediation import Detection, _holdout_sse
-from repro.validation.bootstrap import residual_bootstrap
 from tests.fitting.test_fleet_edges import ExplodingModel
 from tests.serving.test_remediation import (
     declining_points,
@@ -110,30 +107,6 @@ def test_fit_fleet(options):
             ) == _outcome(lone)
 
 
-def test_residual_bootstrap(options):
-    curve = load_recession("1990-93")
-    fit = fit_least_squares(make_model("quadratic"), curve, options=options)
-    boot = residual_bootstrap(fit, n_replications=10, seed=4, options=options)
-    # The bootstrap keeps only each refit's params: rebuild its
-    # replicates from the same seeded stream and refit them one by one.
-    predictions = fit.predict(curve.times)
-    residuals = curve.performance - predictions
-    rng = np.random.default_rng(4)
-    lone_params = []
-    for _ in range(10):
-        synthetic = ResilienceCurve(
-            curve.times,
-            predictions + rng.choice(residuals, size=residuals.size, replace=True),
-            nominal=curve.nominal,
-            name=f"{curve.name}-boot",
-        )
-        lone = _lone(fit.model, synthetic, options, starts=(fit.model.params,))
-        if lone is not None:
-            lone_params.append(lone.model.params)
-    assert boot.n_failed == 10 - len(lone_params)
-    assert boot.parameter_samples.tolist() == [list(p) for p in lone_params]
-
-
 def test_episode_scorecard(options):
     history = load_recession("1990-93")
     card = episode_scorecard(history, model="quadratic", tolerance=0.005, options=options)
@@ -166,28 +139,27 @@ def test_truncation_grid(options):
             warm = {"extra_starts": (lone.model.params,), "n_random_starts": 2}
 
 
-def test_refit_tick_mixing_cold_warm_and_full_refits(options):
+def test_refit_tick_mixing_cold_and_warm_refits(options):
     curve = load_recession("1990-93")
     points = list(zip(curve.times.tolist(), curve.performance.tolist()))
     session = ForecastSession(
         options=options, family="quadratic", policy=RefitPolicy(every_k=4)
     )
-    session.register("full", policy=RefitPolicy(every_k=4, full_refit_every=1))
-    session.register("budget", policy=RefitPolicy(every_k=4, warm_random_starts=1))
-    for key in ("warm", "full", "budget"):
-        for t, p in points[:12]:
+    fitted_at = {"warm": 12, "short": 8}
+    for key, n in fitted_at.items():
+        for t, p in points[:n]:
             session.observe(key, t, p)
-    assert len(session.refit_stale()) == 3
-    for key in ("warm", "full", "budget", "cold"):
-        start = 0 if key == "cold" else 12
-        for t, p in points[start:20]:
+    assert len(session.refit_stale()) == 2
+    for key in ("warm", "short", "cold"):
+        for t, p in points[fitted_at.get(key, 0):20]:
             session.observe(key, t, p)
     planned = session.refit_plans()
-    assert sorted(entry.plan.kind for entry in planned) == ["cold", "full", "warm", "warm"]
+    assert sorted(entry.plan.kind for entry in planned) == ["cold", "warm", "warm"]
     fits = session.execute_refits(planned)
     for entry, fit in zip(planned, fits):
+        pair = entry.plan.pair
         lone = fit_least_squares(
-            entry.plan.family, entry.plan.curve, options=options, **entry.plan.fit_kwargs
+            pair.family, pair.curve, options=options, starts=pair.starts
         )
         assert _outcome(fit) == _outcome(lone)
         assert fit.engine == lone.engine == options.engine

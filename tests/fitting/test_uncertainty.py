@@ -1,4 +1,4 @@
-"""Tests for parameter/prediction uncertainty (Gauss-Newton + delta method)."""
+"""Tests for parameter uncertainty (Gauss-Newton covariance)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.exceptions import FitError
 from repro.fitting.least_squares import fit_least_squares
 from repro.fitting.uncertainty import (
     ParameterUncertainty,
-    delta_method_band,
     parameter_uncertainty,
 )
 from repro.models.quadratic import QuadraticResilienceModel
@@ -64,9 +63,7 @@ class TestParameterUncertainty:
         for name, (lo, hi) in intervals.items():
             assert lo < noisy_fit.model.param_dict[name] < hi
 
-    def test_z_bit_equal_to_norm_ppf_without_its_dispatch(
-        self, noisy_fit, monkeypatch
-    ):
+    def test_z_bit_equal_to_norm_ppf_without_its_dispatch(self, monkeypatch):
         levels = [*np.linspace(0.001, 0.999, 999), 0.95, 0.975, 1.0 - 1e-9]
         expected = [float(stats.norm.ppf(0.5 + c / 2.0)) for c in levels]
 
@@ -82,7 +79,6 @@ class TestParameterUncertainty:
             for c in levels
         ]
         assert got == expected
-        delta_method_band(noisy_fit, _TIMES)  # the same z, same path
 
     def test_no_degrees_of_freedom(self):
         from dataclasses import replace
@@ -93,34 +89,3 @@ class TestParameterUncertainty:
         shrunk = replace(fit, curve=curve.head(3))  # n == m
         with pytest.raises(FitError, match="degrees of freedom"):
             parameter_uncertainty(shrunk)
-
-
-class TestDeltaMethodBand:
-    def test_wider_than_noise_only(self, noisy_fit):
-        with_params = delta_method_band(noisy_fit, _TIMES, include_noise=True)
-        noise_only_sigma = np.sqrt(parameter_uncertainty(noisy_fit).sigma2)
-        z = 1.959963985
-        assert (with_params.upper - with_params.lower).min() / 2 >= z * noise_only_sigma
-
-    def test_wider_in_extrapolation(self, noisy_fit):
-        """Parameter uncertainty grows with t² for a quadratic, so the
-        band must be wider far beyond the data."""
-        band = delta_method_band(noisy_fit, np.array([20.0, 100.0]))
-        widths = band.upper - band.lower
-        assert widths[1] > widths[0]
-
-    def test_noise_band_covers_truth_curve(self, noisy_fit):
-        """The full prediction band at high confidence should cover the
-        generating curve essentially everywhere. (A parameter-only band
-        need not: one noise realization offsets the whole fit in a
-        correlated way.)"""
-        truth = QuadraticResilienceModel().bind(_TRUTH)
-        band = delta_method_band(noisy_fit, _TIMES, include_noise=True, confidence=0.999)
-        true_values = truth.predict(_TIMES)
-        assert ((true_values >= band.lower) & (true_values <= band.upper)).all()
-
-    def test_parameter_only_band_narrower(self, noisy_fit):
-        pure = delta_method_band(noisy_fit, _TIMES, include_noise=False)
-        full = delta_method_band(noisy_fit, _TIMES, include_noise=True)
-        assert ((full.upper - full.lower) > (pure.upper - pure.lower)).all()
-

@@ -61,4 +61,4 @@ class TestSessionRaisesTyped:
     def test_forecast_routes_through_typed_lookup(self):
         session = ForecastSession()
         with pytest.raises(StreamNotFound):
-            session.forecast("nope", horizon=10.0)
+            session["nope"].forecast(10.0)

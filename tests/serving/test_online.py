@@ -43,18 +43,11 @@ class TestRefitPolicyValidation:
         [
             {"every_k": 0},
             {"sse_drift": -0.1},
-            {"warm_random_starts": -1},
-            {"full_refit_every": 0},
-            {"min_points": 1},
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
         with pytest.raises(ServingError):
             RefitPolicy(**kwargs)
-
-    def test_reselect_requires_candidates(self):
-        with pytest.raises(ServingError, match="candidate"):
-            make_forecaster(policy=RefitPolicy(reselect_drift=0.1))
 
 
 class TestObserve:
@@ -89,10 +82,6 @@ class TestReadiness:
         forecaster = make_forecaster()
         assert forecaster.min_points == forecaster.family.n_params + 2
 
-    def test_min_points_policy_override(self):
-        forecaster = make_forecaster(policy=RefitPolicy(min_points=7))
-        assert forecaster.min_points == 7
-
     def test_ready_flips_at_min_points(self):
         forecaster = make_forecaster()
         for t, p in V_POINTS[: forecaster.min_points - 1]:
@@ -104,8 +93,10 @@ class TestReadiness:
     def test_forecast_before_ready_raises(self):
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS[:2])
-        with pytest.raises(ServingError, match="before the first fit"):
+        with pytest.raises(ServingError, match="no fit yet"):
             forecaster.forecast(4.0)
+        with pytest.raises(ServingError, match="before the first fit"):
+            forecaster.refit()
 
 
 class TestRefitPolicyBehavior:
@@ -131,16 +122,10 @@ class TestRefitPolicyBehavior:
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS[:5])
         forecaster.refit()
-        refits = sum(
-            forecaster.stats[k]
-            for k in ("refits_cold", "refits_warm", "refits_full")
-        )
+        refits = forecaster.stats["refits_cold"] + forecaster.stats["refits_warm"]
         forecaster.refit()
         assert (
-            sum(
-                forecaster.stats[k]
-                for k in ("refits_cold", "refits_warm", "refits_full")
-            )
+            forecaster.stats["refits_cold"] + forecaster.stats["refits_warm"]
             == refits
         )
 
@@ -167,42 +152,15 @@ class TestRefitPolicyBehavior:
         forecaster.observe(6.0, float(fit.predict(np.array([6.0]))[0]))
         assert not forecaster.refit_due()
 
-    def test_full_refit_schedule(self):
-        forecaster = make_forecaster(
-            policy=RefitPolicy(every_k=1, full_refit_every=2)
-        )
-        for t, p in V_POINTS:
-            forecaster.observe(t, p)
-            if forecaster.ready:
-                forecaster.refit()
-        assert forecaster.stats["refits_cold"] == 1
-        assert forecaster.stats["refits_full"] >= 1
-        assert forecaster.stats["refits_warm"] >= 1
-
-    def test_reselection_triggers_on_degradation(self):
-        forecaster = make_forecaster(
-            policy=RefitPolicy(every_k=1, reselect_drift=0.05),
-            candidates=["competing_risks"],
-        )
-        for t, p in V_POINTS:
-            forecaster.observe(t, p)
-            if forecaster.ready:
-                forecaster.refit()
-        # Break the quadratic shape: a second, deeper dip.
-        for t, p in [(9.0, 0.8), (10.0, 0.5), (11.0, 0.3), (12.0, 0.2)]:
-            forecaster.observe(t, p)
-            forecaster.refit()
-        assert forecaster.stats["reselections"] >= 1
-
 
 class TestForecastSurface:
     def test_forecast_structure(self):
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS)
+        forecaster.refit()
         forecast = forecaster.forecast(4.0, n_points=5, confidence=0.9)
         assert forecast.key == "online"
         assert forecast.model_name == "quadratic"
-        assert forecast.refit_performed
         assert forecast.n_observations == len(V_POINTS)
         assert forecast.n_fit == len(V_POINTS)
         assert forecast.age == 0
@@ -232,14 +190,17 @@ class TestForecastSurface:
     def test_forecast_to_dict_is_json_serializable(self):
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS)
+        forecaster.refit()
         payload = forecaster.forecast(4.0, n_points=4).to_dict()
         parsed = json.loads(json.dumps(payload))
         assert parsed["model"] == "quadratic"
+        assert parsed["refit"] is False
         assert len(parsed["center"]) == 4
 
     def test_report_has_eight_metrics(self):
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS)
+        forecaster.refit()
         report = forecaster.report(horizon=4.0, n_points=4)
         assert len(report.metrics.rows) == 8
         table = report.to_table()
@@ -252,11 +213,11 @@ class TestForecastSurface:
     def test_second_forecast_without_new_data_reuses_fit(self):
         forecaster = make_forecaster()
         forecaster.observe_many(V_POINTS)
+        fit = forecaster.refit()
         first = forecaster.forecast(4.0, n_points=4)
+        assert forecaster.refit() is fit
         second = forecaster.forecast(4.0, n_points=4)
-        assert first.refit_performed
-        assert not second.refit_performed
-        assert second.params == first.params
+        assert second.params == first.params == fit.model.params
 
 
 class TestFinalize:
@@ -288,3 +249,31 @@ class TestFinalize:
         assert stats["observations"] == len(V_POINTS)
         assert stats["refits_cold"] == 1
         assert stats["refits_warm"] == len(V_POINTS) - forecaster.min_points
+
+
+class TestReadsNeverSolve:
+    def test_forecast_and_report_serve_the_incumbent_when_a_refit_is_due(
+        self, monkeypatch
+    ):
+        import repro.fitting.least_squares as least_squares
+        import repro.serving.online as online
+
+        forecaster = make_forecaster()
+        forecaster.observe_many(V_POINTS[:6])
+        fit = forecaster.refit()
+        forecaster.observe(*V_POINTS[6])
+        assert forecaster.refit_due()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a read solved a fit")
+
+        for module in (least_squares, online):
+            for name in ("_fit_pairs", "_solve_pairs", "fit_least_squares"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_solve)
+        forecast = forecaster.forecast(4.0, n_points=4)
+        report = forecaster.report(horizon=4.0, n_points=4)
+        assert forecaster.fit is fit
+        assert forecast.params == report.forecast.params == fit.model.params
+        assert (forecast.n_fit, forecast.age) == (6, 1)
+        assert forecaster.refit_due()

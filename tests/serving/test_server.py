@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -263,6 +264,19 @@ BAD_REQUESTS = [
     pytest.param((FAR_OBSERVATION,), b'{"op": "drift", "key": "s1"}', id="far-drift"),
     pytest.param((FAR_OBSERVATION,), b'{"op": "forecast", "key": "s1"}', id="far-forecast"),
     pytest.param((FAR_OBSERVATION,), b'{"op": "report", "key": "s1"}', id="far-report"),
+    # A number field that is present but not a number (a bool, a
+    # string or null), and a family that names no model.
+    pytest.param((), b'{"op": "register", "key": "s2", "family": 123}', id="family-number"),
+    pytest.param((), b'{"op": "register", "key": "s2", "family": "nope"}', id="family-unknown"),
+    pytest.param((), b'{"op": "register", "key": "s2", "nominal": "x"}', id="nominal-string"),
+    pytest.param((), b'{"op": "register", "key": "s2", "nominal": true}', id="nominal-bool"),
+    pytest.param((), b'{"op": "observe", "key": "s2", "t": true, "p": 0.9}', id="observe-t-bool"),
+    pytest.param((), b'{"op": "observe", "key": "s1", "t": 9.0, "p": true}', id="observe-p-bool"),
+    pytest.param((), b'{"op": "observe", "key": "s1", "points": [[9.0, true]]}', id="points-bool"),
+    pytest.param((), b'{"op": "forecast", "key": "s1", "horizon": true}', id="forecast-horizon-bool"),
+    pytest.param((), b'{"op": "report", "key": "s1", "horizon": "abc"}', id="report-horizon-string"),
+    pytest.param((), b'{"op": "report", "key": "s1", "horizon": null}', id="report-horizon-null"),
+    pytest.param((), b'{"op": "ping", "deadline_ms": "soon"}', id="deadline-string"),
 ]
 
 
@@ -534,6 +548,26 @@ class TestEngineOption:
 
         batched = CHEAP_OPTIONS.replace(engine="batched")
         serve(body, config=cheap_config(options=batched))
+
+
+class TestShutdown:
+    def test_stop_closes_open_connections(self, caplog):
+        async def main():
+            server = ForecastServer(cheap_config())
+            await server.start()
+            client = await Client.connect(server)
+            assert (await client.rpc(op="ping"))["ok"]
+            await asyncio.wait_for(server.stop(), timeout=3.0)
+            eof = await asyncio.wait_for(client.reader.readline(), timeout=3.0)
+            pending = asyncio.all_tasks() - {asyncio.current_task()}
+            await client.close()
+            return eof, pending
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            eof, pending = asyncio.run(main())
+        assert eof == b""
+        assert not pending
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestStats:

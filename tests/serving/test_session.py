@@ -180,16 +180,6 @@ class TestEngineOption:
 
 
 class TestSessionSurface:
-    def test_forecast_and_report_delegate(self):
-        session = make_session()
-        for t, p in V_POINTS:
-            session.observe("a", t, p)
-        forecast = session.forecast("a", 4.0, n_points=4)
-        assert forecast.key == "a"
-        report = session.report("a", horizon=4.0, n_points=4)
-        assert report.forecast.key == "a"
-        assert len(report.metrics.rows) == 8
-
     def test_stats_aggregate_streams(self, recession_1990):
         cache = FitCache()
         session = make_session(options=OPTIONS.replace(cache=cache))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.integrate import adaptive_quad, cumulative_trapezoid, trapezoid_integral
+from repro.utils.integrate import adaptive_quad, trapezoid_integral
 
 
 class TestTrapezoidIntegral:
@@ -43,27 +43,6 @@ class TestTrapezoidIntegral:
         total = trapezoid_integral(t, 2.0 * v + 1.0)
         expected = 2.0 * trapezoid_integral(t, v) + (len(values) - 1)
         assert total == pytest.approx(expected, abs=1e-9)
-
-
-class TestCumulativeTrapezoid:
-    def test_starts_at_zero(self):
-        out = cumulative_trapezoid([0, 1, 2], [1, 1, 1])
-        assert out[0] == 0.0
-
-    def test_last_matches_total(self):
-        t = np.linspace(0, 3, 7)
-        v = t**2
-        out = cumulative_trapezoid(t, v)
-        assert out[-1] == pytest.approx(trapezoid_integral(t, v))
-
-    def test_monotone_for_positive_integrand(self):
-        t = np.linspace(0, 5, 11)
-        out = cumulative_trapezoid(t, np.ones_like(t))
-        assert (np.diff(out) > 0).all()
-
-    def test_errors_mirror_trapezoid(self):
-        with pytest.raises(ValueError):
-            cumulative_trapezoid([0], [1])
 
 
 class TestAdaptiveQuad:

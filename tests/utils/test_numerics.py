@@ -9,10 +9,8 @@ from hypothesis import assume, given, strategies as st
 from repro.utils.numerics import (
     as_float_array,
     clip_positive,
-    is_finite_array,
     nearly_equal,
     safe_exp,
-    safe_log,
     solve_quadratic,
 )
 
@@ -35,15 +33,6 @@ class TestAsFloatArray:
         assert as_float_array(strided).flags["C_CONTIGUOUS"]
 
 
-class TestFiniteChecks:
-    def test_finite_true(self):
-        assert is_finite_array([1.0, -2.0, 3.5])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_finite_false(self, bad):
-        assert not is_finite_array([1.0, bad])
-
-
 class TestSafeExpLog:
     def test_safe_exp_no_overflow(self):
         out = safe_exp(np.array([1e4]))
@@ -52,13 +41,6 @@ class TestSafeExpLog:
     def test_safe_exp_matches_exp_in_range(self):
         x = np.linspace(-50, 50, 11)
         np.testing.assert_allclose(safe_exp(x), np.exp(x))
-
-    def test_safe_log_of_zero_is_finite(self):
-        assert np.isfinite(safe_log(np.array([0.0]))).all()
-
-    def test_safe_log_matches_log_for_positive(self):
-        x = np.array([1e-10, 1.0, 1e10])
-        np.testing.assert_allclose(safe_log(x), np.log(x))
 
 
 class TestClipPositive:
