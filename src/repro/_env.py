@@ -29,7 +29,7 @@ REGISTERED_ENV_VARS: dict[str, str] = {
     "REPRO_FIT_EXECUTOR": "default parallel backend name (serial/thread/process)",
     "REPRO_FIT_WORKERS": "default worker count for the pooled backends",
     "REPRO_FIT_ENGINE": "default fit solver engine (scipy/batched)",
-    "REPRO_FIT_CACHE": "default fit-cache mode: off words, a path, or empty",
+    "REPRO_FIT_CACHE": "default fit-cache mode: empty (in-memory LRU) or an off word",
     "REPRO_FIT_CACHE_MAXSIZE": "default fit-cache LRU capacity (positive int)",
     "REPRO_TRACE": "enable the process-default tracer",
     "REPRO_TRACE_FILE": "JSON-lines span file (implies tracing)",

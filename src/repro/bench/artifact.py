@@ -49,7 +49,7 @@ ARTIFACT_REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
         "speedup_vs_serial",
         "kernels",
     ),
-    "BENCH_jacobian.json": ("provenance", "workload", "jacobian", "cache", "warm_start"),
+    "BENCH_jacobian.json": ("provenance", "workload", "cache", "warm_start"),
     "BENCH_fleet.json": ("provenance", "workload", "fleet", "engines", "streaming"),
     "BENCH_serving.json": (
         "provenance",
@@ -185,9 +185,6 @@ _ARTIFACT_METRIC_PATHS: dict[str, tuple[tuple[str, str, str], ...]] = {
         ("kernels.area_under_curve.speedup", "auc_kernel_speedup", "wall"),
     ),
     "BENCH_jacobian.json": (
-        ("jacobian.2-point.nfev", "numeric_nfev", "counted"),
-        ("jacobian.analytic.nfev", "analytic_nfev", "counted"),
-        ("jacobian.nfev_ratio", "nfev_ratio", "counted"),
         ("warm_start.warm_nfev", "warm_grid_nfev", "counted"),
         ("warm_start.cold_nfev", "cold_grid_nfev", "counted"),
     ),

@@ -52,7 +52,7 @@ __all__ = [
 DEFAULT_WALL_TOLERANCE = 3.0
 
 #: Config axes that must match between a run and its baseline.
-_GATED_AXES = ("engine", "executor", "seed", "n_random_starts", "jac")
+_GATED_AXES = ("engine", "executor", "seed", "n_random_starts")
 
 #: Provenance keys whose drift is worth a note in the report.
 _VERSION_KEYS = ("python", "numpy", "scipy", "repro")

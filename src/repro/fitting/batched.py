@@ -143,8 +143,7 @@ class BatchedProblem(NamedTuple):
 
     ``times``/``targets`` are the observation grid and values,
     ``x0``/``lower``/``upper`` the start and box, ``max_nfev`` the
-    per-problem residual-evaluation budget, ``sqrt_weights`` optional
-    per-observation ``√wᵢ`` factors, and ``jac_mode`` either
+    per-problem residual-evaluation budget, and ``jac_mode`` either
     ``"analytic"`` (the family's closed form) or ``"2-point"``
     (vectorized forward differences).
     """
@@ -156,7 +155,6 @@ class BatchedProblem(NamedTuple):
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     max_nfev: int
-    sqrt_weights: tuple[float, ...] | None
     jac_mode: str
 
 
@@ -164,8 +162,8 @@ class BatchedOutcome(NamedTuple):
     """Per-problem solver outcome.
 
     The first seven fields mirror the scipy path's per-start outcome
-    (``sse`` is the weighted objective value ``2·cost``), so the two
-    engines reduce identically; ``n_iterations`` additionally records
+    (``sse`` is the objective value ``2·cost``), so the two engines
+    reduce identically; ``n_iterations`` additionally records
     how many LM iterations the problem consumed before freezing.
     """
 
@@ -254,7 +252,6 @@ class _GroupArrays(NamedTuple):
     targets: FloatArray
     lower: FloatArray
     upper: FloatArray
-    sqrt_weights: FloatArray | None
     max_nfev: _IntArray
     jac_mode: str
 
@@ -264,18 +261,6 @@ def _stack_group(problems: Sequence[BatchedProblem]) -> _GroupArrays:
     targets = np.asarray([p.targets for p in problems], dtype=np.float64)
     lower = np.asarray([p.lower for p in problems], dtype=np.float64)
     upper = np.asarray([p.upper for p in problems], dtype=np.float64)
-    if all(p.sqrt_weights is None for p in problems):
-        sqrt_weights: FloatArray | None = None
-    else:
-        sqrt_weights = np.asarray(
-            [
-                p.sqrt_weights
-                if p.sqrt_weights is not None
-                else (1.0,) * times.shape[1]
-                for p in problems
-            ],
-            dtype=np.float64,
-        )
     max_nfev = np.asarray([p.max_nfev for p in problems], dtype=np.int64)
     return _GroupArrays(
         family=problems[0].family,
@@ -283,7 +268,6 @@ def _stack_group(problems: Sequence[BatchedProblem]) -> _GroupArrays:
         targets=targets,
         lower=lower,
         upper=upper,
-        sqrt_weights=sqrt_weights,
         max_nfev=max_nfev,
         jac_mode=problems[0].jac_mode,
     )
@@ -292,17 +276,14 @@ def _stack_group(problems: Sequence[BatchedProblem]) -> _GroupArrays:
 def _group_residuals(
     group: _GroupArrays, idx: _IntArray, x: FloatArray
 ) -> tuple[FloatArray, npt.NDArray[np.bool_]]:
-    """Weighted, penalty-patched residuals for problems *idx* at *x*.
+    """Penalty-patched residuals for problems *idx* at *x*.
 
     The second return is the non-finite-prediction mask from
     :func:`_penalize_residuals` — the Jacobian refresh reuses it so the
     model is never evaluated a second time at the same point.
     """
     predictions = group.family.evaluate_batch(group.times[idx], x)
-    residuals, bad = _penalize_residuals(x, group.targets[idx] - predictions)
-    if group.sqrt_weights is not None:
-        residuals = residuals * group.sqrt_weights[idx]
-    return residuals, bad
+    return _penalize_residuals(x, group.targets[idx] - predictions)
 
 
 def _group_jacobian(
@@ -326,13 +307,10 @@ def _group_jacobian(
             # direction out of the non-finite pocket.
             rows = _penalty_gradient_rows(x)
             jac = np.where(bad[:, :, np.newaxis], rows[:, np.newaxis, :], jac)
-        jac = np.where(np.isfinite(jac), jac, 0.0)
-        if group.sqrt_weights is not None:
-            jac = jac * group.sqrt_weights[idx][:, :, np.newaxis]
-        return jac
-    # 2-point mode: vectorized forward differences on the (weighted,
-    # penalized) residual function, stepping backward at the upper bound
-    # so every probe stays inside the box.
+        return np.where(np.isfinite(jac), jac, 0.0)
+    # 2-point mode: vectorized forward differences on the penalized
+    # residual function, stepping backward at the upper bound so every
+    # probe stays inside the box.
     m, k = x.shape
     n = group.times.shape[1]
     jac = np.empty((m, n, k), dtype=np.float64)

@@ -10,18 +10,19 @@ memoizes those solves behind a content address:
   name, parameter metadata, bounds);
 * **curve hash** — SHA-256 over the exact time/performance bytes and
   the nominal level;
-* **fit config** — every knob that can change the optimum (starts,
-  seeds, budgets, weights, Jacobian mode).
+* **fit config** — every knob that can change the optimum (engine,
+  starts, seeds, budgets).
 
 Because the key covers *everything* that determines the result, a cache
 hit is bit-identical to a recompute — the cache is a performance knob,
 never a correctness knob.
 
-The default cache is an in-memory LRU. Setting ``REPRO_FIT_CACHE`` to a
-path adds a JSON store so fits persist across processes::
+The default cache is a per-process in-memory LRU; callers that want
+their own store pass one :class:`FitCache` instance through
+``EngineOptions(cache=...)``. Setting ``REPRO_FIT_CACHE`` to an off
+word disables the default cache::
 
-    export REPRO_FIT_CACHE=~/.cache/repro-fits.json   # persist to disk
-    export REPRO_FIT_CACHE=off                        # disable entirely
+    export REPRO_FIT_CACHE=off
 
 (CLI equivalents: ``--cache`` / ``--no-cache``.)
 """
@@ -30,11 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -54,11 +52,9 @@ __all__ = [
     "sequence_of_vectors",
 ]
 
-logger = logging.getLogger("repro.fitting.cache")
-
-#: Environment variable controlling the default cache: unset → in-memory
-#: LRU; a path → in-memory LRU backed by a JSON store at that path; one
-#: of the off-words → caching disabled.
+#: Environment variable controlling the default cache: unset or empty →
+#: in-memory LRU; one of the off-words → caching disabled. Any other
+#: value is an error.
 CACHE_ENV_VAR = "REPRO_FIT_CACHE"
 
 #: Values of :data:`CACHE_ENV_VAR` that disable the default cache.
@@ -154,36 +150,24 @@ def _canonical(value: Any) -> Any:
 
 
 class FitCache:
-    """Thread-safe LRU of fit outcomes, optionally persisted to JSON.
+    """Thread-safe in-memory LRU of fit outcomes.
 
     Parameters
     ----------
     max_entries:
-        In-memory capacity; least-recently-used entries are evicted.
-    path:
-        Optional JSON file. Existing entries are loaded on first use and
-        every :meth:`put` writes through, so concurrent *processes* see
-        each other's fits (last writer wins; the payloads are
-        content-addressed, so collisions are harmless).
+        Capacity; least-recently-used entries are evicted.
 
     Entries are plain dicts (parameter vector, SSE, convergence
     bookkeeping) rather than :class:`~repro.fitting.result.FitResult`
-    objects — the caller re-binds the family, keeping the store JSON
-    serializable and immune to pickle drift.
+    objects; the caller re-binds the family on a hit.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        path: str | os.PathLike | None = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
-        self.path = Path(path) if path is not None else None
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.Lock()
-        self._loaded = self.path is None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -194,7 +178,6 @@ class FitCache:
     def get(self, key: str) -> dict[str, Any] | None:
         """The stored record for *key*, or None; refreshes LRU order."""
         with self._lock:
-            self._ensure_loaded()
             record = self._entries.get(key)
             if record is None:
                 self.misses += 1
@@ -204,41 +187,28 @@ class FitCache:
             return dict(record)
 
     def put(self, key: str, record: Mapping[str, Any]) -> None:
-        """Store *record* under *key*, evicting LRU overflow and writing
-        through to the JSON store when one is configured."""
+        """Store *record* under *key*, evicting LRU overflow."""
         with self._lock:
-            self._ensure_loaded()
             self._entries[key] = dict(record)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            if self.path is not None:
-                self._write_disk()
 
     def clear(self) -> None:
-        """Drop every entry (and the JSON store's contents)."""
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._loaded = self.path is None
             self.hits = 0
             self.misses = 0
             self.evictions = 0
-            if self.path is not None and self.path.exists():
-                try:
-                    self.path.unlink()
-                except OSError:  # pragma: no cover - permission races
-                    logger.warning("fit cache: could not remove %s", self.path)
-                self._loaded = True
 
     def __len__(self) -> int:
         with self._lock:
-            self._ensure_loaded()
             return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            self._ensure_loaded()
             return key in self._entries
 
     def stats(self) -> dict[str, int]:
@@ -253,41 +223,6 @@ class FitCache:
                 "evictions": self.evictions,
                 "entries": len(self._entries),
             }
-
-    # ------------------------------------------------------------------
-    # Disk store
-    # ------------------------------------------------------------------
-    def _ensure_loaded(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        assert self.path is not None
-        try:
-            payload = json.loads(self.path.read_text())
-        except FileNotFoundError:
-            return
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.warning(
-                "fit cache: ignoring unreadable store %s (%s)", self.path, exc
-            )
-            return
-        entries = payload.get("entries", {}) if isinstance(payload, dict) else {}
-        for key, record in entries.items():
-            if isinstance(record, dict):
-                self._entries[key] = record
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def _write_disk(self) -> None:
-        assert self.path is not None
-        payload = {"version": 1, "entries": dict(self._entries)}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            tmp.write_text(json.dumps(payload, separators=(",", ":")))
-            tmp.replace(self.path)
-        except OSError as exc:  # pragma: no cover - disk-full/readonly races
-            logger.warning("fit cache: could not persist to %s (%s)", self.path, exc)
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +240,11 @@ def default_fit_cache() -> FitCache | None:
     Returns None when the environment disables caching. The instance is
     rebuilt if either environment variable changes between calls (tests
     monkeypatch them).
+
+    Raises
+    ------
+    FitError
+        If :data:`CACHE_ENV_VAR` is neither empty nor an off word.
     """
     global _default_cache, _default_signature
     raw = read_env(CACHE_ENV_VAR, "") or ""
@@ -314,17 +254,17 @@ def default_fit_cache() -> FitCache | None:
             _default_cache is not None or raw.strip().lower() in _OFF_WORDS
         ):
             return _default_cache
-        _default_signature = (raw, raw_maxsize)
         value = raw.strip()
         if value.lower() in _OFF_WORDS:
-            _default_cache = None
+            cache = None
         elif value:
-            _default_cache = FitCache(
-                max_entries=default_cache_maxsize(),
-                path=os.path.expanduser(value),
+            raise FitError(
+                f"{CACHE_ENV_VAR} must be empty or one of "
+                f"{sorted(_OFF_WORDS)}, got {raw!r}"
             )
         else:
-            _default_cache = FitCache(max_entries=default_cache_maxsize())
+            cache = FitCache(max_entries=default_cache_maxsize())
+        _default_cache, _default_signature = cache, (raw, raw_maxsize)
         return _default_cache
 
 

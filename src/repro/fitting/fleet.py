@@ -45,12 +45,7 @@ from repro.datasets.store import EpisodeStore
 from repro.exceptions import FitError
 from repro.fitting.batched import resolve_engine
 from repro.fitting.cache import FitCache
-from repro.fitting.least_squares import (
-    _FailedPair,
-    _FitPair,
-    _resolve_jac_mode,
-    _solve_pairs,
-)
+from repro.fitting.least_squares import _FailedPair, _FitPair, _solve_pairs
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
     EngineOptions,
@@ -283,7 +278,6 @@ def fit_fleet(
     n_random_starts: int | None = None,
     seed: int | None = None,
     max_nfev: int | None = None,
-    jac: str | None = None,
     engine: str | None = None,
 ) -> FleetFitResult:
     """Fit every *family* to every episode of a fleet.
@@ -322,7 +316,7 @@ def fit_fleet(
         function) or ``"scipy"`` (the reference engine: the same
         chunk call with one scipy solve per start). ``None`` defers to
         ``options.engine`` then ``REPRO_FIT_ENGINE``.
-    n_random_starts, seed, max_nfev, jac:
+    n_random_starts, seed, max_nfev:
         As in :func:`~repro.fitting.fit_least_squares`.
 
     Returns
@@ -335,7 +329,6 @@ def fit_fleet(
         n_random_starts=n_random_starts,
         seed=seed,
         max_nfev=max_nfev,
-        jac=jac,
         engine=engine,
     )
     if chunk_size < 1:
@@ -351,8 +344,6 @@ def fit_fleet(
         raise FitError(f"duplicate family names in fleet grid: {names}")
     engine_mode = resolve_engine(opts.engine)
     tracer = resolve_tracer(opts.trace)
-    for family in resolved_families:
-        _resolve_jac_mode(family, opts.jac)  # reject a bad jac= up front
     # The fleet-specific cache default: off unless the options bundle
     # chooses it (None normally means "defer to the environment default
     # cache"). The batched engine never caches: with confirm=False its

@@ -85,16 +85,13 @@ __all__ = ["fit_least_squares", "fit_many", "FitManyResult"]
 
 logger = logging.getLogger("repro.fitting")
 
-#: Recognized ``jac=`` modes for :func:`fit_least_squares`.
-_JAC_MODES = ("auto", "analytic", "2-point")
-
 #: Relative SSE band for multi-start winner selection. Several starts
 #: routinely converge into the *same* basin, where their objectives
 #: agree to last-ulp noise (~1e-14 relative in practice); a strict
 #: argmin would let that noise pick the winner — and let two solver
-#: engines or Jacobian modes disagree about it. Instead the winner is
-#: the earliest start whose SSE lies within this band of the best,
-#: which is stable under any perturbation smaller than the band.
+#: engines disagree about it. Instead the winner is the earliest start
+#: whose SSE lies within this band of the best, which is stable under
+#: any perturbation smaller than the band.
 #: Distinct local optima in these families are separated by many orders
 #: of magnitude more than this, so the rule never crosses basins.
 _REDUCE_RTOL = 1e-8
@@ -137,7 +134,6 @@ class _StartWork(NamedTuple):
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     max_nfev: int
-    sqrt_weights: tuple[float, ...] | None
     jac_mode: str
 
 
@@ -156,11 +152,6 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
     curve = work.curve
     lower = np.asarray(work.lower, dtype=np.float64)
     upper = np.asarray(work.upper, dtype=np.float64)
-    sqrt_weights = (
-        None
-        if work.sqrt_weights is None
-        else np.asarray(work.sqrt_weights, dtype=np.float64)
-    )
     counters = {"nfev": 0, "njev": 0}
 
     def objective(vector: np.ndarray) -> np.ndarray:
@@ -169,8 +160,6 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
         bad = ~np.isfinite(residuals)
         if bad.any():
             residuals = np.where(bad, _penalty_value(vector), residuals)
-        if sqrt_weights is not None:
-            residuals = residuals * sqrt_weights
         return residuals
 
     def analytic_jac(vector: np.ndarray) -> np.ndarray:
@@ -182,10 +171,7 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
             # Match the objective: penalized rows get the penalty's
             # gradient so the solver still sees a downhill direction.
             jac[bad, :] = _penalty_gradient(vector)
-        jac = np.where(np.isfinite(jac), jac, 0.0)
-        if sqrt_weights is not None:
-            jac = jac * sqrt_weights[:, np.newaxis]
-        return jac
+        return np.where(np.isfinite(jac), jac, 0.0)
 
     jac_arg: Any = analytic_jac if work.jac_mode == "analytic" else "2-point"
     x0 = np.clip(np.asarray(work.x0, dtype=np.float64), lower, upper)
@@ -197,9 +183,7 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
             bounds=(lower, upper),
             method="trf",
             max_nfev=work.max_nfev,
-            # Far below the 8-decimal precision tables are rendered at,
-            # so the analytic and finite-difference Jacobian modes stop
-            # at the same optimum and render identical artifacts.
+            # Far below the 8-decimal precision tables are rendered at.
             ftol=1e-12,
             xtol=1e-12,
             gtol=1e-12,
@@ -227,7 +211,7 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
 
 
 class _WinnerSelection(NamedTuple):
-    """Outcome of the reduce → confirm → polish pipeline."""
+    """Outcome of the reduce → confirm pipeline."""
 
     sse: float
     vector: tuple[float, ...]
@@ -237,8 +221,6 @@ class _WinnerSelection(NamedTuple):
     failures: int
     confirm_nfev: int
     confirm_njev: int
-    polish_nfev: int
-    polish_njev: int
 
 
 def _select_and_confirm(
@@ -250,7 +232,6 @@ def _select_and_confirm(
     lower: tuple[float, ...],
     upper: tuple[float, ...],
     max_nfev: int,
-    sqrt_weights: tuple[float, ...] | None,
     jac_mode: str,
     confirm: bool,
     tracer: Any,
@@ -263,10 +244,7 @@ def _select_and_confirm(
     the best (see the constant's rationale), not the strict argmin.
     With *confirm* (batched-engine outcomes) the winning start is then
     re-solved by scipy from its original x0 (the screen-then-confirm
-    contract), and 2-point winners of analytic families are polished.
-
-    *curve* and *sqrt_weights* describe the problem the confirmation
-    solves run on.
+    contract).
 
     Raises
     ------
@@ -319,7 +297,7 @@ def _select_and_confirm(
             confirm = _solve_start(
                 _StartWork(
                     family, curve, start_vectors[index], lower, upper,
-                    max_nfev, sqrt_weights, jac_mode,
+                    max_nfev, jac_mode,
                 )
             )
             confirm_nfev += confirm.nfev
@@ -348,8 +326,7 @@ def _select_and_confirm(
             # best confirmation if that somehow does better.
             rescue = _solve_start(
                 _StartWork(
-                    family, curve, best_vector, lower, upper, max_nfev,
-                    sqrt_weights, jac_mode,
+                    family, curve, best_vector, lower, upper, max_nfev, jac_mode
                 )
             )
             confirm_nfev += rescue.nfev
@@ -365,40 +342,6 @@ def _select_and_confirm(
             best_message = chosen.message
             best_converged = chosen.converged
 
-    # Forward differences cannot localize the optimum below their own
-    # noise floor (~√eps relative in the parameters), so a pure 2-point
-    # run would disagree with the analytic engine in the last rendered
-    # digit. Polishing the winner with the closed form — when the family
-    # has one — makes the final optimum independent of the exploration
-    # mode; the polish cost is counted in nfev/njev like everything else.
-    # The rule is engine-independent: the batched winner was already
-    # re-solved by scipy above, so it polishes under exactly the same
-    # condition the scipy path does.
-    polish_nfev = 0
-    polish_njev = 0
-    needs_polish = jac_mode == "2-point" and family.has_analytic_jacobian
-    if needs_polish:
-        polish = _solve_start(
-            _StartWork(
-                family, curve, best_vector, lower, upper, max_nfev,
-                sqrt_weights, "analytic",
-            )
-        )
-        polish_nfev, polish_njev = polish.nfev, polish.njev
-        if tracer.enabled:
-            tracer.record(
-                "fit.polish",
-                polish.seconds,
-                nfev=polish.nfev,
-                njev=polish.njev,
-                converged=polish.converged,
-            )
-        if polish.vector is not None and polish.sse <= best_sse:
-            best_sse = polish.sse
-            best_vector = polish.vector
-            best_message = polish.message
-            best_converged = polish.converged
-
     return _WinnerSelection(
         sse=best_sse,
         vector=best_vector,
@@ -408,23 +351,7 @@ def _select_and_confirm(
         failures=failures,
         confirm_nfev=confirm_nfev,
         confirm_njev=confirm_njev,
-        polish_nfev=polish_nfev,
-        polish_njev=polish_njev,
     )
-
-
-def _resolve_jac_mode(family: ResilienceModel, jac: str) -> str:
-    """Map the user-facing ``jac=`` choice onto a concrete mode."""
-    if jac not in _JAC_MODES:
-        raise FitError(f"jac must be one of {_JAC_MODES}, got {jac!r}")
-    if jac == "auto":
-        return "analytic" if family.has_analytic_jacobian else "2-point"
-    if jac == "analytic" and not family.has_analytic_jacobian:
-        raise FitError(
-            f"family {family.name!r} has no analytic Jacobian; "
-            f"use jac='auto' or jac='2-point'"
-        )
-    return jac
 
 
 def fit_least_squares(
@@ -437,8 +364,6 @@ def fit_least_squares(
     max_nfev: int | None = None,
     starts: Sequence[Sequence[float]] | None = None,
     extra_starts: Sequence[Sequence[float]] | None = None,
-    weights: Sequence[float] | None = None,
-    jac: str | None = None,
     engine: str | None = None,
 ) -> FitResult:
     """Fit *family* to *curve* by bounded least squares.
@@ -493,21 +418,6 @@ def fit_least_squares(
         list (clipped to bounds, deduplicated). Used by warm-started
         sweeps to inject the neighbouring cell's optimum without
         discarding the family's own seeds.
-    weights:
-        Optional per-observation weights ``wᵢ`` turning Eq. (8) into
-        weighted least squares ``Σ wᵢ(R(tᵢ) − P(tᵢ))²`` — e.g. inverse
-        variances for heteroscedastic telemetry, or zeros to mask
-        outliers. Must be non-negative, same length as the curve. The
-        reported :attr:`FitResult.sse` remains the *unweighted* Eq. (9)
-        value so it stays comparable across weightings.
-    jac:
-        Jacobian strategy: ``"auto"`` (closed form when the family has
-        one, else finite differences — the default), ``"analytic"``
-        (require the closed form; raises if unavailable), or
-        ``"2-point"`` (force scipy's forward differences during
-        exploration; the winning start is still polished with the
-        closed form when one exists, so the fitted optimum does not
-        depend on the mode).
     engine:
         Solver engine: ``"scipy"`` (one ``optimize.least_squares`` call
         per start — the golden-table oracle) or ``"batched"`` (the
@@ -522,17 +432,20 @@ def fit_least_squares(
     Returns
     -------
     FitResult
-        With the model bound to the lowest-SSE optimum across starts
-        (lowest weighted SSE when *weights* are given). ``details``
-        records the per-start and total residual/Jacobian evaluation
-        counts (``nfev``/``njev``), the resolved ``jac_mode``, and
-        whether the result came from cache.
+        With the model bound to the lowest-SSE optimum across starts.
+        ``details`` records the per-start and total residual/Jacobian
+        evaluation counts (``nfev``/``njev``), the ``jac_mode`` (the
+        family's closed form, ``"analytic"``, when it has one, else
+        ``"2-point"`` finite differences), and whether the result came
+        from cache.
 
     Raises
     ------
     FitError
         If the curve contains non-finite values or fewer observations
-        than parameters, or the ``jac``/``cache`` arguments are invalid.
+        than parameters, a start vector has the wrong length or a
+        non-finite entry, or the ``engine``/``cache`` arguments are
+        invalid.
     ConvergenceError
         If every start fails to produce a finite optimum.
     """
@@ -540,7 +453,6 @@ def fit_least_squares(
         n_random_starts=n_random_starts,
         seed=seed,
         max_nfev=max_nfev,
-        jac=jac,
         engine=engine,
     )
 
@@ -548,7 +460,7 @@ def fit_least_squares(
         (result,) = _raise_first_failure(
             _solve_pairs(
                 [_FitPair(family, curve, starts=starts, extra_starts=extra_starts)],
-                opts, weights=weights, fit_spans=False,
+                opts, fit_spans=False,
             )
         )
         return result
@@ -624,7 +536,6 @@ class _PreparedPair(NamedTuple):
     jac_mode: str
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    sqrt_weights: tuple[float, ...] | None
     cache_key: str | None
     start_vectors: list[tuple[float, ...]]
 
@@ -665,8 +576,6 @@ def _fit_pairs(
     n_random_starts: int | None = None,
     seed: int | None = None,
     max_nfev: int | None = None,
-    weights: Sequence[float] | None = None,
-    jac: str | None = None,
     engine: str | None = None,
 ) -> list[FitResult | _FailedPair]:
     """Fit every ``(family, curve)`` pair through one stacked solve.
@@ -681,17 +590,15 @@ def _fit_pairs(
         n_random_starts=n_random_starts,
         seed=seed,
         max_nfev=max_nfev,
-        jac=jac,
         engine=engine,
     )
-    return _solve_pairs(pairs, opts, weights=weights)
+    return _solve_pairs(pairs, opts)
 
 
 def _solve_pairs(
     pairs: Sequence[_FitPair],
     opts: EngineOptions,
     *,
-    weights: Sequence[float] | None = None,
     confirm: bool = True,
     fit_spans: bool = True,
 ) -> list[FitResult | _FailedPair]:
@@ -716,12 +623,10 @@ def _solve_pairs(
     slowest start freezes, so one call pays the longest loop of each
     group instead of the sum of every call's loop.
 
-    *weights* mean what they do for :func:`fit_least_squares` and
-    apply to every pair. ``confirm=False`` reports the batched engine's
-    screened optima without the scipy confirmation (the fleet's
-    screen-only mode). With *fit_spans* each pair gets a ``"fit"`` span
-    around its finish step; its share of the shared solve is on its
-    ``"fit.start"`` children.
+    ``confirm=False`` reports the batched engine's screened optima
+    without the scipy confirmation (the fleet's screen-only mode). With
+    *fit_spans* each pair gets a ``"fit"`` span around its finish step;
+    its share of the shared solve is on its ``"fit.start"`` children.
     Every lookup happens before any solve, so a cache key repeated
     within one call is solved once per occurrence.
 
@@ -738,7 +643,7 @@ def _solve_pairs(
             entries.append(
                 _prepare_pair(
                     pair, opts, engine_mode,
-                    fit_cache if pair.use_cache else None, tracer, weights=weights,
+                    fit_cache if pair.use_cache else None, tracer,
                 )
             )
         except FitError as exc:
@@ -789,8 +694,6 @@ def _prepare_pair(
     engine_mode: str,
     fit_cache: FitCache | None,
     tracer: Any,
-    *,
-    weights: Sequence[float] | None,
 ) -> FitResult | _PreparedPair:
     """Validate *pair*, look it up in the cache and generate its starts.
 
@@ -798,7 +701,6 @@ def _prepare_pair(
     :class:`~repro.exceptions.FitError` on invalid input.
     """
     family, curve = pair.family, pair.curve
-    starts, extra_starts = pair.starts, pair.extra_starts
     n_random_starts = pair.n_random_starts
     if n_random_starts is None:
         n_random_starts = opts.n_random_starts
@@ -809,27 +711,16 @@ def _prepare_pair(
         )
     if not np.all(np.isfinite(curve.performance)):
         raise FitError("curve contains non-finite performance values")
+    starts: list[tuple[float, ...]] | None = None
+    if pair.starts is not None:
+        starts = _checked_starts(family, pair.starts, "start")
+        if not starts:
+            raise FitError("explicit starts list is empty")
+    extra_starts = _checked_starts(family, pair.extra_starts or (), "extra start")
 
-    jac_mode = _resolve_jac_mode(family, opts.jac)
-
+    jac_mode = "analytic" if family.has_analytic_jacobian else "2-point"
     lower = tuple(float(v) for v in family.lower_bounds)
     upper = tuple(float(v) for v in family.upper_bounds)
-
-    sqrt_weights: tuple[float, ...] | None = None
-    weight_list: list[float] | None = None
-    if weights is not None:
-        weight_array = np.asarray(weights, dtype=np.float64)
-        if weight_array.shape != (len(curve),):
-            raise FitError(
-                f"weights must have one entry per observation "
-                f"({len(curve)}), got shape {weight_array.shape}"
-            )
-        if not np.all(np.isfinite(weight_array)) or np.any(weight_array < 0.0):
-            raise FitError("weights must be finite and non-negative")
-        if not np.any(weight_array > 0.0):
-            raise FitError("at least one weight must be positive")
-        sqrt_weights = tuple(float(v) for v in np.sqrt(weight_array))
-        weight_list = [float(v) for v in weight_array]
 
     # ------------------------------------------------------------------
     # Cache lookup. The key covers every input that determines the
@@ -845,17 +736,15 @@ def _prepare_pair(
             {
                 # Engine-versioned so the two solvers never cross-serve
                 # cache entries (their per-start diagnostics differ even
-                # though the polished optimum does not).
+                # though the confirmed optimum does not).
                 "engine": (
                     "batched_lm.v1" if engine_mode == "batched" else "least_squares.v2"
                 ),
                 "n_random_starts": int(n_random_starts),
                 "seed": None if seed is None else int(seed),
                 "max_nfev": int(opts.max_nfev),
-                "starts": sequence_of_vectors(starts),
-                "extra_starts": sequence_of_vectors(extra_starts),
-                "weights": weight_list,
-                "jac": jac_mode,
+                "starts": sequence_of_vectors(pair.starts),
+                "extra_starts": sequence_of_vectors(pair.extra_starts),
             },
         )
         record = fit_cache.get(cache_key)
@@ -884,30 +773,45 @@ def _prepare_pair(
             family, curve, n_random=n_random_starts, **kwargs
         )
     else:
-        start_vectors = [tuple(float(v) for v in s) for s in starts]
-        if not start_vectors:
-            raise FitError("explicit starts list is empty")
+        start_vectors = starts
 
     if extra_starts:
         injected: list[tuple[float, ...]] = []
         for vector in extra_starts:
             clipped = tuple(
-                float(np.clip(float(v), lo, hi))
-                for v, lo, hi in zip(vector, lower, upper)
+                float(np.clip(v, lo, hi)) for v, lo, hi in zip(vector, lower, upper)
             )
-            if len(clipped) != family.n_params:
-                raise FitError(
-                    f"extra start has {len(clipped)} entries; family "
-                    f"{family.name!r} expects {family.n_params}"
-                )
             if clipped not in injected:
                 injected.append(clipped)
         start_vectors = injected + [
             s for s in start_vectors if s not in injected
         ]
-    return _PreparedPair(
-        pair, jac_mode, lower, upper, sqrt_weights, cache_key, start_vectors
-    )
+    return _PreparedPair(pair, jac_mode, lower, upper, cache_key, start_vectors)
+
+
+def _checked_starts(
+    family: ResilienceModel, vectors: Sequence[Sequence[float]], label: str
+) -> list[tuple[float, ...]]:
+    """*vectors* as float tuples, each with one finite entry per
+    parameter of *family*.
+
+    Raises
+    ------
+    FitError
+        If a vector has the wrong length or a non-finite entry.
+    """
+    checked: list[tuple[float, ...]] = []
+    for vector in vectors:
+        values = tuple(float(v) for v in vector)
+        if len(values) != family.n_params:
+            raise FitError(
+                f"{label} has {len(values)} entries; family "
+                f"{family.name!r} expects {family.n_params}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise FitError(f"{label} {values} has a non-finite entry")
+        checked.append(values)
+    return checked
 
 
 def _solve_starts(
@@ -934,8 +838,7 @@ def _solve_starts(
             problems.extend(
                 BatchedProblem(
                     entry.pair.family, times, targets, start, entry.lower,
-                    entry.upper, opts.max_nfev, entry.sqrt_weights,
-                    entry.jac_mode,
+                    entry.upper, opts.max_nfev, entry.jac_mode,
                 )
                 for start in entry.start_vectors
             )
@@ -944,7 +847,7 @@ def _solve_starts(
         work_units = [
             _StartWork(
                 entry.pair.family, entry.pair.curve, start, entry.lower,
-                entry.upper, opts.max_nfev, entry.sqrt_weights, entry.jac_mode,
+                entry.upper, opts.max_nfev, entry.jac_mode,
             )
             for entry in prepared
             for start in entry.start_vectors
@@ -999,14 +902,9 @@ def _finish_pair(
     selection = _select_and_confirm(
         family, curve, entry.start_vectors, outcomes,
         lower=entry.lower, upper=entry.upper, max_nfev=opts.max_nfev,
-        sqrt_weights=entry.sqrt_weights, jac_mode=entry.jac_mode,
-        confirm=confirm and engine_mode == "batched", tracer=tracer,
+        jac_mode=entry.jac_mode, confirm=confirm and engine_mode == "batched",
+        tracer=tracer,
     )
-    best_sse = selection.sse
-    if entry.sqrt_weights is not None:
-        # Selection used the weighted objective; report the unweighted
-        # Eq. (9) SSE so results stay comparable across weightings.
-        best_sse = family.sse(curve, selection.vector)
 
     per_start_nfev: list[int] = [outcome.nfev for outcome in outcomes]
     per_start_njev: list[int] = [outcome.njev for outcome in outcomes]
@@ -1015,16 +913,10 @@ def _finish_pair(
         "per_start_nfev": per_start_nfev,
         "per_start_njev": per_start_njev,
         "per_start_seconds": [outcome.seconds for outcome in outcomes],
-        "nfev": int(sum(per_start_nfev))
-        + selection.confirm_nfev
-        + selection.polish_nfev,
-        "njev": int(sum(per_start_njev))
-        + selection.confirm_njev
-        + selection.polish_njev,
+        "nfev": int(sum(per_start_nfev)) + selection.confirm_nfev,
+        "njev": int(sum(per_start_njev)) + selection.confirm_njev,
         "confirm_nfev": selection.confirm_nfev,
         "confirm_njev": selection.confirm_njev,
-        "polish_nfev": selection.polish_nfev,
-        "polish_njev": selection.polish_njev,
         "winner_start": selection.winner_index,
         "jac_mode": entry.jac_mode,
     }
@@ -1039,7 +931,7 @@ def _finish_pair(
             entry.cache_key,
             {
                 "params": [float(v) for v in selection.vector],
-                "sse": float(best_sse),
+                "sse": float(selection.sse),
                 "converged": bool(selection.converged),
                 "n_starts": n_starts,
                 "n_failures": selection.failures,
@@ -1053,7 +945,7 @@ def _finish_pair(
     return FitResult(
         model=family.bind(selection.vector),
         curve=curve,
-        sse=best_sse,
+        sse=selection.sse,
         converged=selection.converged,
         n_starts=n_starts,
         n_failures=selection.failures,

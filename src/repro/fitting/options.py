@@ -1,8 +1,8 @@
 """The :class:`EngineOptions` bundle — one object for every fit-engine knob.
 
-:class:`EngineOptions` freezes the engine configuration (``jac``,
-``engine``, ``cache``, ``trace``, ``executor``, ``n_workers``,
-``seed``, ``n_random_starts``, ``max_nfev``) into a single immutable
+:class:`EngineOptions` freezes the engine configuration (``engine``,
+``cache``, ``trace``, ``executor``, ``n_workers``, ``seed``,
+``n_random_starts``, ``max_nfev``) into a single immutable
 value that is built once and handed to
 :func:`~repro.fitting.fit_least_squares`, :func:`~repro.fitting.fit_many`,
 :func:`~repro.fitting.fleet.fit_fleet`, the table grids,
@@ -13,9 +13,9 @@ value that is built once and handed to
 
 The bundle is the only way to pass the process-level plumbing
 (``cache``, ``trace``, ``executor``, ``n_workers``). The per-fit
-science knobs (``jac``, ``engine``, ``seed``, ``n_random_starts``,
-``max_nfev``) are also first-class keyword arguments of the fit entry
-points, where they vary per call.
+science knobs (``engine``, ``seed``, ``n_random_starts``, ``max_nfev``)
+are also first-class keyword arguments of the fit entry points, where
+they vary per call.
 
 Merge semantics (uniform across every entry point):
 
@@ -51,7 +51,6 @@ _NULL = type(None)
 #: The JSON value types :meth:`EngineOptions.from_dict` accepts per
 #: field. A JSON ``true``/``false`` is never an integer here.
 _JSON_TYPES: dict[str, tuple[type, ...]] = {
-    "jac": (str,),
     "engine": (str, _NULL),
     "cache": (bool, _NULL),
     "trace": (bool, _NULL),
@@ -83,8 +82,6 @@ class EngineOptions:
 
     Attributes
     ----------
-    jac:
-        Jacobian strategy (``"auto"``, ``"analytic"``, ``"2-point"``).
     engine:
         Solver engine (``"scipy"`` or ``"batched"``); ``None`` defers
         to the ``REPRO_FIT_ENGINE`` environment default (resolved in
@@ -113,7 +110,6 @@ class EngineOptions:
         Residual-evaluation budget per start.
     """
 
-    jac: str = "auto"
     engine: str | None = None
     cache: "bool | FitCache | None" = None
     trace: TracerLike = None
@@ -138,33 +134,16 @@ class EngineOptions:
         changes = {k: v for k, v in explicit.items() if v is not None}
         return dataclasses.replace(self, **changes) if changes else self
 
-    def to_kwargs(self) -> dict[str, Any]:
-        """Fields that differ from the defaults, as a kwargs dict.
-
-        Default-valued fields are omitted so each entry point's own
-        defaults (and internal heuristics such as warm-start budget
-        shrinking) still apply when the caller did not opt in.
-        """
-        kwargs: dict[str, Any] = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value is not DEFAULT_ENGINE_OPTIONS and value != getattr(
-                DEFAULT_ENGINE_OPTIONS, field.name
-            ):
-                kwargs[field.name] = value
-        return kwargs
-
     def to_dict(self) -> dict[str, Any]:
         """Every field as a JSON-serializable mapping (lossless).
 
-        Unlike :meth:`to_kwargs` this does **not** drop default-valued
-        fields: the payload reconstructs this exact bundle via
-        :meth:`from_dict` even if the library's defaults change between
-        writing and reading. Fields holding live component instances
-        (a :class:`~repro.fitting.cache.FitCache`, a tracer, an
-        executor object) cannot survive a JSON trip and raise — config
-        files should name backends (``"thread"``) and use booleans for
-        cache/trace.
+        Default-valued fields are kept, so the payload reconstructs
+        this exact bundle via :meth:`from_dict` even if the library's
+        defaults change between writing and reading. Fields holding live
+        component instances (a :class:`~repro.fitting.cache.FitCache`,
+        a tracer, an executor object) cannot survive a JSON trip and
+        raise — config files should name backends (``"thread"``) and use
+        booleans for cache/trace.
 
         Raises
         ------

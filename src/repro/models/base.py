@@ -14,17 +14,13 @@ import copy
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize._numdiff import approx_derivative
 
 from repro._typing import ArrayLike, FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ParameterError
 from repro.utils.integrate import gauss_legendre_quad
 from repro.utils.numerics import as_float_array
-
-try:  # SciPy keeps this helper private but stable; degrade if it moves.
-    from scipy.optimize._numdiff import approx_derivative as _approx_derivative
-except ImportError:  # pragma: no cover - exercised only on exotic scipy builds
-    _approx_derivative = None
 
 __all__ = ["ResilienceModel"]
 
@@ -312,9 +308,9 @@ class ResilienceModel(abc.ABC):
         """Matrix ``J[i, j] = ∂P(tᵢ; θ)/∂θⱼ`` of shape ``(n, n_params)``.
 
         The base implementation is a bounds-aware 2-point finite
-        difference (scipy's ``approx_derivative`` when available); it is
-        correct for every family but costs one model evaluation per
-        parameter. Subclasses with closed forms override it and set
+        difference (scipy's ``approx_derivative``); it is correct for
+        every family but costs one model evaluation per parameter.
+        Subclasses with closed forms override it and set
         :attr:`has_analytic_jacobian`.
         """
         vector = self.params if params is None else tuple(float(v) for v in params)
@@ -342,22 +338,8 @@ class ResilienceModel(abc.ABC):
         def func(v: np.ndarray) -> FloatArray:
             return np.asarray(self.evaluate(t, v), dtype=np.float64)
 
-        if _approx_derivative is not None:
-            jac = _approx_derivative(func, x, method="2-point", bounds=(lower, upper))
-            return np.asarray(jac, dtype=np.float64).reshape(t.size, x.size)
-        # Minimal fallback: forward differences, stepping backward at
-        # the upper bound so the probe stays inside the box.
-        base = func(x)
-        jac = np.empty((t.size, x.size), dtype=np.float64)
-        root_eps = float(np.sqrt(np.finfo(np.float64).eps))
-        for j in range(x.size):
-            step = root_eps * max(abs(x[j]), 1.0)
-            if x[j] + step > upper[j]:
-                step = -step
-            bumped = x.copy()
-            bumped[j] += step
-            jac[:, j] = (func(bumped) - base) / step
-        return jac
+        jac = approx_derivative(func, x, method="2-point", bounds=(lower, upper))
+        return np.asarray(jac, dtype=np.float64).reshape(t.size, x.size)
 
     # ------------------------------------------------------------------
     # Batched evaluation — the contract behind the batched LM engine.

@@ -209,6 +209,33 @@ class _RefitPlan:
         )
 
 
+def _checked_observations(
+    points: Iterable[tuple[float, float]], *, after: float | None = None, key: str
+) -> list[tuple[float, float]]:
+    """*points* as ``(t, p)`` floats, checked for stream *key*.
+
+    Every value must be finite and every time strictly after the one
+    before it (*after*, the stream's last time, for the first point).
+
+    Raises
+    ------
+    ServingError
+        On the first point that breaks either rule.
+    """
+    batch = [(float(t), float(p)) for t, p in points]
+    last = after
+    for t, p in batch:
+        if not (np.isfinite(t) and np.isfinite(p)):
+            raise ServingError(f"observation must be finite, got ({t}, {p})")
+        if last is not None and t <= last:
+            raise ServingError(
+                f"observation at t={t} is not after the last time "
+                f"{last} (stream {key!r})"
+            )
+        last = t
+    return batch
+
+
 class OnlineForecaster:
     """A resilience curve under construction, with a live forecast.
 
@@ -277,26 +304,24 @@ class OnlineForecaster:
     # ------------------------------------------------------------------
     def observe(self, t: float, p: float) -> None:
         """Append one observation. Times must be strictly increasing."""
-        t = float(t)
-        p = float(p)
-        if not (np.isfinite(t) and np.isfinite(p)):
-            raise ServingError(f"observation must be finite, got ({t}, {p})")
-        if self._times and t <= self._times[-1]:
-            raise ServingError(
-                f"observation at t={t} is not after the last time "
-                f"{self._times[-1]} (stream {self.key!r})"
-            )
-        self._times.append(t)
-        self._performance.append(p)
-        self._curve_cache = None
-        self.stats["observations"] += 1
-        if self._tracer.enabled:
-            self._tracer.metrics.inc("serving.observations")
+        self.observe_many([(t, p)])
 
     def observe_many(self, points: Iterable[tuple[float, float]]) -> None:
-        """Append several ``(t, p)`` observations in order."""
-        for t, p in points:
-            self.observe(t, p)
+        """Append several ``(t, p)`` observations in order, all or none.
+
+        Every value must be finite and every time strictly after the
+        one before it (the stream's last time, for the first point).
+        A rejected batch appends nothing.
+        """
+        batch = _checked_observations(
+            points, after=self._times[-1] if self._times else None, key=self.key
+        )
+        self._times.extend(t for t, _ in batch)
+        self._performance.extend(p for _, p in batch)
+        self._curve_cache = None
+        self.stats["observations"] += len(batch)
+        if self._tracer.enabled:
+            self._tracer.metrics.inc("serving.observations", len(batch))
 
     # ------------------------------------------------------------------
     # State

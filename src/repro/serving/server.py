@@ -674,7 +674,6 @@ class ForecastServer:
         if not isinstance(points, list) or not points:
             raise ProtocolError("'points' must be a non-empty list of [t, p] pairs")
         self._admit_stream(key)
-        forecaster = None
         for pair in points:
             if (
                 not isinstance(pair, (list, tuple))
@@ -684,9 +683,10 @@ class ForecastServer:
                 raise ProtocolError(
                     f"'points' entries must be [t, p] number pairs, got {pair!r}"
                 )
-            self.session.observe(key, float(pair[0]), float(pair[1]))
-            forecaster = self.session[key]
-        assert forecaster is not None
+        # Every pair is checked before any is applied: a rejected request
+        # leaves the stream, and the registry, as they were.
+        self.session.observe_many(key, points)
+        forecaster = self.session[key]
         return {
             "key": key,
             "n": forecaster.n_observations,

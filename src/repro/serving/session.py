@@ -23,7 +23,7 @@ from repro.fitting.least_squares import _FailedPair, _fit_pairs
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
-from repro.serving.online import OnlineForecaster, RefitPolicy
+from repro.serving.online import OnlineForecaster, RefitPolicy, _checked_observations
 
 __all__ = ["ForecastSession", "PlannedRefit"]
 
@@ -162,9 +162,21 @@ class ForecastSession:
     # ------------------------------------------------------------------
     def observe(self, key: str, t: float, p: float) -> None:
         """Route one observation to stream *key*, auto-registering it."""
-        if key not in self._forecasters:
-            self.register(key)
-        self._forecasters[key].observe(t, p)
+        self.observe_many(key, [(t, p)])
+
+    def observe_many(self, key: str, points: Sequence[tuple[float, float]]) -> None:
+        """Route ``(t, p)`` observations to stream *key* as one batch,
+        auto-registering it.
+
+        All or none: a batch the stream rejects (see
+        :meth:`OnlineForecaster.observe_many`) changes neither the
+        stream nor the registry, so an unknown key stays unknown.
+        """
+        forecaster = self._forecasters.get(key)
+        if forecaster is None:
+            points = _checked_observations(points, key=key)
+            forecaster = self.register(key)
+        forecaster.observe_many(points)
 
     def push(self, event: StreamEvent) -> OnlineForecaster:
         """Route one :class:`~repro.datasets.stream.StreamEvent`."""

@@ -17,7 +17,6 @@ _OPTIONS = {
     "executor": None,
     "seed": 7,
     "n_random_starts": 2,
-    "jac": "auto",
 }
 
 

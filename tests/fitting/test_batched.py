@@ -53,7 +53,6 @@ def _problem_for(family, curve, x0=None, max_nfev=2000):
         lower=lower,
         upper=upper,
         max_nfev=max_nfev,
-        sqrt_weights=None,
         jac_mode="analytic" if family.has_analytic_jacobian else "2-point",
     )
 
@@ -124,22 +123,6 @@ class TestEngineParity:
             assert alt.sse == ref.sse
             assert alt.details["winner_start"] == ref.details["winner_start"]
 
-    def test_weighted_fit_parity(self, recession_1990):
-        weights = np.linspace(0.5, 2.0, len(recession_1990))
-        kwargs = dict(
-            n_random_starts=2, options=NO_CACHE, weights=tuple(weights)
-        )
-        ref = fit_least_squares(
-            make_model("competing_risks"), recession_1990, engine="scipy",
-            **kwargs,
-        )
-        alt = fit_least_squares(
-            make_model("competing_risks"), recession_1990, engine="batched",
-            **kwargs,
-        )
-        assert alt.params == ref.params
-        assert alt.sse == ref.sse
-
     def test_options_and_env_routes(self, recession_1990, monkeypatch):
         explicit = fit_least_squares(
             make_model("quadratic"), recession_1990,
@@ -166,8 +149,8 @@ class TestCounters:
             n_random_starts=3, options=NO_CACHE, engine="batched",
         )
         d = fit.details
-        assert d["nfev"] == sum(d["per_start_nfev"]) + d["confirm_nfev"] + d["polish_nfev"]
-        assert d["njev"] == sum(d["per_start_njev"]) + d["confirm_njev"] + d["polish_njev"]
+        assert d["nfev"] == sum(d["per_start_nfev"]) + d["confirm_nfev"]
+        assert d["njev"] == sum(d["per_start_njev"]) + d["confirm_njev"]
         assert d["confirm_nfev"] > 0  # the winner re-solve really ran
         assert len(d["per_start_iterations"]) == len(d["per_start_sse"])
         assert all(n >= 1 for n in d["per_start_nfev"])

@@ -1,14 +1,12 @@
-"""Content-addressed fit cache: keys, LRU, disk persistence, wiring."""
+"""Content-addressed fit cache: keys, LRU, environment default, wiring."""
 
 from __future__ import annotations
 
-import json
-
-import numpy as np
 import pytest
 
 from repro.core.curve import ResilienceCurve
 from repro.datasets.recessions import load_recession
+from repro.exceptions import FitError
 from repro.fitting.cache import (
     CACHE_ENV_VAR,
     FitCache,
@@ -136,23 +134,6 @@ class TestConcurrency:
         assert stats["evictions"] >= 100 - 64  # 100 distinct keys, 64 slots
 
 
-class TestDiskStore:
-    def test_roundtrip_across_instances(self, tmp_path):
-        path = tmp_path / "fits.json"
-        first = FitCache(path=path)
-        first.put("k", {"params": [1.0, 2.0], "sse": 0.5})
-        second = FitCache(path=path)
-        assert second.get("k") == {"params": [1.0, 2.0], "sse": 0.5}
-
-    def test_corrupt_store_is_ignored(self, tmp_path):
-        path = tmp_path / "fits.json"
-        path.write_text("{not json")
-        cache = FitCache(path=path)
-        assert cache.get("k") is None
-        cache.put("k", {"v": 1})  # and writes still succeed
-        assert json.loads(path.read_text())["entries"]["k"] == {"v": 1}
-
-
 class TestResolution:
     def test_false_disables(self):
         assert resolve_cache(False) is None
@@ -167,10 +148,13 @@ class TestResolution:
         monkeypatch.setenv(CACHE_ENV_VAR, "")
         assert default_fit_cache() is not None
 
-    def test_env_path_persists(self, monkeypatch, tmp_path):
+    def test_env_path_is_rejected(self, monkeypatch, tmp_path):
+        # The default cache lives in memory only: a file path is neither
+        # empty nor an off word, so it is an error, not a silent store.
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "fits.json"))
-        cache = default_fit_cache()
-        assert cache is not None and cache.path == tmp_path / "fits.json"
+        with pytest.raises(FitError, match=CACHE_ENV_VAR):
+            default_fit_cache()
+        assert not hasattr(FitCache(), "path")
 
     def test_env_maxsize_overrides_default(self, monkeypatch):
         from repro.fitting.cache import (
@@ -195,12 +179,22 @@ class TestResolution:
 
     @pytest.mark.parametrize("raw", ["zero", "0", "-4", "1.5"])
     def test_env_maxsize_invalid_raises(self, monkeypatch, raw):
-        from repro.exceptions import FitError
         from repro.fitting.cache import MAXSIZE_ENV_VAR, default_cache_maxsize
 
         monkeypatch.setenv(MAXSIZE_ENV_VAR, raw)
         with pytest.raises(FitError, match="positive integer"):
             default_cache_maxsize()
+
+    def test_env_maxsize_invalid_raises_on_every_call(self, monkeypatch):
+        from repro.fitting.cache import MAXSIZE_ENV_VAR
+
+        monkeypatch.setenv(CACHE_ENV_VAR, "")
+        monkeypatch.delenv(MAXSIZE_ENV_VAR, raising=False)
+        assert default_fit_cache() is not None
+        monkeypatch.setenv(MAXSIZE_ENV_VAR, "zero")
+        for _ in range(2):  # a failed rebuild must not leave the old cache
+            with pytest.raises(FitError, match="positive integer"):
+                default_fit_cache()
 
     def test_env_maxsize_registered(self):
         from repro._env import REGISTERED_ENV_VARS
@@ -237,24 +231,3 @@ class TestEngineIntegration:
         )
         assert bypass.details["cache_hit"] is False
         assert cache.stats()["hits"] == 0
-
-    def test_different_jac_modes_do_not_collide(self, curve):
-        cache = FitCache()
-        family = make_model("quadratic")
-        options = EngineOptions(cache=cache)
-        fit_least_squares(family, curve, options=options, jac="analytic")
-        second = fit_least_squares(family, curve, options=options, jac="2-point")
-        assert second.details["cache_hit"] is False
-        assert len(cache) == 2
-
-    def test_disk_cache_survives_process_boundary(self, curve, tmp_path):
-        path = tmp_path / "fits.json"
-        family = make_model("quadratic")
-        cold = fit_least_squares(
-            family, curve, options=EngineOptions(cache=FitCache(path=path))
-        )
-        warm = fit_least_squares(
-            family, curve, options=EngineOptions(cache=FitCache(path=path))
-        )
-        assert warm.details["cache_hit"] is True
-        np.testing.assert_array_equal(warm.model.params, cold.model.params)

@@ -6,12 +6,18 @@ import pytest
 from repro.core.curve import ResilienceCurve
 from repro.datasets.synthetic import curve_from_model
 from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.least_squares import fit_least_squares, fit_many
+from repro.fitting.least_squares import (
+    _StartWork,
+    _solve_start,
+    fit_least_squares,
+    fit_many,
+)
 from repro.fitting.options import EngineOptions
 from repro.models.base import ResilienceModel
 from repro.models.competing_risks import CompetingRisksResilienceModel
 from repro.models.mixture import MixtureResilienceModel
 from repro.models.quadratic import QuadraticResilienceModel
+from repro.models.registry import available_models, make_model
 
 #: Engine plumbing for fits that must really solve.
 NO_CACHE = EngineOptions(cache=False)
@@ -138,18 +144,23 @@ class TestNonFinitePenalty:
         assert result.sse < 1e-12
 
 
+def _solve_from(family, curve, x0, jac_mode):
+    """One scipy solve of *family* on *curve* from *x0* in *jac_mode*."""
+    return _solve_start(
+        _StartWork(
+            family, curve, tuple(x0), tuple(family.lower_bounds),
+            tuple(family.upper_bounds), 2000, jac_mode,
+        )
+    )
+
+
 class TestJacobianModes:
     def test_modes_reach_the_same_optimum(self, recession_1990):
         family = MixtureResilienceModel("wei", "exp")
-        analytic = fit_least_squares(
-            family, recession_1990, jac="analytic", options=NO_CACHE
-        )
-        numeric = fit_least_squares(
-            family, recession_1990, jac="2-point", options=NO_CACHE
-        )
+        (x0, *_) = family.initial_guesses(recession_1990)
+        analytic = _solve_from(family, recession_1990, x0, "analytic")
+        numeric = _solve_from(family, recession_1990, x0, "2-point")
         assert analytic.sse == pytest.approx(numeric.sse, rel=1e-6)
-        assert analytic.details["jac_mode"] == "analytic"
-        assert numeric.details["jac_mode"] == "2-point"
 
     def test_auto_resolves_by_family(self, recession_1990):
         mixture = fit_least_squares(
@@ -157,38 +168,29 @@ class TestJacobianModes:
         )
         assert mixture.details["jac_mode"] == "analytic"
 
+    @pytest.mark.parametrize("name", available_models())
+    def test_mode_follows_the_family(self, name, recession_1990):
+        family = make_model(name)
+        fit = fit_least_squares(
+            family, recession_1990, n_random_starts=0, options=NO_CACHE
+        )
+        expected = "analytic" if family.has_analytic_jacobian else "2-point"
+        assert fit.details["jac_mode"] == expected
+        assert (name == "segmented") == (expected == "2-point")
+
     def test_analytic_counts_jacobian_evals(self, recession_1990):
         result = fit_least_squares(
-            QuadraticResilienceModel(), recession_1990, jac="analytic",
-            options=NO_CACHE,
+            QuadraticResilienceModel(), recession_1990, options=NO_CACHE
         )
         assert result.details["njev"] > 0
         assert result.details["nfev"] == sum(result.details["per_start_nfev"])
 
     def test_analytic_spends_fewer_residual_evals(self, recession_1990):
         family = MixtureResilienceModel("wei", "exp")
-        analytic = fit_least_squares(
-            family, recession_1990, jac="analytic", options=NO_CACHE
-        )
-        numeric = fit_least_squares(
-            family, recession_1990, jac="2-point", options=NO_CACHE
-        )
-        assert analytic.details["nfev"] < numeric.details["nfev"]
-
-    def test_analytic_on_fallback_family_raises(self, recession_1990):
-        from repro.models.segmented import SegmentedBathtubModel
-
-        family = SegmentedBathtubModel()
-        if family.has_analytic_jacobian:  # pragma: no cover - future-proof
-            pytest.skip("segmented model grew a closed form")
-        with pytest.raises(FitError, match="no analytic Jacobian"):
-            fit_least_squares(family, recession_1990, jac="analytic")
-
-    def test_unknown_mode_raises(self, recession_1990):
-        with pytest.raises(FitError, match="jac must be one of"):
-            fit_least_squares(
-                QuadraticResilienceModel(), recession_1990, jac="3-point"
-            )
+        (x0, *_) = family.initial_guesses(recession_1990)
+        analytic = _solve_from(family, recession_1990, x0, "analytic")
+        numeric = _solve_from(family, recession_1990, x0, "2-point")
+        assert analytic.nfev < numeric.nfev
 
 
 class TestExtraStarts:

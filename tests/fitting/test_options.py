@@ -24,7 +24,7 @@ PLUMBING = EngineOptions(cache=False, trace=False)
 class TestMergeSemantics:
     def test_defaults(self):
         options = EngineOptions()
-        assert options.jac == "auto"
+        assert options.engine is None
         assert options.cache is None
         assert options.trace is None
         assert options.executor is None
@@ -52,19 +52,7 @@ class TestMergeSemantics:
 
     def test_override_no_changes_returns_self(self):
         options = EngineOptions(seed=7)
-        assert options.override(seed=None, jac=None) is options
-
-    def test_to_kwargs_defaults_are_empty(self):
-        # EngineOptions() must be a no-op everywhere: nothing to forward.
-        assert EngineOptions().to_kwargs() == {}
-
-    def test_to_kwargs_only_non_default_fields(self):
-        options = EngineOptions(seed=3, n_random_starts=5, cache=False)
-        assert options.to_kwargs() == {
-            "seed": 3,
-            "n_random_starts": 5,
-            "cache": False,
-        }
+        assert options.override(seed=None, max_nfev=None) is options
 
 
 class TestResolveEnvPrecedence:
@@ -191,7 +179,6 @@ class TestJsonRoundTrip:
         # when you do, and keep from_dict's missing-keys-keep-defaults
         # behavior so old config files stay readable.
         assert EngineOptions().to_dict() == {
-            "jac": "auto",
             "engine": None,
             "cache": None,
             "trace": None,
@@ -204,9 +191,8 @@ class TestJsonRoundTrip:
 
     def test_round_trip_is_lossless(self):
         options = EngineOptions(
-            jac="2-point", engine="batched", cache=False, trace=True,
-            executor="thread", n_workers=3, seed=11, n_random_starts=2,
-            max_nfev=500,
+            engine="batched", cache=False, trace=True, executor="thread",
+            n_workers=3, seed=11, n_random_starts=2, max_nfev=500,
         )
         assert EngineOptions.from_json(options.to_json()) == options
 
@@ -216,8 +202,8 @@ class TestJsonRoundTrip:
         assert text == EngineOptions(seed=1).to_json()
 
     def test_to_dict_keeps_default_valued_fields(self):
-        # Unlike to_kwargs: the payload reconstructs this exact bundle
-        # even if the library's defaults change between write and read.
+        # The payload reconstructs this exact bundle even if the
+        # library's defaults change between write and read.
         assert EngineOptions(seed=5).to_dict()["n_random_starts"] == 8
 
     def test_component_instances_refuse_to_serialize(self):
@@ -230,6 +216,11 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="unknown EngineOptions field"):
             EngineOptions.from_dict({"n_random_start": 3})
 
+    def test_removed_jac_field_is_unknown(self):
+        # A config file written before the Jacobian switch was removed.
+        with pytest.raises(ValueError, match=r"field\(s\) \['jac'\]"):
+            EngineOptions.from_json('{"jac": "auto", "seed": 3}')
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -237,7 +228,7 @@ class TestJsonRoundTrip:
             {"seed": 1.5},
             {"cache": "no"},
             {"max_nfev": True},
-            {"jac": None},
+            {"engine": 3},
         ],
     )
     def test_wrongly_typed_values_raise(self, payload):
@@ -308,3 +299,16 @@ def test_solver_internal_kwarg_is_a_type_error(entry, name, recession_1990):
     lone fit does."""
     with pytest.raises(TypeError, match=name):
         ENTRY_POINTS[entry](recession_1990, **{name: SOLVER_INTERNALS[name]})
+
+
+#: Settings the fit engine does not have: the objective is plain least
+#: squares, and the Jacobian mode follows the family.
+REMOVED_SETTINGS = {"jac": "2-point", "weights": (1.0,)}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_SETTINGS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_removed_setting_is_a_type_error(entry, name, recession_1990):
+    """No entry point takes ``jac=`` or ``weights=``."""
+    with pytest.raises(TypeError, match=name):
+        ENTRY_POINTS[entry](recession_1990, **{name: REMOVED_SETTINGS[name]})

@@ -151,3 +151,24 @@ def test_grid_with_failing_cell_raises_like_the_per_cell_loop(engine):
         _fit_grid(pairs, options)
     assert str(stacked.value) == str(looped.value)
     assert str(stacked.value).endswith("to b")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "bad_start",
+    [(1.0, -0.01, 0.001), (1.0, float("nan"), 0.5, 2.0)],
+    ids=["wrong-length", "non-finite"],
+)
+def test_bad_start_fails_only_its_own_pair(engine, bad_start):
+    curve = load_recession("1990-93")
+    good = _FitPair(make_model("quadratic"), curve, starts=[(1.0, -0.01, 0.001)])
+    bad = _FitPair(make_model("wei-exp"), curve, starts=[bad_start])
+    fitted, failed = _fit_pairs([good, bad], options=_options(engine, 0))
+    lone = fit_least_squares(
+        good.family, curve, options=_options(engine, 0), starts=good.starts
+    )
+    assert _outcome(fitted) == _outcome(lone)
+    assert isinstance(failed, _FailedPair)
+    assert type(failed.error) is FitError
+    assert "start" in str(failed.error)
+    assert failed.n_starts == 0

@@ -306,6 +306,47 @@ class TestMalformedAndNonFinite:
 
         serve(body)
 
+    def test_rejected_points_change_nothing(self):
+        async def body(server, client):
+            assert (await client.rpc(op="observe", key="a", points=[[0, 1.0]]))["ok"]
+            rejected = await client.rpc(
+                op="observe", key="a", points=[[1, 0.9], [2, "x"]]
+            )
+            assert rejected["error"]["code"] == 400
+            assert rejected["error"]["type"] == "ProtocolError"
+            assert server.session["a"].n_observations == 1
+
+        serve(body)
+
+    def test_out_of_order_points_change_nothing(self):
+        async def body(server, client):
+            assert (await client.rpc(op="observe", key="a", points=[[0, 1.0]]))["ok"]
+            rejected = await client.rpc(
+                op="observe", key="a", points=[[3, 0.9], [2.5, 0.8]]
+            )
+            assert rejected["error"] == {
+                "code": 400,
+                "type": "ServingError",
+                "message": "observation at t=2.5 is not after the last time "
+                "3.0 (stream 'a')",
+            }
+            assert server.session["a"].n_observations == 1
+            # t=3 was not applied, so it is still a valid next time.
+            accepted = await client.rpc(op="observe", key="a", points=[[3, 0.9]])
+            assert accepted["ok"] and accepted["result"]["n"] == 2
+
+        serve(body)
+
+    def test_rejected_points_register_no_stream(self):
+        async def body(server, client):
+            for points in ([[1, 0.9], [2, "x"]], [[3, 0.9], [2.5, 0.8]]):
+                rejected = await client.rpc(op="observe", key="new", points=points)
+                assert rejected["error"]["code"] == 400
+            assert "new" not in server.session
+            assert len(server.session) == 0
+
+        serve(body)
+
 
 class TestAdmission:
     def test_register_beyond_cap_is_429(self):
