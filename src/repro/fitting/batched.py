@@ -20,8 +20,8 @@ classic damped Levenberg–Marquardt iteration across the whole batch:
   parameter stays exactly on its bound, so a start whose optimum lies
   on the box (the quadratic's β ≤ 0 bathtub orientation on a rising
   curve) converges instead of crawling along the bound to ``max_nfev``
-  (the winning start is re-solved by scipy's trust-region-reflective
-  solver in ``fit_least_squares``, so the final optimum is always a
+  (the winning start is then confirmed along scipy's
+  trust-region-reflective trajectory, so the final optimum is always a
   scipy-converged point — the golden-table oracle);
 * converged problems are *frozen out* of the active index set: their
   parameters and counters never move again, and stragglers no longer pay
@@ -193,13 +193,13 @@ def solve_batched(
     input order.
 
     The tolerances match the scipy path's 1e-12. The fit engine uses
-    this kernel to *screen* multi-start candidates and re-solves the
-    winner with scipy, so in principle the per-problem SSE only has to
-    be accurate within the reduce's 1e-8 relative winner-selection
-    band — but looser stopping lets near-flat problems freeze with an
-    SSE error of the same order as that band, which is exactly the
-    failure mode that flips winners between engines. Full tightness
-    costs little once the damping schedule adapts per step.
+    this kernel to *screen* multi-start candidates and confirms the
+    winner along scipy's trajectory, so in principle the per-problem
+    SSE only has to be accurate within the reduce's 1e-8 relative
+    winner-selection band — but looser stopping lets near-flat problems
+    freeze with an SSE error of the same order as that band, which is
+    exactly the failure mode that flips winners between engines. Full
+    tightness costs little once the damping schedule adapts per step.
     """
     groups: dict[tuple[str, int, str], list[int]] = {}
     for index, problem in enumerate(problems):

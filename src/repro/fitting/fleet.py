@@ -12,7 +12,9 @@ kernel call:
   solved on its own episode: a ragged chunk makes one group per
   distinct length.
 * Each cell is finished like a lone fit: its winning start is
-  re-solved by scipy from its original x0, so fleet winners are
+  confirmed along scipy's trajectory from its original x0 (the
+  confirms of a whole chunk run in one stacked
+  :mod:`~repro.fitting.trf` call), so fleet winners are
   **bit-identical** (params and SSE) to looping
   :func:`~repro.fitting.fit_least_squares` over the episodes.
 
@@ -306,8 +308,8 @@ def fit_fleet(
         independent of the fleet size.
     confirm:
         Keep the screen-then-confirm contract (default): each cell's
-        winning start is re-solved by scipy from its original x0,
-        making fleet results bit-identical to looping
+        winning start is confirmed along scipy's trajectory from its
+        original x0, making fleet results bit-identical to looping
         :func:`~repro.fitting.fit_least_squares`. ``False`` skips the
         confirmation and reports the screened optima — faster, with
         SSE agreement to ~1e-8 instead of bit-identity.

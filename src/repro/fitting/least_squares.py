@@ -22,14 +22,20 @@ Two layers keep the engine cheap:
   entirely.
 
 A third layer is opt-in: ``engine="batched"`` routes the multi-start
-exploration through :mod:`repro.fitting.batched`, a pure-numpy batched
-Levenberg–Marquardt kernel that advances every start in lockstep and
-amortizes the per-call dispatch overhead across the whole batch. The
-batched kernel *screens* the starts; the winning start is then
-re-solved by scipy from its original x0 (one solve instead of one per
-start), so the final optimum is the exact scipy trajectory and the
-rendered tables are byte-identical under both engines (the scipy path
-stays the oracle).
+exploration of every family with a closed-form Jacobian through
+:mod:`repro.fitting.batched`, a pure-numpy batched Levenberg–Marquardt
+kernel that advances every start in lockstep and amortizes the per-call
+dispatch overhead across the whole batch. The LM kernel *screens* the
+starts; the winning start is then *confirmed*: re-solved from its
+original x0 along the exact trajectory scipy's trust-region-reflective
+solver takes (one solve instead of one per start), so the final optimum
+is scipy's and the rendered tables are byte-identical under both
+engines (the scipy path stays the oracle). The confirms of every pair
+of a call run together, in stacked rounds, through
+:mod:`repro.fitting.trf`, a bit-exact stacked port of scipy's trf; a
+run-time guard falls back to one scipy call per confirm wherever that
+port is not verified. A family without a closed-form Jacobian
+(``segmented``) is solved by scipy start by start on either engine.
 
 Every fit runs through :func:`_solve_pairs`, which takes many
 ``(family, curve)`` pairs and solves the starts of all of them at once:
@@ -44,21 +50,18 @@ keywords.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence, cast
 
 import numpy as np
+import scipy
 from scipy import optimize
 
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.batched import (
-    _PENALTY_SCALE,
-    BatchedProblem,
-    resolve_engine,
-    solve_batched,
-)
+from repro.fitting.batched import BatchedProblem, resolve_engine, solve_batched
 from repro.fitting.cache import (
     FitCache,
     fit_cache_key,
@@ -71,7 +74,15 @@ from repro.fitting.options import (
     EngineOptions,
 )
 from repro.fitting.result import FitResult
+from repro.fitting.trf import (
+    TOLERANCE,
+    VERIFIED_SCIPY_VERSIONS,
+    _penalty_gradient,
+    _penalty_value,
+    solve_trf,
+)
 from repro.models.base import ResilienceModel
+from repro.models.registry import make_model
 from repro.observability.tracer import (
     NULL_TRACER,
     Tracer,
@@ -95,19 +106,6 @@ logger = logging.getLogger("repro.fitting")
 #: Distinct local optima in these families are separated by many orders
 #: of magnitude more than this, so the rule never crosses basins.
 _REDUCE_RTOL = 1e-8
-
-
-def _penalty_value(vector: np.ndarray) -> float:
-    """Smoothly increasing replacement for non-finite residuals."""
-    return _PENALTY_SCALE * (1.0 + float(np.linalg.norm(vector)))
-
-
-def _penalty_gradient(vector: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`_penalty_value` with respect to θ."""
-    norm = float(np.linalg.norm(vector))
-    if norm < 1e-12:
-        return np.zeros_like(vector)
-    return (_PENALTY_SCALE / norm) * np.asarray(vector, dtype=np.float64)
 
 
 class _StartOutcome(NamedTuple):
@@ -183,10 +181,9 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
             bounds=(lower, upper),
             method="trf",
             max_nfev=work.max_nfev,
-            # Far below the 8-decimal precision tables are rendered at.
-            ftol=1e-12,
-            xtol=1e-12,
-            gtol=1e-12,
+            ftol=TOLERANCE,
+            xtol=TOLERANCE,
+            gtol=TOLERANCE,
         )
     except (ValueError, FloatingPointError):
         return _StartOutcome(
@@ -210,6 +207,23 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
     )
 
 
+class _Reduced(NamedTuple):
+    """A pair's start outcomes reduced to the screened winner."""
+
+    winner: Any
+    winner_index: int
+    failures: int
+    threshold: float
+    candidates: tuple[int, ...]
+
+
+class _Confirm(NamedTuple):
+    """One solve of a pair's confirm walk, kept for the pair's trace."""
+
+    index: int
+    outcome: Any
+
+
 class _WinnerSelection(NamedTuple):
     """Outcome of the reduce → confirm pipeline."""
 
@@ -221,30 +235,22 @@ class _WinnerSelection(NamedTuple):
     failures: int
     confirm_nfev: int
     confirm_njev: int
+    confirms: tuple[_Confirm, ...] = ()
 
 
-def _select_and_confirm(
+def _reduce(
     family: ResilienceModel,
     curve: ResilienceCurve,
-    start_vectors: Sequence[tuple[float, ...]],
+    n_starts: int,
     outcomes: Sequence[Any],
-    *,
-    lower: tuple[float, ...],
-    upper: tuple[float, ...],
-    max_nfev: int,
-    jac_mode: str,
-    confirm: bool,
-    tracer: Any,
-) -> _WinnerSelection:
-    """Reduce multi-start *outcomes* to the final optimum.
+) -> _Reduced:
+    """Reduce multi-start *outcomes* to the screened winner.
 
     Reduction happens in start order — identical on every backend
     regardless of which produced the outcomes. The winner is the
     earliest start whose SSE lies within the ``_REDUCE_RTOL`` band of
-    the best (see the constant's rationale), not the strict argmin.
-    With *confirm* (batched-engine outcomes) the winning start is then
-    re-solved by scipy from its original x0 (the screen-then-confirm
-    contract).
+    the best (see the constant's rationale), not the strict argmin;
+    ``candidates`` are every start inside the band, in order.
 
     Raises
     ------
@@ -261,97 +267,236 @@ def _select_and_confirm(
 
     if not np.isfinite(min_sse):
         raise ConvergenceError(
-            f"all {len(start_vectors)} starts failed fitting "
+            f"all {n_starts} starts failed fitting "
             f"{family.name!r} to {curve.name or '<curve>'}"
         )
     threshold = min_sse + _REDUCE_RTOL * abs(min_sse)
-    winner_index = next(
+    candidates = tuple(
         index
         for index, outcome in enumerate(outcomes)
         if outcome.vector is not None and outcome.sse <= threshold
     )
-    winner = outcomes[winner_index]
-    assert winner.vector is not None  # the generator above filters failures
-    best_sse = float(winner.sse)
-    best_vector: tuple[float, ...] = winner.vector
-    best_message = winner.message
-    best_converged = winner.converged
-
-    # The batched kernel only *screens* the starts: it finds the basin
-    # and ranks the candidates, but its iterates are not scipy's. Each
-    # in-band candidate is re-solved by scipy from its original x0, in
-    # start order, until one lands back inside the band — that solve is
-    # the exact trajectory the scipy engine would have produced for the
-    # same start, so rendered artifacts are byte-identical. (The loop,
-    # rather than a single confirmation, covers the rare start whose
-    # batched iterates and scipy iterates descend into different
-    # basins; in the common case exactly one solve runs.)
-    confirm_nfev = 0
-    confirm_njev = 0
-    if confirm:
-        chosen: _StartOutcome | None = None
-        fallback: _StartOutcome | None = None
-        for index, outcome in enumerate(outcomes):
-            if outcome.vector is None or outcome.sse > threshold:
-                continue
-            confirm = _solve_start(
-                _StartWork(
-                    family, curve, start_vectors[index], lower, upper,
-                    max_nfev, jac_mode,
-                )
-            )
-            confirm_nfev += confirm.nfev
-            confirm_njev += confirm.njev
-            if tracer.enabled:
-                tracer.record(
-                    "fit.confirm",
-                    confirm.seconds,
-                    index=index,
-                    nfev=confirm.nfev,
-                    njev=confirm.njev,
-                    converged=confirm.converged,
-                )
-            if confirm.vector is None:
-                continue
-            if fallback is None or confirm.sse < fallback.sse:
-                fallback = confirm
-            if confirm.sse <= threshold:
-                chosen = confirm
-                winner_index = index
-                break
-        if chosen is None:
-            # scipy never reached the screened basin from any in-band
-            # x0; restart it from the screened optimum itself so the
-            # result is still a scipy-converged point, and keep the
-            # best confirmation if that somehow does better.
-            rescue = _solve_start(
-                _StartWork(
-                    family, curve, best_vector, lower, upper, max_nfev, jac_mode
-                )
-            )
-            confirm_nfev += rescue.nfev
-            confirm_njev += rescue.njev
-            contenders = [
-                o for o in (fallback, rescue) if o is not None and o.vector is not None
-            ]
-            if contenders:
-                chosen = min(contenders, key=lambda o: o.sse)
-        if chosen is not None:
-            best_sse = chosen.sse
-            best_vector = chosen.vector
-            best_message = chosen.message
-            best_converged = chosen.converged
-
-    return _WinnerSelection(
-        sse=best_sse,
-        vector=best_vector,
-        message=best_message,
-        converged=best_converged,
-        winner_index=int(winner_index),
-        failures=failures,
-        confirm_nfev=confirm_nfev,
-        confirm_njev=confirm_njev,
+    return _Reduced(
+        outcomes[candidates[0]], candidates[0], failures, threshold, candidates
     )
+
+
+class _Walk:
+    """One pair's confirm walk: its in-band candidates, re-solved in
+    start order until one lands back inside the band."""
+
+    def __init__(self, entry: _PreparedPair, reduced: _Reduced) -> None:
+        self.entry = entry
+        self.reduced = reduced
+        self.chosen: Any = None
+        self.fallback: Any = None
+        self.winner_index = reduced.winner_index
+        self.nfev = 0
+        self.njev = 0
+        self.confirms: list[_Confirm] = []
+
+    def work(self, x0: tuple[float, ...], max_nfev: int) -> _StartWork:
+        entry = self.entry
+        return _StartWork(
+            entry.pair.family, entry.pair.curve, x0, entry.lower, entry.upper,
+            max_nfev, entry.jac_mode,
+        )
+
+    def take(self, index: int, outcome: Any) -> None:
+        """Account for the solve of candidate *index*."""
+        self.nfev += outcome.nfev
+        self.njev += outcome.njev
+        self.confirms.append(_Confirm(index, outcome))
+        if outcome.vector is None:
+            return
+        if self.fallback is None or outcome.sse < self.fallback.sse:
+            self.fallback = outcome
+        if outcome.sse <= self.reduced.threshold:
+            self.chosen = outcome
+            self.winner_index = index
+
+    def rescue(self, outcome: Any) -> None:
+        """Account for the solve from the screened optimum and keep the
+        best of it and the best confirmation."""
+        self.nfev += outcome.nfev
+        self.njev += outcome.njev
+        contenders = [
+            o
+            for o in (self.fallback, outcome)
+            if o is not None and o.vector is not None
+        ]
+        if contenders:
+            self.chosen = min(contenders, key=lambda o: o.sse)
+
+    def selection(self) -> _WinnerSelection:
+        """The final optimum: the confirmed one, else the screened winner."""
+        best = self.chosen if self.chosen is not None else self.reduced.winner
+        return _WinnerSelection(
+            sse=float(best.sse),
+            vector=best.vector,
+            message=best.message,
+            converged=best.converged,
+            winner_index=int(self.winner_index),
+            failures=self.reduced.failures,
+            confirm_nfev=self.nfev,
+            confirm_njev=self.njev,
+            confirms=tuple(self.confirms),
+        )
+
+
+def _confirm_winners(walks: Sequence[_Walk], max_nfev: int) -> None:
+    """Run the confirm walks of many pairs in stacked rounds.
+
+    The batched kernel only *screens* the starts: it finds the basin and
+    ranks the candidates, but its iterates are not scipy's. Each pair's
+    in-band candidates are re-solved from their original x0, in start
+    order, until one lands back inside the band; that solve is the exact
+    trajectory the scipy engine takes from the same start, so rendered
+    artifacts are byte-identical. (The walk, rather than one solve,
+    covers the rare start whose batched and scipy iterates descend into
+    different basins; usually the first candidate confirms.) A pair
+    whose candidates all miss restarts from the screened optimum itself
+    and keeps the better of that rescue and its best confirmation.
+
+    Pairs are independent, so round *r* solves the *r*-th candidate of
+    every pair still unconfirmed in one :func:`_confirm_round` call, and
+    one last call rescues the rest — the serial walk's solves, outcomes
+    and counts, grouped.
+    """
+    rank = 0
+    while True:
+        walking = [
+            walk
+            for walk in walks
+            if walk.chosen is None and rank < len(walk.reduced.candidates)
+        ]
+        if not walking:
+            break
+        indices = [walk.reduced.candidates[rank] for walk in walking]
+        outcomes = _confirm_round(
+            [
+                walk.work(walk.entry.start_vectors[index], max_nfev)
+                for walk, index in zip(walking, indices)
+            ]
+        )
+        for walk, index, outcome in zip(walking, indices, outcomes):
+            walk.take(index, outcome)
+        rank += 1
+    stranded = [walk for walk in walks if walk.chosen is None]
+    if stranded:
+        outcomes = _confirm_round(
+            [walk.work(walk.reduced.winner.vector, max_nfev) for walk in stranded]
+        )
+        for walk, outcome in zip(stranded, outcomes):
+            walk.rescue(outcome)
+
+
+def _confirm_round(works: Sequence[_StartWork]) -> list[Any]:
+    """Solve one round of confirm starts: all of them in one stacked
+    :func:`~repro.fitting.trf.solve_trf` call when the kernel is trusted
+    (:func:`_kernel_trusted`), else with one :func:`_solve_start` each.
+
+    Both give every start's exact scipy outcome; a start the kernel
+    hands back, and every start of a kernel call that raises, is solved
+    by :func:`_solve_start`.
+    """
+    outcomes: list[Any] = [None] * len(works)
+    if _kernel_trusted():
+        try:
+            outcomes = list(solve_trf([_as_problem(work) for work in works]))
+        except Exception:  # noqa: BLE001 - any kernel failure falls back to scipy
+            logger.warning(
+                "stacked trf kernel failed; confirming with scipy", exc_info=True
+            )
+            outcomes = [None] * len(works)
+    return [
+        outcome if outcome is not None else _solve_start(work)
+        for work, outcome in zip(works, outcomes)
+    ]
+
+
+def _as_problem(work: _StartWork) -> BatchedProblem:
+    curve = work.curve
+    return BatchedProblem(
+        work.family,
+        tuple(float(v) for v in curve.times),
+        tuple(float(v) for v in curve.performance),
+        work.x0,
+        work.lower,
+        work.upper,
+        work.max_nfev,
+        work.jac_mode,
+    )
+
+
+@functools.cache
+def _kernel_trusted() -> bool:
+    """Whether :func:`_confirm_round` may use the stacked trf kernel.
+
+    Two checks, each made once per process: scipy's version is one the
+    kernel's equality tests passed on
+    (:data:`~repro.fitting.trf.VERIFIED_SCIPY_VERSIONS`), and a probe of
+    fixed problems — quadratic, competing-risks and a Weibull mixture,
+    starts inside the box and on its bounds, a budget that runs out —
+    comes out of the kernel exactly as :func:`_solve_start` solves it.
+    """
+    if scipy.__version__ not in VERIFIED_SCIPY_VERSIONS:
+        return False
+    works = _probe_works()
+    try:
+        kernel = solve_trf([_as_problem(work) for work in works])
+    except Exception:  # noqa: BLE001 - a probe that raises means "do not trust"
+        logger.warning(
+            "stacked trf kernel probe failed; confirming with scipy", exc_info=True
+        )
+        return False
+    return all(
+        outcome is not None and _same_outcome(outcome, _solve_start(work))
+        for work, outcome in zip(works, kernel)
+    )
+
+
+def _same_outcome(a: Any, b: Any) -> bool:
+    """Field-for-field equality of two solve outcomes (timing aside)."""
+    return (
+        a.vector == b.vector
+        and (a.sse == b.sse or (np.isnan(a.sse) and np.isnan(b.sse)))
+        and a.message == b.message
+        and a.converged == b.converged
+        and a.nfev == b.nfev
+        and a.njev == b.njev
+    )
+
+
+def _probe_works() -> list[_StartWork]:
+    """The fixed problems :func:`_kernel_trusted` checks the kernel on."""
+    times = np.arange(20.0)
+    performance = (
+        1.0
+        - 0.3 * np.exp(-(((times - 6.0) / 3.0) ** 2))
+        + 0.15 * (times / 19.0) ** 2
+        + 0.004 * np.sin(1.7 * times)
+    )
+    curve = ResilienceCurve(times, performance, nominal=1.0, name="probe")
+    works: list[_StartWork] = []
+    # The mixture's second seed has Weibull shape 2 (a scalar-pow row)
+    # and a budget that runs out.
+    for name, seed, max_nfev in (
+        ("quadratic", 0, 200), ("competing_risks", 0, 200), ("wei-exp", 1, 25)
+    ):
+        family = make_model(name)
+        lower = tuple(float(v) for v in family.lower_bounds)
+        upper = tuple(float(v) for v in family.upper_bounds)
+        seeded = tuple(float(v) for v in family.initial_guesses(curve)[seed])
+        # Capping all but the first parameter at 1 puts the quadratic's
+        # β and the competing-risks γ on their upper bounds, so the
+        # solver steps off the box and reflects from it.
+        starts = [seeded, (seeded[0],) + tuple(min(u, 1.0) for u in upper[1:])]
+        works.extend(
+            _StartWork(family, curve, start, lower, upper, max_nfev, "analytic")
+            for start in starts
+        )
+    return works
 
 
 def fit_least_squares(
@@ -423,8 +568,9 @@ def fit_least_squares(
         per start — the golden-table oracle) or ``"batched"`` (the
         :mod:`repro.fitting.batched` vectorized Levenberg–Marquardt
         kernel, which screens all starts in one stacked solve and then
-        re-solves the winning start with scipy from its original x0,
-        so rendered artifacts are byte-identical under both engines).
+        confirms the winning start along scipy's own trajectory from
+        its original x0, so rendered artifacts are byte-identical under
+        both engines).
         ``None`` defers to
         ``options.engine`` and then the ``REPRO_FIT_ENGINE``
         environment variable (default ``"scipy"``).
@@ -605,28 +751,33 @@ def _solve_pairs(
     """Fit every ``(family, curve)`` pair under *opts* at once.
 
     The one place a batch of fits is solved (see the module docstring).
-    It works in three steps:
+    It works in four steps:
 
     1. *prepare* each pair exactly as a lone fit does: validation,
        cache lookup (a hit is final here) and start generation;
     2. *solve* the starts of every pair that missed the cache at once:
        one :func:`~repro.fitting.batched.solve_batched` call on the
        batched engine, which groups problems by family and length, or
-       one executor map of all start units on scipy;
-    3. *finish* each pair in order: winner selection, scipy
-       confirmation, the cache write and the :class:`FitResult`.
+       one executor map of all start units on scipy (and, on the
+       batched engine, for families without a closed-form Jacobian);
+    3. *select* each pair's winner and, for pairs the batched kernel
+       screened, *confirm* it: the confirm walks of all pairs run in
+       stacked rounds (:func:`_confirm_winners`);
+    4. *finish* each pair in order: the cache write and the
+       :class:`FitResult`.
 
-    The kernel freezes each problem on its own, so stacking changes no
+    The kernels freeze each problem on its own, so stacking changes no
     problem's trajectory and every result is bit-identical to a lone
     :func:`fit_least_squares` with the same arguments. Stacking saves
-    the kernel's per-iteration overhead: a group iterates until its
-    slowest start freezes, so one call pays the longest loop of each
+    the kernels' per-iteration overhead: a group iterates until its
+    slowest problem stops, so one call pays the longest loop of each
     group instead of the sum of every call's loop.
 
     ``confirm=False`` reports the batched engine's screened optima
-    without the scipy confirmation (the fleet's screen-only mode). With
+    without the confirmation (the fleet's screen-only mode). With
     *fit_spans* each pair gets a ``"fit"`` span around its finish step;
-    its share of the shared solve is on its ``"fit.start"`` children.
+    its share of the shared solves is on its ``"fit.start"`` and
+    ``"fit.confirm"`` children.
     Every lookup happens before any solve, so a cache key repeated
     within one call is solved once per occurrence.
 
@@ -650,7 +801,11 @@ def _solve_pairs(
             entries.append(_FailedPair(exc, 0))
 
     prepared = [entry for entry in entries if isinstance(entry, _PreparedPair)]
-    outcomes = iter(_solve_starts(prepared, opts, engine_mode, tracer))
+    per_pair = _solve_starts(prepared, opts, engine_mode, tracer)
+    selections = iter(
+        _select_winners(prepared, per_pair, opts.max_nfev, confirm, engine_mode)
+    )
+    outcomes = iter(per_pair)
 
     span_tracer = tracer if fit_spans else NULL_TRACER
     fits: list[FitResult | _FailedPair] = []
@@ -670,8 +825,8 @@ def _solve_pairs(
                     entry
                     if isinstance(entry, FitResult)
                     else _finish_pair(
-                        entry, next(outcomes), opts, engine_mode,
-                        confirm=confirm, fit_cache=fit_cache, tracer=tracer,
+                        entry, next(outcomes), next(selections), engine_mode,
+                        fit_cache=fit_cache, tracer=tracer,
                     )
                 )
                 if span_tracer.enabled:
@@ -686,6 +841,49 @@ def _solve_pairs(
             continue
         fits.append(fit)
     return fits
+
+
+def _select_winners(
+    prepared: Sequence[_PreparedPair],
+    per_pair: Sequence[Sequence[Any]],
+    max_nfev: int,
+    confirm: bool,
+    engine_mode: str,
+) -> list[_WinnerSelection | ConvergenceError]:
+    """Each prepared pair's final optimum, or the
+    :class:`~repro.exceptions.ConvergenceError` its fit raises; pairs the
+    batched kernel screened are confirmed together (with *confirm*)."""
+    walks: list[_Walk | ConvergenceError] = []
+    for entry, outcomes in zip(prepared, per_pair):
+        try:
+            reduced = _reduce(
+                entry.pair.family, entry.pair.curve, len(entry.start_vectors), outcomes
+            )
+        except ConvergenceError as exc:
+            walks.append(exc)
+            continue
+        walks.append(_Walk(entry, reduced))
+    if confirm:
+        _confirm_winners(
+            [
+                walk
+                for walk in walks
+                if isinstance(walk, _Walk) and _screened(walk.entry, engine_mode)
+            ],
+            max_nfev,
+        )
+    return [
+        walk if isinstance(walk, ConvergenceError) else walk.selection()
+        for walk in walks
+    ]
+
+
+def _screened(entry: _PreparedPair, engine_mode: str) -> bool:
+    """Whether the batched LM kernel screens *entry*'s starts: on the
+    batched engine, for families with a closed-form Jacobian. A
+    ``2-point`` family's starts are solved by scipy on either engine, so
+    its result needs no confirmation."""
+    return engine_mode == "batched" and entry.jac_mode == "analytic"
 
 
 def _prepare_pair(
@@ -753,7 +951,7 @@ def _prepare_pair(
                 "cache.hits" if record is not None else "cache.misses"
             )
         if record is not None:
-            details = dict(record.get("details", {}))
+            details = _copied_details(record.get("details", {}))
             details["cache_hit"] = True
             return FitResult(
                 model=family.bind(tuple(float(v) for v in record["params"])),
@@ -822,16 +1020,19 @@ def _solve_starts(
 ) -> list[Sequence[Any]]:
     """Run every start of every prepared pair at once; the outcomes
     come back split per pair, in start order."""
-    if not prepared:
-        return []
-    flat: Sequence[Any]
-    if engine_mode == "batched":
-        # Every start of every pair goes into one stacked LM solve;
-        # counters stay per-problem (each batched residual evaluation
-        # charges one nfev to every start it served), so the reduce and
-        # the traces below see the same shape as the scipy path.
+    per_pair: list[Sequence[Any]] = [()] * len(prepared)
+    screened = [i for i, entry in enumerate(prepared) if _screened(entry, engine_mode)]
+    mapped = [
+        i for i, entry in enumerate(prepared) if not _screened(entry, engine_mode)
+    ]
+    if screened:
+        # Every screened start goes into one stacked LM solve; counters
+        # stay per-problem (each batched residual evaluation charges one
+        # nfev to every start it served), so the reduce and the traces
+        # see the same shape as the scipy path.
         problems: list[BatchedProblem] = []
-        for entry in prepared:
+        for i in screened:
+            entry = prepared[i]
             curve = entry.pair.curve
             times = tuple(float(v) for v in curve.times)
             targets = tuple(float(v) for v in curve.performance)
@@ -842,14 +1043,14 @@ def _solve_starts(
                 )
                 for start in entry.start_vectors
             )
-        flat = solve_batched(problems)
-    else:
+        _split(per_pair, screened, prepared, solve_batched(problems))
+    if mapped:
         work_units = [
             _StartWork(
                 entry.pair.family, entry.pair.curve, start, entry.lower,
                 entry.upper, opts.max_nfev, entry.jac_mode,
             )
-            for entry in prepared
+            for entry in (prepared[i] for i in mapped)
             for start in entry.start_vectors
         ]
         # An explicit trace=False also masks any ambient tracer, so the
@@ -858,32 +1059,43 @@ def _solve_starts(
             flat = get_executor(opts.executor, max_workers=opts.n_workers).map(
                 _solve_start, work_units
             )
-    per_pair: list[Sequence[Any]] = []
-    cursor = 0
-    for entry in prepared:
-        per_pair.append(flat[cursor : cursor + len(entry.start_vectors)])
-        cursor += len(entry.start_vectors)
+        _split(per_pair, mapped, prepared, flat)
     return per_pair
+
+
+def _split(
+    per_pair: list[Sequence[Any]],
+    positions: Sequence[int],
+    prepared: Sequence[_PreparedPair],
+    flat: Sequence[Any],
+) -> None:
+    """Hand the flat outcomes of the pairs at *positions* back per pair."""
+    cursor = 0
+    for i in positions:
+        n_starts = len(prepared[i].start_vectors)
+        per_pair[i] = flat[cursor : cursor + n_starts]
+        cursor += n_starts
 
 
 def _finish_pair(
     entry: _PreparedPair,
     outcomes: Sequence[Any],
-    opts: EngineOptions,
+    selection: _WinnerSelection | ConvergenceError,
     engine_mode: str,
     *,
-    confirm: bool,
     fit_cache: FitCache | None,
     tracer: Any,
 ) -> FitResult:
-    """Reduce one pair's start *outcomes* to its :class:`FitResult` and
-    write it to the cache.
+    """Turn one pair's start *outcomes* and final optimum into its
+    :class:`FitResult`, trace them and write the result to the cache.
 
     Raises
     ------
     ConvergenceError
         If every start failed to produce a finite optimum.
     """
+    if isinstance(selection, ConvergenceError):
+        raise selection
     family, curve = entry.pair.family, entry.pair.curve
     if tracer.enabled:
         for index, outcome in enumerate(outcomes):
@@ -898,13 +1110,15 @@ def _finish_pair(
                 failed=outcome.vector is None,
             )
             tracer.metrics.observe("fit.start_seconds", outcome.seconds)
-
-    selection = _select_and_confirm(
-        family, curve, entry.start_vectors, outcomes,
-        lower=entry.lower, upper=entry.upper, max_nfev=opts.max_nfev,
-        jac_mode=entry.jac_mode, confirm=confirm and engine_mode == "batched",
-        tracer=tracer,
-    )
+        for confirmed in selection.confirms:
+            tracer.record(
+                "fit.confirm",
+                confirmed.outcome.seconds,
+                index=confirmed.index,
+                nfev=confirmed.outcome.nfev,
+                njev=confirmed.outcome.njev,
+                converged=confirmed.outcome.converged,
+            )
 
     per_start_nfev: list[int] = [outcome.nfev for outcome in outcomes]
     per_start_njev: list[int] = [outcome.njev for outcome in outcomes]
@@ -920,7 +1134,7 @@ def _finish_pair(
         "winner_start": selection.winner_index,
         "jac_mode": entry.jac_mode,
     }
-    if engine_mode == "batched":
+    if _screened(entry, engine_mode):
         details["per_start_iterations"] = [
             int(outcome.n_iterations) for outcome in outcomes
         ]
@@ -936,7 +1150,7 @@ def _finish_pair(
                 "n_starts": n_starts,
                 "n_failures": selection.failures,
                 "message": selection.message,
-                "details": dict(details),
+                "details": _copied_details(details),
                 "engine": engine_mode,
             },
         )
@@ -953,6 +1167,15 @@ def _finish_pair(
         details=details,
         engine=engine_mode,
     )
+
+
+def _copied_details(details: Mapping[str, Any]) -> dict[str, Any]:
+    """A copy of a fit's *details* that shares none of its lists, so a
+    cache record and the fits it serves never see each other's edits."""
+    return {
+        key: list(value) if isinstance(value, list) else value
+        for key, value in details.items()
+    }
 
 
 class FitManyResult(dict):

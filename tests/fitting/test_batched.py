@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.curve import ResilienceCurve
+from repro.datasets.recessions import load_recession
 from repro.exceptions import FitError
 from repro.fitting.batched import (
     ENGINE_ENV_VAR,
@@ -122,6 +123,25 @@ class TestEngineParity:
             assert alt.params == ref.params
             assert alt.sse == ref.sse
             assert alt.details["winner_start"] == ref.details["winner_start"]
+
+    @pytest.mark.parametrize("recession", ["1980", "1990-93"])
+    def test_segmented_matches_scipy(self, recession):
+        """The 2-point family is solved by scipy on both engines, so the
+        batched engine's fit is the scipy engine's, down to the winner
+        and the evaluation counts."""
+        curve = load_recession(recession)
+        ref = fit_least_squares(
+            make_model("segmented"), curve, options=NO_CACHE, engine="scipy"
+        )
+        alt = fit_least_squares(
+            make_model("segmented"), curve, options=NO_CACHE, engine="batched"
+        )
+        assert alt.params == ref.params
+        assert alt.sse == ref.sse
+        for key in ("winner_start", "nfev", "njev", "per_start_nfev"):
+            assert alt.details[key] == ref.details[key], key
+        assert alt.details["confirm_nfev"] == 0
+        assert "per_start_iterations" not in alt.details
 
     def test_options_and_env_routes(self, recession_1990, monkeypatch):
         explicit = fit_least_squares(

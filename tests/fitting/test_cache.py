@@ -231,3 +231,21 @@ class TestEngineIntegration:
         )
         assert bypass.details["cache_hit"] is False
         assert cache.stats()["hits"] == 0
+
+    def test_hits_share_no_detail_lists(self, curve):
+        """Editing the lists of a fit's details — the cold fit's or a
+        hit's — must not reach the cache record later hits copy."""
+        options = EngineOptions(cache=FitCache())
+        family = make_model("quadratic")
+        cold = fit_least_squares(family, curve, options=options)
+        n_starts = cold.n_starts
+        cold.details["per_start_sse"].append(-1.0)
+        hit = fit_least_squares(family, curve, options=options)
+        assert len(hit.details["per_start_sse"]) == n_starts
+        hit.details["per_start_nfev"].append(-1)
+        hit.details["per_start_sse"].clear()
+        again = fit_least_squares(family, curve, options=options)
+        assert again.details["cache_hit"] is True
+        assert len(again.details["per_start_sse"]) == n_starts
+        assert len(again.details["per_start_nfev"]) == n_starts
+        assert -1.0 not in again.details["per_start_sse"]
