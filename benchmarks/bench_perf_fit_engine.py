@@ -11,10 +11,13 @@ they replaced (``adaptive_quad`` on a one-point lambda,
 Asserted:
 
 * the ``batched`` engine renders a **bit-identical** Table III and is
-  at least 5x faster than the per-start scipy engine on one CPU (the
+  at least 5x faster than per-start scipy solves on one CPU (the
   headline claim of the batched Levenberg–Marquardt work — unlike the
   executor backends, this win does not need a second core, so it is
-  safe to gate on),
+  safe to gate on). The scipy engine solves its starts on the stacked
+  trf kernel where it is trusted, so the per-start side is timed with
+  the kernel untrusted (``engines.scipy``); the scipy engine as it runs
+  is recorded beside it (``engines.scipy_on_kernel``), not asserted,
 * every executor backend produces bit-identical fit parameters (the
   whole point of the input-ordered executor reduction), and
 * the vectorized kernels agree with the scalar references.
@@ -23,12 +26,14 @@ Executor-backend speedups are *recorded*, not asserted — on a
 single-CPU container the thread/process backends lose to serial (GIL
 hand-offs respectively fork+pickle overhead with no second core to
 amortize them), and the JSON exists precisely to make that honest
-measurement visible. Engine timings are best-of-2 to shed scheduler
-noise.
+measurement visible. With the trf kernel trusted the backends map only
+the starts the kernel hands back, so the backend sweep mostly times the
+kernel itself. Engine timings are best-of-2 to shed scheduler noise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -37,7 +42,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import per_start_scipy, run_once
 from repro.analysis.experiments import table3, truncation_grid
 from repro.bench.artifact import write_bench_artifact
 from repro.bench.provenance import provenance_block
@@ -143,23 +148,28 @@ def test_fit_engine(benchmark, artifact_dir):
             f"{name} backend did not reproduce the serial fits bit-for-bit"
         )
 
-    # -- engine sweep: per-start scipy vs the batched LM screener.
-    # Best-of-2 per engine; the serial executor run above doubles as the
-    # first scipy sample (same workload, same engine, same backend).
+    # -- engine sweep: per-start scipy vs the batched LM screener, and
+    # the scipy engine as it runs, on the stacked trf kernel. Best-of-2
+    # per engine; the serial executor run above doubles as the first
+    # scipy-on-kernel sample (same workload, same engine, same backend).
     engine_samples: dict[str, list[float]] = {
-        "scipy": [backend_seconds["serial"]],
+        "scipy": [],
+        "scipy_on_kernel": [backend_seconds["serial"]],
         "batched": [],
     }
-    engine_results = {"scipy": serial_result}
-    for engine in ("scipy", "batched", "batched"):
+    engine_results = {"scipy_on_kernel": serial_result}
+    for name in ("scipy", "scipy", "scipy_on_kernel", "batched", "batched"):
+        engine = "batched" if name == "batched" else "scipy"
         start = time.perf_counter()
-        engine_results[engine] = table3(
-            n_random_starts=4, options=NO_CACHE, engine=engine
+        with per_start_scipy() if name == "scipy" else contextlib.nullcontext():
+            engine_results[name] = table3(
+                n_random_starts=4, options=NO_CACHE, engine=engine
+            )
+        engine_samples[name].append(time.perf_counter() - start)
+    for name in ("scipy", "batched"):
+        assert engine_results[name].to_table() == serial_result.to_table(), (
+            f"{name} run did not render the scipy Table III bit-for-bit"
         )
-        engine_samples[engine].append(time.perf_counter() - start)
-    assert engine_results["batched"].to_table() == serial_result.to_table(), (
-        "batched engine did not render the scipy Table III bit-for-bit"
-    )
     engine_seconds = {name: min(times) for name, times in engine_samples.items()}
     engine_speedup = engine_seconds["scipy"] / engine_seconds["batched"]
     engine_counters = {
@@ -200,10 +210,18 @@ def test_fit_engine(benchmark, artifact_dir):
         "workers": N_WORKERS,
         "engines": {
             "scipy": {
+                "trf_kernel": False,
                 "wall_seconds": engine_seconds["scipy"],
                 "samples": engine_samples["scipy"],
                 "nfev": engine_counters["scipy"]["nfev"],
                 "njev": engine_counters["scipy"]["njev"],
+            },
+            "scipy_on_kernel": {
+                "trf_kernel": True,
+                "wall_seconds": engine_seconds["scipy_on_kernel"],
+                "samples": engine_samples["scipy_on_kernel"],
+                "nfev": engine_counters["scipy_on_kernel"]["nfev"],
+                "njev": engine_counters["scipy_on_kernel"]["njev"],
             },
             "batched": {
                 "wall_seconds": engine_seconds["batched"],
@@ -212,6 +230,9 @@ def test_fit_engine(benchmark, artifact_dir):
                 "njev": engine_counters["batched"]["njev"],
             },
             "speedup_batched_vs_scipy": engine_speedup,
+            "speedup_batched_vs_scipy_on_kernel": (
+                engine_seconds["scipy_on_kernel"] / engine_seconds["batched"]
+            ),
             "tables_bit_identical": True,
         },
         "backend_wall_seconds": backend_seconds,
@@ -250,7 +271,7 @@ def test_fit_engine(benchmark, artifact_dir):
     # means the kernel regressed to scalar evaluation.
     assert payload["kernels"]["area_under_curve"]["speedup"] > 5.0
     # The batched engine's whole reason to exist: one vectorized LM
-    # sweep must decisively beat 140 per-start scipy solves on one CPU.
+    # sweep must decisively beat 308 per-start scipy solves on one CPU.
     assert engine_speedup >= 5.0, (
         f"batched engine only {engine_speedup:.2f}x faster than scipy on "
         "the Table III grid — screening kernel regressed"

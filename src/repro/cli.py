@@ -86,9 +86,10 @@ def _add_executor_arguments(command: argparse.ArgumentParser) -> None:
         choices=available_backends(),
         default=None,
         help=(
-            "backend the independent fits run on (default: "
-            "$REPRO_FIT_EXECUTOR or serial); results are identical on "
-            "every backend"
+            "backend for the fit starts the stacked trf kernel does not "
+            "solve: segmented's starts and the kernel's fallbacks "
+            "(default: $REPRO_FIT_EXECUTOR or serial); results are "
+            "identical on every backend"
         ),
     )
     command.add_argument(

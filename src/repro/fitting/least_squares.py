@@ -3,9 +3,14 @@
 ``fit_least_squares`` minimizes ``Σᵢ (R(tᵢ) − P(tᵢ))²`` over the
 model's bounded parameter space with scipy's trust-region-reflective
 least squares, trying every multi-start point and keeping the best
-optimum. The starts are independent problems, so they can run on any
-:class:`~repro.parallel.FitExecutor` backend; results are reduced in
-start order, making the outcome identical on every backend.
+optimum. The starts are independent problems, solved exactly as one
+scipy call each would solve them (:func:`_solve_exactly`): together in
+:mod:`repro.fitting.trf`, a bit-exact stacked port of scipy's trf,
+wherever a run-time guard finds that port verified, and the rest —
+``segmented``'s finite-difference starts, the kernel's hand-backs — one
+per scipy call on a :class:`~repro.parallel.FitExecutor` backend.
+Results are reduced in start order, so the outcome is identical on
+every backend and with or without the kernel.
 
 Two layers keep the engine cheap:
 
@@ -31,11 +36,10 @@ original x0 along the exact trajectory scipy's trust-region-reflective
 solver takes (one solve instead of one per start), so the final optimum
 is scipy's and the rendered tables are byte-identical under both
 engines (the scipy path stays the oracle). The confirms of every pair
-of a call run together, in stacked rounds, through
-:mod:`repro.fitting.trf`, a bit-exact stacked port of scipy's trf; a
-run-time guard falls back to one scipy call per confirm wherever that
-port is not verified. A family without a closed-form Jacobian
-(``segmented``) is solved by scipy start by start on either engine.
+of a call run together, in stacked rounds, through the same
+:func:`_solve_exactly` as the scipy engine's starts. A family without a
+closed-form Jacobian (``segmented``) is solved by scipy start by start
+on either engine.
 
 Every fit runs through :func:`_solve_pairs`, which takes many
 ``(family, curve)`` pairs and solves the starts of all of them at once:
@@ -43,7 +47,7 @@ Every fit runs through :func:`_solve_pairs`, which takes many
 :func:`fit_many`, the table grids and truncation sweep,
 :func:`~repro.fitting.fleet.fit_fleet`, the bootstrap, the episode
 scorecard, serving refits and remediation — is one call, whose starts
-the executor maps. Batch callers other than the fleet enter through
+are solved together. Batch callers other than the fleet enter through
 :func:`_fit_pairs`, which takes :func:`fit_least_squares`'s science
 keywords.
 """
@@ -344,7 +348,9 @@ class _Walk:
         )
 
 
-def _confirm_winners(walks: Sequence[_Walk], max_nfev: int) -> None:
+def _confirm_winners(
+    walks: Sequence[_Walk], opts: EngineOptions, tracer: Any
+) -> None:
     """Run the confirm walks of many pairs in stacked rounds.
 
     The batched kernel only *screens* the starts: it finds the basin and
@@ -359,10 +365,11 @@ def _confirm_winners(walks: Sequence[_Walk], max_nfev: int) -> None:
     and keeps the better of that rescue and its best confirmation.
 
     Pairs are independent, so round *r* solves the *r*-th candidate of
-    every pair still unconfirmed in one :func:`_confirm_round` call, and
+    every pair still unconfirmed in one :func:`_solve_exactly` call, and
     one last call rescues the rest — the serial walk's solves, outcomes
     and counts, grouped.
     """
+    max_nfev = opts.max_nfev
     rank = 0
     while True:
         walking = [
@@ -373,65 +380,86 @@ def _confirm_winners(walks: Sequence[_Walk], max_nfev: int) -> None:
         if not walking:
             break
         indices = [walk.reduced.candidates[rank] for walk in walking]
-        outcomes = _confirm_round(
+        outcomes = _solve_exactly(
             [
                 walk.work(walk.entry.start_vectors[index], max_nfev)
                 for walk, index in zip(walking, indices)
-            ]
+            ],
+            opts, tracer,
         )
         for walk, index, outcome in zip(walking, indices, outcomes):
             walk.take(index, outcome)
         rank += 1
     stranded = [walk for walk in walks if walk.chosen is None]
     if stranded:
-        outcomes = _confirm_round(
-            [walk.work(walk.reduced.winner.vector, max_nfev) for walk in stranded]
+        outcomes = _solve_exactly(
+            [walk.work(walk.reduced.winner.vector, max_nfev) for walk in stranded],
+            opts, tracer,
         )
         for walk, outcome in zip(stranded, outcomes):
             walk.rescue(outcome)
 
 
-def _confirm_round(works: Sequence[_StartWork]) -> list[Any]:
-    """Solve one round of confirm starts: all of them in one stacked
-    :func:`~repro.fitting.trf.solve_trf` call when the kernel is trusted
-    (:func:`_kernel_trusted`), else with one :func:`_solve_start` each.
+def _solve_exactly(
+    works: Sequence[_StartWork], opts: EngineOptions, tracer: Any
+) -> list[Any]:
+    """Solve every start in *works* exactly as one :func:`_solve_start`
+    (one scipy ``least_squares`` call) each would; outcomes in order.
 
-    Both give every start's exact scipy outcome; a start the kernel
-    hands back, and every start of a kernel call that raises, is solved
-    by :func:`_solve_start`.
+    The analytic starts go into one stacked
+    :func:`~repro.fitting.trf.solve_trf` call when the kernel is trusted
+    (:func:`_kernel_trusted`). Everything the kernel does not return —
+    ``2-point`` starts, the problems it hands back and every start of a
+    kernel call that raises — runs through one executor map of
+    :func:`_solve_start`, the only map of the fit engine.
     """
     outcomes: list[Any] = [None] * len(works)
     if _kernel_trusted():
         try:
-            outcomes = list(solve_trf([_as_problem(work) for work in works]))
+            outcomes = solve_trf(_kernel_problems(works))
         except Exception:  # noqa: BLE001 - any kernel failure falls back to scipy
             logger.warning(
-                "stacked trf kernel failed; confirming with scipy", exc_info=True
+                "stacked trf kernel failed; solving with scipy", exc_info=True
             )
             outcomes = [None] * len(works)
-    return [
-        outcome if outcome is not None else _solve_start(work)
-        for work, outcome in zip(works, outcomes)
-    ]
+    rest = [index for index, outcome in enumerate(outcomes) if outcome is None]
+    if rest:
+        # An explicit trace=False also masks any ambient tracer, so the
+        # executor emits no spans for these fits.
+        with deactivate() if opts.trace is False else activate(tracer):
+            solved = get_executor(opts.executor, max_workers=opts.n_workers).map(
+                _solve_start, [works[index] for index in rest]
+            )
+        for index, outcome in zip(rest, solved):
+            outcomes[index] = outcome
+    return outcomes
 
 
-def _as_problem(work: _StartWork) -> BatchedProblem:
-    curve = work.curve
-    return BatchedProblem(
-        work.family,
-        tuple(float(v) for v in curve.times),
-        tuple(float(v) for v in curve.performance),
-        work.x0,
-        work.lower,
-        work.upper,
-        work.max_nfev,
-        work.jac_mode,
-    )
+def _kernel_problems(works: Sequence[_StartWork]) -> list[BatchedProblem]:
+    """The kernels' problems for *works*; the starts on one curve share
+    its time and target tuples, converted once."""
+    columns: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+    problems: list[BatchedProblem] = []
+    for work in works:
+        curve = work.curve
+        shared = columns.get(id(curve))
+        if shared is None:
+            shared = columns[id(curve)] = (
+                tuple(float(v) for v in curve.times),
+                tuple(float(v) for v in curve.performance),
+            )
+        problems.append(
+            BatchedProblem(
+                work.family, shared[0], shared[1], work.x0, work.lower,
+                work.upper, work.max_nfev, work.jac_mode,
+            )
+        )
+    return problems
 
 
 @functools.cache
 def _kernel_trusted() -> bool:
-    """Whether :func:`_confirm_round` may use the stacked trf kernel.
+    """Whether :func:`_solve_exactly` may use the stacked trf kernel.
 
     Two checks, each made once per process: scipy's version is one the
     kernel's equality tests passed on
@@ -444,10 +472,10 @@ def _kernel_trusted() -> bool:
         return False
     works = _probe_works()
     try:
-        kernel = solve_trf([_as_problem(work) for work in works])
+        kernel = solve_trf(_kernel_problems(works))
     except Exception:  # noqa: BLE001 - a probe that raises means "do not trust"
         logger.warning(
-            "stacked trf kernel probe failed; confirming with scipy", exc_info=True
+            "stacked trf kernel probe failed; solving with scipy", exc_info=True
         )
         return False
     return all(
@@ -541,8 +569,9 @@ def fit_least_squares(
           instance. When enabled, the fit emits one ``"fit"`` span
           (with nfev/njev/jac-mode/cache-hit attribution) plus one
           ``"fit.start"`` span per multi-start solve.
-        * ``executor``/``n_workers`` — the backend the independent
-          multi-start solves run on: ``"serial"``, ``"thread"``,
+        * ``executor``/``n_workers`` — the backend that maps the
+          starts the stacked trf kernel does not solve (see
+          :func:`_solve_exactly`): ``"serial"``, ``"thread"``,
           ``"process"``, or a :class:`~repro.parallel.FitExecutor`
           instance (``None`` → ``REPRO_FIT_EXECUTOR``). Results are
           reduced in start order, so every backend returns the same
@@ -564,8 +593,9 @@ def fit_least_squares(
         sweeps to inject the neighbouring cell's optimum without
         discarding the family's own seeds.
     engine:
-        Solver engine: ``"scipy"`` (one ``optimize.least_squares`` call
-        per start — the golden-table oracle) or ``"batched"`` (the
+        Solver engine: ``"scipy"`` (every start solved as one
+        ``optimize.least_squares`` call would — the golden-table
+        oracle) or ``"batched"`` (the
         :mod:`repro.fitting.batched` vectorized Levenberg–Marquardt
         kernel, which screens all starts in one stacked solve and then
         confirms the winning start along scipy's own trajectory from
@@ -758,8 +788,8 @@ def _solve_pairs(
     2. *solve* the starts of every pair that missed the cache at once:
        one :func:`~repro.fitting.batched.solve_batched` call on the
        batched engine, which groups problems by family and length, or
-       one executor map of all start units on scipy (and, on the
-       batched engine, for families without a closed-form Jacobian);
+       one :func:`_solve_exactly` call on scipy (and, on the batched
+       engine, for families without a closed-form Jacobian);
     3. *select* each pair's winner and, for pairs the batched kernel
        screened, *confirm* it: the confirm walks of all pairs run in
        stacked rounds (:func:`_confirm_winners`);
@@ -803,7 +833,7 @@ def _solve_pairs(
     prepared = [entry for entry in entries if isinstance(entry, _PreparedPair)]
     per_pair = _solve_starts(prepared, opts, engine_mode, tracer)
     selections = iter(
-        _select_winners(prepared, per_pair, opts.max_nfev, confirm, engine_mode)
+        _select_winners(prepared, per_pair, opts, tracer, confirm, engine_mode)
     )
     outcomes = iter(per_pair)
 
@@ -846,7 +876,8 @@ def _solve_pairs(
 def _select_winners(
     prepared: Sequence[_PreparedPair],
     per_pair: Sequence[Sequence[Any]],
-    max_nfev: int,
+    opts: EngineOptions,
+    tracer: Any,
     confirm: bool,
     engine_mode: str,
 ) -> list[_WinnerSelection | ConvergenceError]:
@@ -870,7 +901,7 @@ def _select_winners(
                 for walk in walks
                 if isinstance(walk, _Walk) and _screened(walk.entry, engine_mode)
             ],
-            max_nfev,
+            opts, tracer,
         )
     return [
         walk if isinstance(walk, ConvergenceError) else walk.selection()
@@ -1022,7 +1053,7 @@ def _solve_starts(
     come back split per pair, in start order."""
     per_pair: list[Sequence[Any]] = [()] * len(prepared)
     screened = [i for i, entry in enumerate(prepared) if _screened(entry, engine_mode)]
-    mapped = [
+    exact = [
         i for i, entry in enumerate(prepared) if not _screened(entry, engine_mode)
     ]
     if screened:
@@ -1030,37 +1061,26 @@ def _solve_starts(
         # stay per-problem (each batched residual evaluation charges one
         # nfev to every start it served), so the reduce and the traces
         # see the same shape as the scipy path.
-        problems: list[BatchedProblem] = []
-        for i in screened:
-            entry = prepared[i]
-            curve = entry.pair.curve
-            times = tuple(float(v) for v in curve.times)
-            targets = tuple(float(v) for v in curve.performance)
-            problems.extend(
-                BatchedProblem(
-                    entry.pair.family, times, targets, start, entry.lower,
-                    entry.upper, opts.max_nfev, entry.jac_mode,
-                )
-                for start in entry.start_vectors
-            )
+        problems = _kernel_problems(_start_works(prepared, screened, opts.max_nfev))
         _split(per_pair, screened, prepared, solve_batched(problems))
-    if mapped:
-        work_units = [
-            _StartWork(
-                entry.pair.family, entry.pair.curve, start, entry.lower,
-                entry.upper, opts.max_nfev, entry.jac_mode,
-            )
-            for entry in (prepared[i] for i in mapped)
-            for start in entry.start_vectors
-        ]
-        # An explicit trace=False also masks any ambient tracer, so the
-        # executor emits no spans for these fits.
-        with deactivate() if opts.trace is False else activate(tracer):
-            flat = get_executor(opts.executor, max_workers=opts.n_workers).map(
-                _solve_start, work_units
-            )
-        _split(per_pair, mapped, prepared, flat)
+    if exact:
+        works = _start_works(prepared, exact, opts.max_nfev)
+        _split(per_pair, exact, prepared, _solve_exactly(works, opts, tracer))
     return per_pair
+
+
+def _start_works(
+    prepared: Sequence[_PreparedPair], positions: Sequence[int], max_nfev: int
+) -> list[_StartWork]:
+    """One work unit per start of the pairs at *positions*, in order."""
+    return [
+        _StartWork(
+            entry.pair.family, entry.pair.curve, start, entry.lower, entry.upper,
+            max_nfev, entry.jac_mode,
+        )
+        for entry in (prepared[i] for i in positions)
+        for start in entry.start_vectors
+    ]
 
 
 def _split(
@@ -1258,8 +1278,9 @@ def fit_many(
     options:
         :class:`~repro.fitting.options.EngineOptions` bundle for the
         one stacked solve of all families (``options.executor`` maps
-        their starts). Enabling ``options.trace`` traces each
-        per-family fit and wraps the call in one ``"fit.many"`` span.
+        the starts the trf kernel does not solve). Enabling
+        ``options.trace`` traces each per-family fit and wraps the call
+        in one ``"fit.many"`` span.
     kwargs:
         Science kwargs passed through to :func:`fit_least_squares`;
         any fit error other than non-convergence is raised.

@@ -96,7 +96,9 @@ class EngineOptions:
         ``True`` (process-global tracer), or a
         :class:`~repro.observability.Tracer` instance.
     executor:
-        Backend name/instance for parallel work, ``None`` for the
+        Backend name/instance that maps the fit starts the stacked trf
+        kernel does not solve (``segmented``'s finite-difference starts
+        and the kernel's fallbacks), ``None`` for the
         ``REPRO_FIT_EXECUTOR`` default.
     n_workers:
         Worker count for pooled backends (``None`` →
