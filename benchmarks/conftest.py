@@ -15,7 +15,7 @@ from typing import Iterator
 
 import pytest
 
-from repro.fitting import least_squares
+from repro.fitting import trf
 
 #: Where rendered tables/figures are written.
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -67,8 +67,9 @@ def run_once(benchmark, func, *args, **kwargs):
 def per_start_scipy() -> Iterator[None]:
     """Inside the block the scipy engine solves every start with its own
     scipy call: the stacked trf kernel reports itself untrusted. The
-    speedup asserts that compare against per-start scipy solves time
-    their slow side this way, so they keep their meaning."""
+    speedup asserts that compare against per-start scipy solves, and the
+    executor-backend sweep, time their scipy side this way, so they keep
+    their meaning."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(least_squares, "_kernel_trusted", lambda: False)
+        patch.setattr(trf, "_kernel_trusted", lambda: False)
         yield

@@ -100,10 +100,9 @@ class Weibull(LifetimeDistribution):
         t = np.asarray(times, dtype=np.float64)
         p = np.asarray(params, dtype=np.float64)
         theta = p[:, :1]
-        k = p[:, 1:2]
         with np.errstate(divide="ignore", over="ignore"):
             scaled = np.maximum(t, 0.0) / theta
-            z = np.power(scaled, k)
+            z = np.power(scaled, cls._row_exponents(p, t.shape[1]))
         return np.where(t < 0.0, 0.0, -np.expm1(-z))
 
     @classmethod
@@ -115,13 +114,26 @@ class Weibull(LifetimeDistribution):
         k = p[:, 1:2]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             scaled = np.maximum(t, 0.0) / theta
-            z = np.power(scaled, k)
+            z = np.power(scaled, cls._row_exponents(p, t.shape[1]))
             decay = np.where(np.isfinite(z), z * safe_exp(-z), 0.0)
             log_scaled = np.log(np.where(scaled > 0.0, scaled, 1.0))
             gradient = np.stack(
                 [-(k / theta) * decay, log_scaled * decay], axis=2
             )
         return np.where((t > 0.0)[:, :, np.newaxis], gradient, 0.0)
+
+    @staticmethod
+    def _row_exponents(params: FloatArray, n_times: int) -> FloatArray:
+        """Each row's shape ``k`` repeated along its times, ``(B, n)``.
+
+        ``np.power`` takes numpy's square/sqrt/reciprocal shortcut for a
+        shape of exactly 2, 0.5 or -1 when the exponent is one value for
+        the whole call — a ``(1, 1)`` column, but not a taller one — so a
+        one-row batch would round such a row differently from the same
+        row in a stack. A full-shape exponent goes through ``pow`` for
+        every stack height, so a row's values do not depend on its
+        neighbours."""
+        return np.repeat(params[:, 1:2], n_times, axis=1)
 
     def quantile(self, probabilities: ArrayLike) -> FloatArray:
         probs = as_float_array(probabilities, "probabilities")

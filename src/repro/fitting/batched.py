@@ -1,11 +1,11 @@
 """Batched Levenberg–Marquardt: many bounded least-squares problems, one solver.
 
-The scipy engine answers each (curve, model, start) triple with its own
-``optimize.least_squares`` call. On the paper's table grids that means
-thousands of tiny 31-point solves, each paying Python dispatch for every
-residual and Jacobian evaluation — the profile is dominated by per-call
-overhead, not arithmetic. This module stacks all active problems into
-``(P, n)`` residual and ``(P, n, k)`` Jacobian arrays (via the models'
+One ``optimize.least_squares`` call per (curve, model, start) triple
+means, on the paper's table grids, thousands of tiny 31-point solves,
+each paying Python dispatch for every residual and Jacobian evaluation
+— the profile is dominated by per-call overhead, not arithmetic. This
+module stacks all active problems into ``(P, n)`` residual and
+``(P, n, k)`` Jacobian arrays (via the models'
 ``evaluate_batch``/``prediction_jacobian_batch`` protocol) and runs one
 classic damped Levenberg–Marquardt iteration across the whole batch:
 
@@ -36,8 +36,8 @@ relative cost reduction of an accepted step, ``xtol`` on the step norm
 zeroed (the projected gradient, as scipy's trf scaling sees it), and a
 per-problem ``max_nfev`` budget. Counters stay honest — every batched
 residual evaluation charges one ``nfev`` to each problem it served, and
-each analytic Jacobian refresh one ``njev`` (the 2-point mode charges
-``k`` extra ``nfev`` per refresh, like scipy's differencing would).
+each Jacobian refresh one ``njev``. Only families with a closed-form
+Jacobian are solved here; the fit engine hands the others to scipy.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ _IntArray = npt.NDArray[np.int64]
 __all__ = [
     "ENGINE_ENV_VAR",
     "ENGINE_NAMES",
+    "TOLERANCE",
     "BatchedOutcome",
     "BatchedProblem",
     "resolve_engine",
@@ -71,8 +72,16 @@ ENGINE_NAMES = ("scipy", "batched")
 #: Environment variable supplying the default engine when ``engine=None``.
 ENGINE_ENV_VAR = "REPRO_FIT_ENGINE"
 
+#: ``ftol``, ``xtol`` and ``gtol`` of every solve: this kernel's, the
+#: stacked trf kernel's and the scipy call that kernel reproduces. Far
+#: below the 8-decimal precision tables are rendered at. Full tightness
+#: matters for the screen too: looser stopping lets near-flat problems
+#: freeze with an SSE error of the order of the reduce's 1e-8 winner
+#: band, which flips winners between engines.
+TOLERANCE = 1e-12
+
 #: Magnitude of the penalty applied to non-finite residuals, shared
-#: with :mod:`repro.fitting.least_squares` so both engines optimize the
+#: with :mod:`repro.fitting.trf` so every solver optimizes the
 #: identical objective. The penalty is ``scale·(1 + ‖θ‖)`` rather than
 #: a constant: a constant plateau has zero gradient everywhere, so once
 #: a step lands in a non-finite pocket the optimizer sees a flat
@@ -139,13 +148,13 @@ def resolve_engine(engine: str | None) -> str:  # repro-lint: disable=R3 — thi
 
 
 class BatchedProblem(NamedTuple):
-    """One bounded least-squares problem for the batched solver.
+    """One bounded least-squares problem: one start of one fit.
 
     ``times``/``targets`` are the observation grid and values,
-    ``x0``/``lower``/``upper`` the start and box, ``max_nfev`` the
-    per-problem residual-evaluation budget, and ``jac_mode`` either
-    ``"analytic"`` (the family's closed form) or ``"2-point"``
-    (vectorized forward differences).
+    ``x0``/``lower``/``upper`` the start and box, and ``max_nfev`` the
+    residual-evaluation budget. The LM screen, the stacked trf kernel
+    and the scipy reference all solve this type; the Jacobian follows
+    the family (its closed form when it has one).
     """
 
     family: ResilienceModel
@@ -155,16 +164,18 @@ class BatchedProblem(NamedTuple):
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     max_nfev: int
-    jac_mode: str
 
 
 class BatchedOutcome(NamedTuple):
-    """Per-problem solver outcome.
+    """Per-problem solver outcome, whichever solver produced it.
 
-    The first seven fields mirror the scipy path's per-start outcome
-    (``sse`` is the objective value ``2·cost``), so the two engines
-    reduce identically; ``n_iterations`` additionally records
-    how many LM iterations the problem consumed before freezing.
+    ``sse`` is the objective value ``2·cost``; ``vector`` is None when
+    the solve raised or ended on a non-finite objective. ``nfev`` and
+    ``njev`` count the objective's residual and Jacobian calls,
+    ``seconds`` is the problem's wall time (its share of a stacked
+    call), and ``n_iterations`` the solver's iterations: LM iterations
+    for the screen, trf's inner-loop passes (scipy's ``nfev − 1``) for
+    the trf kernel and the scipy reference.
     """
 
     sse: float
@@ -177,41 +188,39 @@ class BatchedOutcome(NamedTuple):
     n_iterations: int
 
 
-def solve_batched(
-    problems: Sequence[BatchedProblem],
-    *,
-    ftol: float = 1e-12,
-    xtol: float = 1e-12,
-    gtol: float = 1e-12,
-) -> list[BatchedOutcome]:
+def _group_problems(problems: Sequence[BatchedProblem]) -> list[list[int]]:
+    """Indices of *problems* grouped by (family fingerprint, observation
+    count), the axes a kernel stacks along; groups in order of first
+    appearance, indices in order."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for index, problem in enumerate(problems):
+        key = (problem.family.fingerprint(), len(problem.times))
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+def solve_batched(problems: Sequence[BatchedProblem]) -> list[BatchedOutcome]:
     """Solve every problem, batching compatible ones through one kernel.
 
-    Problems are grouped by (family fingerprint, observation count,
-    Jacobian mode) — the stacking axes must agree — so heterogeneous
-    lists (different families, different curve lengths) batch correctly:
-    each group runs one vectorized LM solve, and results come back in
-    input order.
+    Problems are grouped by family and curve length
+    (:func:`_group_problems`), so heterogeneous lists batch correctly:
+    each group runs one vectorized LM solve to :data:`TOLERANCE`, and
+    results come back in input order.
 
-    The tolerances match the scipy path's 1e-12. The fit engine uses
-    this kernel to *screen* multi-start candidates and confirms the
-    winner along scipy's trajectory, so in principle the per-problem
-    SSE only has to be accurate within the reduce's 1e-8 relative
-    winner-selection band — but looser stopping lets near-flat problems
-    freeze with an SSE error of the same order as that band, which is
-    exactly the failure mode that flips winners between engines. Full
-    tightness costs little once the damping schedule adapts per step.
+    Raises
+    ------
+    FitError
+        If a problem's family has no closed-form Jacobian.
     """
-    groups: dict[tuple[str, int, str], list[int]] = {}
-    for index, problem in enumerate(problems):
-        key = (
-            problem.family.fingerprint(),
-            len(problem.times),
-            problem.jac_mode,
-        )
-        groups.setdefault(key, []).append(index)
     results: list[BatchedOutcome | None] = [None] * len(problems)
-    for indices in groups.values():
-        outcomes = _solve_group([problems[i] for i in indices], ftol, xtol, gtol)
+    for indices in _group_problems(problems):
+        family = problems[indices[0]].family
+        if not family.has_analytic_jacobian:
+            raise FitError(
+                f"the batched kernel needs a closed-form Jacobian; "
+                f"{family.name!r} has none"
+            )
+        outcomes = _solve_group([problems[i] for i in indices])
         for position, outcome in zip(indices, outcomes):
             results[position] = outcome
     return [outcome for outcome in results if outcome is not None]
@@ -253,7 +262,6 @@ class _GroupArrays(NamedTuple):
     lower: FloatArray
     upper: FloatArray
     max_nfev: _IntArray
-    jac_mode: str
 
 
 def _stack_group(problems: Sequence[BatchedProblem]) -> _GroupArrays:
@@ -269,7 +277,6 @@ def _stack_group(problems: Sequence[BatchedProblem]) -> _GroupArrays:
         lower=lower,
         upper=upper,
         max_nfev=max_nfev,
-        jac_mode=problems[0].jac_mode,
     )
 
 
@@ -290,53 +297,30 @@ def _group_jacobian(
     group: _GroupArrays,
     idx: _IntArray,
     x: FloatArray,
-    residuals: FloatArray,
     bad: npt.NDArray[np.bool_],
 ) -> FloatArray:
     """Residual Jacobian stack ``(m, n, k)`` for problems *idx* at *x*.
 
-    ``bad`` is the penalized-entry mask recorded when ``residuals`` was
-    evaluated — it marks the rows that must carry the penalty gradient
-    instead of the model's.
+    ``bad`` is the penalized-entry mask recorded when the residuals at
+    *x* were evaluated — it marks the rows that must carry the penalty
+    gradient instead of the model's.
     """
-    if group.jac_mode == "analytic":
-        jac = -group.family.prediction_jacobian_batch(group.times[idx], x)
-        if bad.any():
-            # Match the objective: penalized observations get the
-            # penalty's gradient so the solver still sees a descent
-            # direction out of the non-finite pocket.
-            rows = _penalty_gradient_rows(x)
-            jac = np.where(bad[:, :, np.newaxis], rows[:, np.newaxis, :], jac)
-        return np.where(np.isfinite(jac), jac, 0.0)
-    # 2-point mode: vectorized forward differences on the penalized
-    # residual function, stepping backward at the upper bound so every
-    # probe stays inside the box.
-    m, k = x.shape
-    n = group.times.shape[1]
-    jac = np.empty((m, n, k), dtype=np.float64)
-    root_eps = float(np.sqrt(np.finfo(np.float64).eps))
-    for j in range(k):
-        step = root_eps * np.maximum(np.abs(x[:, j]), 1.0)
-        step = np.where(x[:, j] + step > group.upper[idx, j], -step, step)
-        bumped = x.copy()
-        bumped[:, j] += step
-        probed, _ = _group_residuals(group, idx, bumped)
-        jac[:, :, j] = (probed - residuals) / step[:, np.newaxis]
+    jac = -group.family.prediction_jacobian_batch(group.times[idx], x)
+    if bad.any():
+        # Match the objective: penalized observations get the
+        # penalty's gradient so the solver still sees a descent
+        # direction out of the non-finite pocket.
+        rows = _penalty_gradient_rows(x)
+        jac = np.where(bad[:, :, np.newaxis], rows[:, np.newaxis, :], jac)
     return np.where(np.isfinite(jac), jac, 0.0)
 
 
-def _solve_group(
-    problems: Sequence[BatchedProblem],
-    ftol: float,
-    xtol: float,
-    gtol: float,
-) -> list[BatchedOutcome]:
+def _solve_group(problems: Sequence[BatchedProblem]) -> list[BatchedOutcome]:
     """One vectorized LM solve over a compatible problem group."""
     t0 = time.perf_counter()
     group = _stack_group(problems)
     n_problems = len(problems)
     n_params = group.lower.shape[1]
-    fd_cost = 0 if group.jac_mode == "analytic" else n_params
 
     x = np.clip(
         np.asarray([p.x0 for p in problems], dtype=np.float64),
@@ -364,12 +348,9 @@ def _solve_group(
         refresh = active[need_jac[active]]
         if refresh.size:
             jacobian[refresh] = _group_jacobian(
-                group, refresh, x[refresh], residuals[refresh], penalized[refresh]
+                group, refresh, x[refresh], penalized[refresh]
             )
-            if fd_cost:
-                nfev[refresh] += fd_cost
-            else:
-                njev[refresh] += 1
+            njev[refresh] += 1
             need_jac[refresh] = False
 
         jac_active = jacobian[active]
@@ -384,7 +365,7 @@ def _solve_group(
             (x_active >= group.upper[active]) & (gradient < 0.0)
         )
         gradient = np.where(pinned, 0.0, gradient)
-        hit_gtol = np.max(np.abs(gradient), axis=1) < gtol
+        hit_gtol = np.max(np.abs(gradient), axis=1) < TOLERANCE
         if hit_gtol.any():
             status[active[hit_gtol]] = _STATUS_GTOL
             active = active[~hit_gtol]
@@ -431,7 +412,7 @@ def _solve_group(
         improved = solvable & (cost_new < cost[active])
         step_norm = np.sqrt(np.einsum("ij,ij->i", box_step, box_step))
         x_norm = np.sqrt(np.einsum("ij,ij->i", x[active], x[active]))
-        tiny_step = step_norm < xtol * (xtol + x_norm)
+        tiny_step = step_norm < TOLERANCE * (TOLERANCE + x_norm)
 
         accepted = active[improved]
         if accepted.size:
@@ -442,7 +423,7 @@ def _solve_group(
             cost[accepted] = cost_new[improved]
             lam[accepted] = np.maximum(lam[accepted] / _LAMBDA_DOWN, _LAMBDA_MIN)
             need_jac[accepted] = True
-            hit_ftol = reduction <= ftol * np.maximum(cost[accepted], 1e-300)
+            hit_ftol = reduction <= TOLERANCE * np.maximum(cost[accepted], 1e-300)
             status[accepted[hit_ftol]] = _STATUS_FTOL
             still = accepted[~hit_ftol]
             hit_xtol = tiny_step[improved][~hit_ftol]

@@ -4,13 +4,14 @@
 model's bounded parameter space with scipy's trust-region-reflective
 least squares, trying every multi-start point and keeping the best
 optimum. The starts are independent problems, solved exactly as one
-scipy call each would solve them (:func:`_solve_exactly`): together in
-:mod:`repro.fitting.trf`, a bit-exact stacked port of scipy's trf,
-wherever a run-time guard finds that port verified, and the rest —
-``segmented``'s finite-difference starts, the kernel's hand-backs — one
-per scipy call on a :class:`~repro.parallel.FitExecutor` backend.
-Results are reduced in start order, so the outcome is identical on
-every backend and with or without the kernel.
+scipy call each would solve them by :mod:`repro.fitting.trf`: together
+in a bit-exact stacked port of scipy's trf wherever a run-time guard
+finds that port verified, and the rest — ``segmented``'s
+finite-difference starts, the kernel's fallbacks — one scipy call each
+on the options' :class:`~repro.parallel.FitExecutor` backend. This
+module orchestrates the pairs around that step. Results are reduced in
+start order, so the outcome is identical on every backend and with or
+without the kernel.
 
 Two layers keep the engine cheap:
 
@@ -36,10 +37,10 @@ original x0 along the exact trajectory scipy's trust-region-reflective
 solver takes (one solve instead of one per start), so the final optimum
 is scipy's and the rendered tables are byte-identical under both
 engines (the scipy path stays the oracle). The confirms of every pair
-of a call run together, in stacked rounds, through the same
-:func:`_solve_exactly` as the scipy engine's starts. A family without a
-closed-form Jacobian (``segmented``) is solved by scipy start by start
-on either engine.
+of a call run together, in stacked rounds, through the same exact
+solve as the scipy engine's starts. A family without a closed-form
+Jacobian (``segmented``) is solved by scipy start by start on either
+engine.
 
 Every fit runs through :func:`_solve_pairs`, which takes many
 ``(family, curve)`` pairs and solves the starts of all of them at once:
@@ -54,18 +55,20 @@ keywords.
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence, cast
 
 import numpy as np
-import scipy
-from scipy import optimize
 
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.batched import BatchedProblem, resolve_engine, solve_batched
+from repro.fitting.batched import (
+    BatchedOutcome,
+    BatchedProblem,
+    resolve_engine,
+    solve_batched,
+)
 from repro.fitting.cache import (
     FitCache,
     fit_cache_key,
@@ -78,15 +81,8 @@ from repro.fitting.options import (
     EngineOptions,
 )
 from repro.fitting.result import FitResult
-from repro.fitting.trf import (
-    TOLERANCE,
-    VERIFIED_SCIPY_VERSIONS,
-    _penalty_gradient,
-    _penalty_value,
-    solve_trf,
-)
+from repro.fitting.trf import _solve_exactly
 from repro.models.base import ResilienceModel
-from repro.models.registry import make_model
 from repro.observability.tracer import (
     NULL_TRACER,
     Tracer,
@@ -112,141 +108,21 @@ logger = logging.getLogger("repro.fitting")
 _REDUCE_RTOL = 1e-8
 
 
-class _StartOutcome(NamedTuple):
-    """Per-start optimizer outcome; ``vector`` is None when the start
-    raised or produced a non-finite objective. ``seconds`` is the
-    start's wall time, measured inside the work unit so it survives the
-    trip through any executor backend and can be traced by the parent."""
-
-    sse: float
-    vector: tuple[float, ...] | None
-    message: str
-    converged: bool
-    nfev: int
-    njev: int
-    seconds: float
-
-
-class _StartWork(NamedTuple):
-    """Picklable work unit: one optimizer run from one start."""
-
-    family: ResilienceModel
-    curve: ResilienceCurve
-    x0: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    max_nfev: int
-    jac_mode: str
-
-
-def _solve_start(work: _StartWork) -> _StartOutcome:
-    """Run one bounded least-squares solve (module-level so the process
-    backend can pickle it).
-
-    The residual-evaluation counter lives here rather than trusting
-    ``solution.nfev``: scipy's trf does *not* count the residual calls
-    its 2-point Jacobian makes, so the reported number would flatter the
-    finite-difference mode. Counting inside the closures makes the
-    analytic-vs-FD comparison honest.
-    """
-    t0 = time.perf_counter()
-    family = work.family
-    curve = work.curve
-    lower = np.asarray(work.lower, dtype=np.float64)
-    upper = np.asarray(work.upper, dtype=np.float64)
-    counters = {"nfev": 0, "njev": 0}
-
-    def objective(vector: np.ndarray) -> np.ndarray:
-        counters["nfev"] += 1
-        residuals = family.residuals(curve, vector)
-        bad = ~np.isfinite(residuals)
-        if bad.any():
-            residuals = np.where(bad, _penalty_value(vector), residuals)
-        return residuals
-
-    def analytic_jac(vector: np.ndarray) -> np.ndarray:
-        counters["njev"] += 1
-        jac = -family.prediction_jacobian(curve.times, vector)
-        predictions = family.evaluate(curve.times, vector)
-        bad = ~np.isfinite(predictions)
-        if bad.any():
-            # Match the objective: penalized rows get the penalty's
-            # gradient so the solver still sees a downhill direction.
-            jac[bad, :] = _penalty_gradient(vector)
-        return np.where(np.isfinite(jac), jac, 0.0)
-
-    jac_arg: Any = analytic_jac if work.jac_mode == "analytic" else "2-point"
-    x0 = np.clip(np.asarray(work.x0, dtype=np.float64), lower, upper)
-    try:
-        solution = optimize.least_squares(
-            objective,
-            x0,
-            jac=jac_arg,
-            bounds=(lower, upper),
-            method="trf",
-            max_nfev=work.max_nfev,
-            ftol=TOLERANCE,
-            xtol=TOLERANCE,
-            gtol=TOLERANCE,
-        )
-    except (ValueError, FloatingPointError):
-        return _StartOutcome(
-            float("nan"), None, "", False, counters["nfev"], counters["njev"],
-            time.perf_counter() - t0,
-        )
-    sse = float(2.0 * solution.cost)  # cost is 0.5 * sum(residual²)
-    if not np.isfinite(sse):
-        return _StartOutcome(
-            sse, None, "", False, counters["nfev"], counters["njev"],
-            time.perf_counter() - t0,
-        )
-    return _StartOutcome(
-        sse,
-        tuple(float(v) for v in solution.x),
-        str(solution.message),
-        bool(solution.success),
-        counters["nfev"],
-        counters["njev"],
-        time.perf_counter() - t0,
-    )
-
-
 class _Reduced(NamedTuple):
     """A pair's start outcomes reduced to the screened winner."""
 
-    winner: Any
+    winner: BatchedOutcome
     winner_index: int
     failures: int
     threshold: float
     candidates: tuple[int, ...]
 
 
-class _Confirm(NamedTuple):
-    """One solve of a pair's confirm walk, kept for the pair's trace."""
-
-    index: int
-    outcome: Any
-
-
-class _WinnerSelection(NamedTuple):
-    """Outcome of the reduce → confirm pipeline."""
-
-    sse: float
-    vector: tuple[float, ...]
-    message: str
-    converged: bool
-    winner_index: int
-    failures: int
-    confirm_nfev: int
-    confirm_njev: int
-    confirms: tuple[_Confirm, ...] = ()
-
-
 def _reduce(
     family: ResilienceModel,
     curve: ResilienceCurve,
     n_starts: int,
-    outcomes: Sequence[Any],
+    outcomes: Sequence[BatchedOutcome],
 ) -> _Reduced:
     """Reduce multi-start *outcomes* to the screened winner.
 
@@ -286,31 +162,32 @@ def _reduce(
 
 
 class _Walk:
-    """One pair's confirm walk: its in-band candidates, re-solved in
-    start order until one lands back inside the band."""
+    """One pair's selection: its screened winner and, on a confirmed
+    pair, the confirm walk — its in-band candidates re-solved in start
+    order until one lands back inside the band. ``confirms`` keeps each
+    solve of the walk, as ``(start index, outcome)``, for the pair's
+    trace; ``nfev``/``njev`` are their totals."""
 
     def __init__(self, entry: _PreparedPair, reduced: _Reduced) -> None:
         self.entry = entry
         self.reduced = reduced
-        self.chosen: Any = None
-        self.fallback: Any = None
+        self.chosen: BatchedOutcome | None = None
+        self.fallback: BatchedOutcome | None = None
         self.winner_index = reduced.winner_index
         self.nfev = 0
         self.njev = 0
-        self.confirms: list[_Confirm] = []
+        self.confirms: list[tuple[int, BatchedOutcome]] = []
 
-    def work(self, x0: tuple[float, ...], max_nfev: int) -> _StartWork:
-        entry = self.entry
-        return _StartWork(
-            entry.pair.family, entry.pair.curve, x0, entry.lower, entry.upper,
-            max_nfev, entry.jac_mode,
-        )
+    @property
+    def best(self) -> BatchedOutcome:
+        """The final optimum: the confirmed one, else the screened winner."""
+        return self.chosen if self.chosen is not None else self.reduced.winner
 
-    def take(self, index: int, outcome: Any) -> None:
+    def take(self, index: int, outcome: BatchedOutcome) -> None:
         """Account for the solve of candidate *index*."""
         self.nfev += outcome.nfev
         self.njev += outcome.njev
-        self.confirms.append(_Confirm(index, outcome))
+        self.confirms.append((index, outcome))
         if outcome.vector is None:
             return
         if self.fallback is None or outcome.sse < self.fallback.sse:
@@ -319,7 +196,7 @@ class _Walk:
             self.chosen = outcome
             self.winner_index = index
 
-    def rescue(self, outcome: Any) -> None:
+    def rescue(self, outcome: BatchedOutcome) -> None:
         """Account for the solve from the screened optimum and keep the
         best of it and the best confirmation."""
         self.nfev += outcome.nfev
@@ -332,20 +209,11 @@ class _Walk:
         if contenders:
             self.chosen = min(contenders, key=lambda o: o.sse)
 
-    def selection(self) -> _WinnerSelection:
-        """The final optimum: the confirmed one, else the screened winner."""
-        best = self.chosen if self.chosen is not None else self.reduced.winner
-        return _WinnerSelection(
-            sse=float(best.sse),
-            vector=best.vector,
-            message=best.message,
-            converged=best.converged,
-            winner_index=int(self.winner_index),
-            failures=self.reduced.failures,
-            confirm_nfev=self.nfev,
-            confirm_njev=self.njev,
-            confirms=tuple(self.confirms),
-        )
+
+def _vector(outcome: BatchedOutcome) -> tuple[float, ...]:
+    """The optimum of a selected outcome, which always has one (the
+    reduce and the walk select only outcomes with a vector)."""
+    return cast(tuple[float, ...], outcome.vector)
 
 
 def _confirm_winners(
@@ -365,7 +233,7 @@ def _confirm_winners(
     and keeps the better of that rescue and its best confirmation.
 
     Pairs are independent, so round *r* solves the *r*-th candidate of
-    every pair still unconfirmed in one :func:`_solve_exactly` call, and
+    every pair still unconfirmed in one exact solve (:func:`_exact`), and
     one last call rescues the rest — the serial walk's solves, outcomes
     and counts, grouped.
     """
@@ -380,9 +248,9 @@ def _confirm_winners(
         if not walking:
             break
         indices = [walk.reduced.candidates[rank] for walk in walking]
-        outcomes = _solve_exactly(
+        outcomes = _exact(
             [
-                walk.work(walk.entry.start_vectors[index], max_nfev)
+                walk.entry.problem(walk.entry.start_vectors[index], max_nfev)
                 for walk, index in zip(walking, indices)
             ],
             opts, tracer,
@@ -392,139 +260,30 @@ def _confirm_winners(
         rank += 1
     stranded = [walk for walk in walks if walk.chosen is None]
     if stranded:
-        outcomes = _solve_exactly(
-            [walk.work(walk.reduced.winner.vector, max_nfev) for walk in stranded],
+        outcomes = _exact(
+            [
+                walk.entry.problem(_vector(walk.reduced.winner), max_nfev)
+                for walk in stranded
+            ],
             opts, tracer,
         )
         for walk, outcome in zip(stranded, outcomes):
             walk.rescue(outcome)
 
 
-def _solve_exactly(
-    works: Sequence[_StartWork], opts: EngineOptions, tracer: Any
-) -> list[Any]:
-    """Solve every start in *works* exactly as one :func:`_solve_start`
-    (one scipy ``least_squares`` call) each would; outcomes in order.
-
-    The analytic starts go into one stacked
-    :func:`~repro.fitting.trf.solve_trf` call when the kernel is trusted
-    (:func:`_kernel_trusted`). Everything the kernel does not return —
-    ``2-point`` starts, the problems it hands back and every start of a
-    kernel call that raises — runs through one executor map of
-    :func:`_solve_start`, the only map of the fit engine.
-    """
-    outcomes: list[Any] = [None] * len(works)
-    if _kernel_trusted():
-        try:
-            outcomes = solve_trf(_kernel_problems(works))
-        except Exception:  # noqa: BLE001 - any kernel failure falls back to scipy
-            logger.warning(
-                "stacked trf kernel failed; solving with scipy", exc_info=True
-            )
-            outcomes = [None] * len(works)
-    rest = [index for index, outcome in enumerate(outcomes) if outcome is None]
-    if rest:
-        # An explicit trace=False also masks any ambient tracer, so the
-        # executor emits no spans for these fits.
-        with deactivate() if opts.trace is False else activate(tracer):
-            solved = get_executor(opts.executor, max_workers=opts.n_workers).map(
-                _solve_start, [works[index] for index in rest]
-            )
-        for index, outcome in zip(rest, solved):
-            outcomes[index] = outcome
-    return outcomes
-
-
-def _kernel_problems(works: Sequence[_StartWork]) -> list[BatchedProblem]:
-    """The kernels' problems for *works*; the starts on one curve share
-    its time and target tuples, converted once."""
-    columns: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-    problems: list[BatchedProblem] = []
-    for work in works:
-        curve = work.curve
-        shared = columns.get(id(curve))
-        if shared is None:
-            shared = columns[id(curve)] = (
-                tuple(float(v) for v in curve.times),
-                tuple(float(v) for v in curve.performance),
-            )
-        problems.append(
-            BatchedProblem(
-                work.family, shared[0], shared[1], work.x0, work.lower,
-                work.upper, work.max_nfev, work.jac_mode,
-            )
-        )
-    return problems
-
-
-@functools.cache
-def _kernel_trusted() -> bool:
-    """Whether :func:`_solve_exactly` may use the stacked trf kernel.
-
-    Two checks, each made once per process: scipy's version is one the
-    kernel's equality tests passed on
-    (:data:`~repro.fitting.trf.VERIFIED_SCIPY_VERSIONS`), and a probe of
-    fixed problems — quadratic, competing-risks and a Weibull mixture,
-    starts inside the box and on its bounds, a budget that runs out —
-    comes out of the kernel exactly as :func:`_solve_start` solves it.
-    """
-    if scipy.__version__ not in VERIFIED_SCIPY_VERSIONS:
-        return False
-    works = _probe_works()
-    try:
-        kernel = solve_trf(_kernel_problems(works))
-    except Exception:  # noqa: BLE001 - a probe that raises means "do not trust"
-        logger.warning(
-            "stacked trf kernel probe failed; solving with scipy", exc_info=True
-        )
-        return False
-    return all(
-        outcome is not None and _same_outcome(outcome, _solve_start(work))
-        for work, outcome in zip(works, kernel)
+def _exact(
+    problems: Sequence[BatchedProblem], opts: EngineOptions, tracer: Any
+) -> list[BatchedOutcome]:
+    """Solve *problems* exactly as scipy would
+    (:func:`~repro.fitting.trf._solve_exactly`), mapping the starts the
+    stacked kernel does not take on *opts*' executor. An explicit
+    ``trace=False`` also masks any ambient tracer, so the executor emits
+    no spans for these fits."""
+    return _solve_exactly(
+        problems,
+        get_executor(opts.executor, max_workers=opts.n_workers),
+        deactivate() if opts.trace is False else activate(tracer),
     )
-
-
-def _same_outcome(a: Any, b: Any) -> bool:
-    """Field-for-field equality of two solve outcomes (timing aside)."""
-    return (
-        a.vector == b.vector
-        and (a.sse == b.sse or (np.isnan(a.sse) and np.isnan(b.sse)))
-        and a.message == b.message
-        and a.converged == b.converged
-        and a.nfev == b.nfev
-        and a.njev == b.njev
-    )
-
-
-def _probe_works() -> list[_StartWork]:
-    """The fixed problems :func:`_kernel_trusted` checks the kernel on."""
-    times = np.arange(20.0)
-    performance = (
-        1.0
-        - 0.3 * np.exp(-(((times - 6.0) / 3.0) ** 2))
-        + 0.15 * (times / 19.0) ** 2
-        + 0.004 * np.sin(1.7 * times)
-    )
-    curve = ResilienceCurve(times, performance, nominal=1.0, name="probe")
-    works: list[_StartWork] = []
-    # The mixture's second seed has Weibull shape 2 (a scalar-pow row)
-    # and a budget that runs out.
-    for name, seed, max_nfev in (
-        ("quadratic", 0, 200), ("competing_risks", 0, 200), ("wei-exp", 1, 25)
-    ):
-        family = make_model(name)
-        lower = tuple(float(v) for v in family.lower_bounds)
-        upper = tuple(float(v) for v in family.upper_bounds)
-        seeded = tuple(float(v) for v in family.initial_guesses(curve)[seed])
-        # Capping all but the first parameter at 1 puts the quadratic's
-        # β and the competing-risks γ on their upper bounds, so the
-        # solver steps off the box and reflects from it.
-        starts = [seeded, (seeded[0],) + tuple(min(u, 1.0) for u in upper[1:])]
-        works.extend(
-            _StartWork(family, curve, start, lower, upper, max_nfev, "analytic")
-            for start in starts
-        )
-    return works
 
 
 def fit_least_squares(
@@ -571,7 +330,7 @@ def fit_least_squares(
           ``"fit.start"`` span per multi-start solve.
         * ``executor``/``n_workers`` — the backend that maps the
           starts the stacked trf kernel does not solve (see
-          :func:`_solve_exactly`): ``"serial"``, ``"thread"``,
+          :func:`~repro.fitting.trf._solve_exactly`): ``"serial"``, ``"thread"``,
           ``"process"``, or a :class:`~repro.parallel.FitExecutor`
           instance (``None`` → ``REPRO_FIT_EXECUTOR``). Results are
           reduced in start order, so every backend returns the same
@@ -706,14 +465,23 @@ class _FailedPair(NamedTuple):
 
 
 class _PreparedPair(NamedTuple):
-    """A pair that missed the cache, ready to solve."""
+    """A pair that missed the cache, ready to solve: its box, its curve
+    as the float tuples every start's problem shares, and its starts."""
 
     pair: _FitPair
-    jac_mode: str
     lower: tuple[float, ...]
     upper: tuple[float, ...]
+    times: tuple[float, ...]
+    targets: tuple[float, ...]
     cache_key: str | None
     start_vectors: list[tuple[float, ...]]
+
+    def problem(self, x0: tuple[float, ...], max_nfev: int) -> BatchedProblem:
+        """The problem of one solve of this pair from *x0*."""
+        return BatchedProblem(
+            self.pair.family, self.times, self.targets, x0, self.lower,
+            self.upper, max_nfev,
+        )
 
 
 def _raise_first_failure(fits: Sequence[FitResult | _FailedPair]) -> list[FitResult]:
@@ -788,7 +556,7 @@ def _solve_pairs(
     2. *solve* the starts of every pair that missed the cache at once:
        one :func:`~repro.fitting.batched.solve_batched` call on the
        batched engine, which groups problems by family and length, or
-       one :func:`_solve_exactly` call on scipy (and, on the batched
+       one exact solve (:func:`_exact`) on scipy (and, on the batched
        engine, for families without a closed-form Jacobian);
     3. *select* each pair's winner and, for pairs the batched kernel
        screened, *confirm* it: the confirm walks of all pairs run in
@@ -832,7 +600,7 @@ def _solve_pairs(
 
     prepared = [entry for entry in entries if isinstance(entry, _PreparedPair)]
     per_pair = _solve_starts(prepared, opts, engine_mode, tracer)
-    selections = iter(
+    walks = iter(
         _select_winners(prepared, per_pair, opts, tracer, confirm, engine_mode)
     )
     outcomes = iter(per_pair)
@@ -855,7 +623,7 @@ def _solve_pairs(
                     entry
                     if isinstance(entry, FitResult)
                     else _finish_pair(
-                        entry, next(outcomes), next(selections), engine_mode,
+                        entry, next(outcomes), next(walks), engine_mode,
                         fit_cache=fit_cache, tracer=tracer,
                     )
                 )
@@ -875,13 +643,13 @@ def _solve_pairs(
 
 def _select_winners(
     prepared: Sequence[_PreparedPair],
-    per_pair: Sequence[Sequence[Any]],
+    per_pair: Sequence[Sequence[BatchedOutcome]],
     opts: EngineOptions,
     tracer: Any,
     confirm: bool,
     engine_mode: str,
-) -> list[_WinnerSelection | ConvergenceError]:
-    """Each prepared pair's final optimum, or the
+) -> list[_Walk | ConvergenceError]:
+    """Each prepared pair's selection (its :class:`_Walk`), or the
     :class:`~repro.exceptions.ConvergenceError` its fit raises; pairs the
     batched kernel screened are confirmed together (with *confirm*)."""
     walks: list[_Walk | ConvergenceError] = []
@@ -903,18 +671,15 @@ def _select_winners(
             ],
             opts, tracer,
         )
-    return [
-        walk if isinstance(walk, ConvergenceError) else walk.selection()
-        for walk in walks
-    ]
+    return walks
 
 
 def _screened(entry: _PreparedPair, engine_mode: str) -> bool:
     """Whether the batched LM kernel screens *entry*'s starts: on the
-    batched engine, for families with a closed-form Jacobian. A
-    ``2-point`` family's starts are solved by scipy on either engine, so
-    its result needs no confirmation."""
-    return engine_mode == "batched" and entry.jac_mode == "analytic"
+    batched engine, for families with a closed-form Jacobian. Another
+    family's starts are solved by scipy on either engine, so its result
+    needs no confirmation."""
+    return engine_mode == "batched" and entry.pair.family.has_analytic_jacobian
 
 
 def _prepare_pair(
@@ -947,7 +712,6 @@ def _prepare_pair(
             raise FitError("explicit starts list is empty")
     extra_starts = _checked_starts(family, pair.extra_starts or (), "extra start")
 
-    jac_mode = "analytic" if family.has_analytic_jacobian else "2-point"
     lower = tuple(float(v) for v in family.lower_bounds)
     upper = tuple(float(v) for v in family.upper_bounds)
 
@@ -1015,7 +779,15 @@ def _prepare_pair(
         start_vectors = injected + [
             s for s in start_vectors if s not in injected
         ]
-    return _PreparedPair(pair, jac_mode, lower, upper, cache_key, start_vectors)
+    return _PreparedPair(
+        pair,
+        lower,
+        upper,
+        tuple(float(v) for v in curve.times),
+        tuple(float(v) for v in curve.performance),
+        cache_key,
+        start_vectors,
+    )
 
 
 def _checked_starts(
@@ -1048,10 +820,10 @@ def _solve_starts(
     opts: EngineOptions,
     engine_mode: str,
     tracer: Any,
-) -> list[Sequence[Any]]:
+) -> list[Sequence[BatchedOutcome]]:
     """Run every start of every prepared pair at once; the outcomes
     come back split per pair, in start order."""
-    per_pair: list[Sequence[Any]] = [()] * len(prepared)
+    per_pair: list[Sequence[BatchedOutcome]] = [()] * len(prepared)
     screened = [i for i, entry in enumerate(prepared) if _screened(entry, engine_mode)]
     exact = [
         i for i, entry in enumerate(prepared) if not _screened(entry, engine_mode)
@@ -1061,33 +833,30 @@ def _solve_starts(
         # stay per-problem (each batched residual evaluation charges one
         # nfev to every start it served), so the reduce and the traces
         # see the same shape as the scipy path.
-        problems = _kernel_problems(_start_works(prepared, screened, opts.max_nfev))
+        problems = _start_problems(prepared, screened, opts.max_nfev)
         _split(per_pair, screened, prepared, solve_batched(problems))
     if exact:
-        works = _start_works(prepared, exact, opts.max_nfev)
-        _split(per_pair, exact, prepared, _solve_exactly(works, opts, tracer))
+        problems = _start_problems(prepared, exact, opts.max_nfev)
+        _split(per_pair, exact, prepared, _exact(problems, opts, tracer))
     return per_pair
 
 
-def _start_works(
+def _start_problems(
     prepared: Sequence[_PreparedPair], positions: Sequence[int], max_nfev: int
-) -> list[_StartWork]:
-    """One work unit per start of the pairs at *positions*, in order."""
+) -> list[BatchedProblem]:
+    """One problem per start of the pairs at *positions*, in order."""
     return [
-        _StartWork(
-            entry.pair.family, entry.pair.curve, start, entry.lower, entry.upper,
-            max_nfev, entry.jac_mode,
-        )
+        entry.problem(start, max_nfev)
         for entry in (prepared[i] for i in positions)
         for start in entry.start_vectors
     ]
 
 
 def _split(
-    per_pair: list[Sequence[Any]],
+    per_pair: list[Sequence[BatchedOutcome]],
     positions: Sequence[int],
     prepared: Sequence[_PreparedPair],
-    flat: Sequence[Any],
+    flat: Sequence[BatchedOutcome],
 ) -> None:
     """Hand the flat outcomes of the pairs at *positions* back per pair."""
     cursor = 0
@@ -1099,24 +868,28 @@ def _split(
 
 def _finish_pair(
     entry: _PreparedPair,
-    outcomes: Sequence[Any],
-    selection: _WinnerSelection | ConvergenceError,
+    outcomes: Sequence[BatchedOutcome],
+    walk: _Walk | ConvergenceError,
     engine_mode: str,
     *,
     fit_cache: FitCache | None,
     tracer: Any,
 ) -> FitResult:
-    """Turn one pair's start *outcomes* and final optimum into its
-    :class:`FitResult`, trace them and write the result to the cache.
+    """Turn one pair's start *outcomes* and its *walk*'s final optimum
+    into its :class:`FitResult`, trace them and write the result to the
+    cache.
 
     Raises
     ------
     ConvergenceError
         If every start failed to produce a finite optimum.
     """
-    if isinstance(selection, ConvergenceError):
-        raise selection
+    if isinstance(walk, ConvergenceError):
+        raise walk
     family, curve = entry.pair.family, entry.pair.curve
+    best = walk.best
+    vector = _vector(best)
+    sse = float(best.sse)
     if tracer.enabled:
         for index, outcome in enumerate(outcomes):
             tracer.record(
@@ -1130,14 +903,14 @@ def _finish_pair(
                 failed=outcome.vector is None,
             )
             tracer.metrics.observe("fit.start_seconds", outcome.seconds)
-        for confirmed in selection.confirms:
+        for index, confirmed in walk.confirms:
             tracer.record(
                 "fit.confirm",
-                confirmed.outcome.seconds,
-                index=confirmed.index,
-                nfev=confirmed.outcome.nfev,
-                njev=confirmed.outcome.njev,
-                converged=confirmed.outcome.converged,
+                confirmed.seconds,
+                index=index,
+                nfev=confirmed.nfev,
+                njev=confirmed.njev,
+                converged=confirmed.converged,
             )
 
     per_start_nfev: list[int] = [outcome.nfev for outcome in outcomes]
@@ -1147,12 +920,12 @@ def _finish_pair(
         "per_start_nfev": per_start_nfev,
         "per_start_njev": per_start_njev,
         "per_start_seconds": [outcome.seconds for outcome in outcomes],
-        "nfev": int(sum(per_start_nfev)) + selection.confirm_nfev,
-        "njev": int(sum(per_start_njev)) + selection.confirm_njev,
-        "confirm_nfev": selection.confirm_nfev,
-        "confirm_njev": selection.confirm_njev,
-        "winner_start": selection.winner_index,
-        "jac_mode": entry.jac_mode,
+        "nfev": int(sum(per_start_nfev)) + walk.nfev,
+        "njev": int(sum(per_start_njev)) + walk.njev,
+        "confirm_nfev": walk.nfev,
+        "confirm_njev": walk.njev,
+        "winner_start": int(walk.winner_index),
+        "jac_mode": "analytic" if family.has_analytic_jacobian else "2-point",
     }
     if _screened(entry, engine_mode):
         details["per_start_iterations"] = [
@@ -1164,12 +937,12 @@ def _finish_pair(
         fit_cache.put(
             entry.cache_key,
             {
-                "params": [float(v) for v in selection.vector],
-                "sse": float(selection.sse),
-                "converged": bool(selection.converged),
+                "params": [float(v) for v in vector],
+                "sse": sse,
+                "converged": bool(best.converged),
                 "n_starts": n_starts,
-                "n_failures": selection.failures,
-                "message": selection.message,
+                "n_failures": walk.reduced.failures,
+                "message": best.message,
                 "details": _copied_details(details),
                 "engine": engine_mode,
             },
@@ -1177,13 +950,13 @@ def _finish_pair(
 
     details["cache_hit"] = False
     return FitResult(
-        model=family.bind(selection.vector),
+        model=family.bind(vector),
         curve=curve,
-        sse=selection.sse,
-        converged=selection.converged,
+        sse=sse,
+        converged=best.converged,
         n_starts=n_starts,
-        n_failures=selection.failures,
-        message=selection.message,
+        n_failures=walk.reduced.failures,
+        message=best.message,
         details=details,
         engine=engine_mode,
     )

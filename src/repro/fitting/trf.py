@@ -1,20 +1,24 @@
-"""Stacked, bit-exact port of scipy's bounded trust-region-reflective solver.
+"""Solve many bounded least-squares starts exactly as scipy's trf would.
 
 The scipy engine solves every start of a fit, and the batched engine
 *confirms* each pair's screened winner, along the trajectory scipy's
 ``least_squares(method="trf")`` takes from that start, so every fit
-stays bit-identical to one scipy call per start. Such a call spends
-most of its time in Python overhead per call and per iteration, not in
-arithmetic. This module runs many such
-solves at once: it repeats scipy 1.17's ``trf_bounds`` (exact
-trust-region solver, linear loss, ``x_scale=1``) together with the
-``least_squares`` preamble a fit goes through (clip,
-``make_strictly_feasible``, first residual and Jacobian calls), one
-float operation at a time in scipy's order, on stacked arrays with
-per-problem masks. Problems are grouped by (family, observation count)
-and a group is solved in slices of at most :data:`MAX_STACK`; a slice
-iterates until its last problem stops, and finished problems are
-compacted out so stragglers pay only for themselves.
+stays bit-identical to one scipy call per start. This module owns that
+"solve exactly" step (:func:`_solve_exactly`): the one place a fit's
+starts reach scipy, and the stacked kernel that replaces most of those
+calls.
+
+Such a call spends most of its time in Python overhead per call and per
+iteration, not in arithmetic. :func:`solve_trf` runs many such solves at
+once: it repeats scipy 1.17's ``trf_bounds`` (exact trust-region solver,
+linear loss, ``x_scale=1``) together with the ``least_squares`` preamble
+a fit goes through (clip, ``make_strictly_feasible``, first residual and
+Jacobian calls), one float operation at a time in scipy's order, on
+stacked arrays with per-problem masks. Problems are grouped by (family,
+observation count) and a group is solved in slices of at most
+:data:`MAX_STACK`; a slice iterates until its last problem stops, and
+finished problems are compacted out so stragglers pay only for
+themselves.
 
 Bit-equality rests on three facts about this stack:
 
@@ -27,37 +31,51 @@ Bit-equality rests on three facts about this stack:
 * the models' ``evaluate_batch``/``prediction_jacobian_batch`` return,
   row for row, what the scalar methods return.
 
-They hold for the scipy versions in :data:`VERIFIED_SCIPY_VERSIONS`,
-which :mod:`repro.fitting.least_squares` checks, together with a probe
-run once per process, before it uses the kernel. A problem whose scipy
-solve would leave the port's path — a non-finite residual, Jacobian or
-step, or a solve scipy would abort with ``ValueError`` — comes back
-``None`` for the caller to solve with scipy itself.
+They hold for the scipy versions in :data:`VERIFIED_SCIPY_VERSIONS`, so
+the kernel runs only on those, and only after a probe, run once per
+process, matched the scipy reference (:func:`_kernel_trusted`).
+Everything the kernel does not solve goes to the reference,
+:func:`_solve_start`, one scipy call per problem: a family without a
+closed-form Jacobian, a problem whose scipy solve would leave the port's
+path (a non-finite residual, Jacobian or step, or a solve scipy would
+abort with ``ValueError``), every problem of a kernel call that raises,
+and everything on an unverified scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import time
+from contextlib import AbstractContextManager
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
+import scipy
+from scipy import optimize
 
 from repro._typing import FloatArray
-from repro.fitting.batched import _PENALTY_SCALE, BatchedOutcome, BatchedProblem
+from repro.core.curve import ResilienceCurve
+from repro.fitting.batched import (
+    _PENALTY_SCALE,
+    TOLERANCE,
+    BatchedOutcome,
+    BatchedProblem,
+    _group_problems,
+)
 from repro.models.base import ResilienceModel
+from repro.models.registry import make_model
+from repro.parallel import FitExecutor
 
-__all__ = ["TOLERANCE", "VERIFIED_SCIPY_VERSIONS", "solve_trf"]
+__all__ = ["VERIFIED_SCIPY_VERSIONS", "solve_trf"]
+
+logger = logging.getLogger("repro.fitting")
 
 #: scipy versions whose ``trf_bounds`` this module reproduces bit for
 #: bit: the versions the equality tests (tests/fitting/test_trf.py)
 #: passed on.
 VERIFIED_SCIPY_VERSIONS: frozenset[str] = frozenset({"1.17.1"})
-
-#: ``ftol``, ``xtol`` and ``gtol`` of every fit's solve, here and in the
-#: scipy call it reproduces; far below the 8-decimal precision tables
-#: are rendered at.
-TOLERANCE = 1e-12
 
 #: Most problems one kernel pass stacks. A pass's transient arrays grow
 #: with its stack, about 12 KB per problem (6.3 MB for the 528 cold
@@ -65,13 +83,6 @@ TOLERANCE = 1e-12
 #: slices of 64), so a group is solved in slices of at most this many;
 #: 64 problems already share the per-iteration overhead.
 MAX_STACK = 64
-
-#: Smallest group the kernel solves. A kernel pass has a fixed cost per
-#: call that one scipy call does not, so a problem alone in its group
-#: (a lone warm refit or confirm) is handed back for scipy: on lone warm
-#: competing_risks refits of 48-point outage curves the kernel took a
-#: median 4.66 ms against scipy's 4.38 ms.
-MIN_STACK = 2
 
 _BoolArray = npt.NDArray[np.bool_]
 _IntArray = npt.NDArray[np.int64]
@@ -93,6 +104,69 @@ _MESSAGES = {
 }
 
 
+def _solve_exactly(
+    problems: Sequence[BatchedProblem],
+    executor: FitExecutor,
+    activation: AbstractContextManager[None],
+) -> list[BatchedOutcome]:
+    """Solve every problem exactly as one scipy ``least_squares`` call
+    (:func:`_solve_start`) each would; outcomes in order.
+
+    One :func:`solve_trf` call takes them all when the kernel is trusted
+    (:func:`_kernel_trusted`). Whatever it does not return goes through
+    one *executor* map of :func:`_solve_start`, run inside *activation*
+    (the caller's tracing context): the only map of the fit engine.
+    """
+    outcomes: list[BatchedOutcome | None] = [None] * len(problems)
+    if _kernel_trusted():
+        try:
+            outcomes = solve_trf(problems)
+        except Exception:  # noqa: BLE001 - any kernel failure falls back to scipy
+            logger.warning(
+                "stacked trf kernel failed; solving with scipy", exc_info=True
+            )
+            outcomes = [None] * len(problems)
+    rest = [index for index, outcome in enumerate(outcomes) if outcome is None]
+    if rest:
+        with activation:
+            solved = executor.map(_solve_start, [problems[index] for index in rest])
+        for index, outcome in zip(rest, solved):
+            outcomes[index] = outcome
+    return [outcome for outcome in outcomes if outcome is not None]
+
+
+def solve_trf(problems: Sequence[BatchedProblem]) -> list[BatchedOutcome | None]:
+    """Solve every closed-form-Jacobian problem as scipy's trf would.
+
+    Returns one entry per problem, in order: the outcome scipy's
+    ``least_squares`` run reaches from the problem's start (x, SSE,
+    message, success, the residual/Jacobian call counts of the fit
+    engine's objective and scipy's ``nfev − 1`` as ``n_iterations``),
+    with ``seconds`` the problem's share of its slice's time weighted by
+    the iterations it took; or ``None`` for a problem the kernel does
+    not solve — a family without a closed-form Jacobian, or a solve
+    that leaves the port's path — which :func:`_solve_exactly` hands to
+    scipy. A group is solved in near-equal slices of at most
+    :data:`MAX_STACK` problems.
+    """
+    results: list[BatchedOutcome | None] = [None] * len(problems)
+    with np.errstate(all="ignore"):
+        for indices in _group_problems(problems):
+            if not problems[indices[0]].family.has_analytic_jacobian:
+                continue
+            size = len(indices)
+            n_slices = -(-size // MAX_STACK)
+            for k in range(n_slices):
+                part = indices[k * size // n_slices : (k + 1) * size // n_slices]
+                outcomes = _solve_group([problems[i] for i in part])
+                for position, outcome in zip(part, outcomes):
+                    results[position] = outcome
+    return results
+
+
+# ----------------------------------------------------------------------
+# The scipy reference and the guard that trusts the kernel
+# ----------------------------------------------------------------------
 def _penalty_value(vector: np.ndarray) -> float:
     """Smoothly increasing replacement for non-finite residuals."""
     return _PENALTY_SCALE * (1.0 + float(np.linalg.norm(vector)))
@@ -106,38 +180,149 @@ def _penalty_gradient(vector: np.ndarray) -> np.ndarray:
     return (_PENALTY_SCALE / norm) * np.asarray(vector, dtype=np.float64)
 
 
-def solve_trf(problems: Sequence[BatchedProblem]) -> list[BatchedOutcome | None]:
-    """Solve every analytic-Jacobian problem as scipy's trf would.
+def _solve_start(problem: BatchedProblem) -> BatchedOutcome:
+    """One bounded scipy ``least_squares(method="trf")`` solve of
+    *problem*: the reference the kernel reproduces (module-level so the
+    process backend can pickle it).
 
-    Returns one entry per problem, in order: the outcome scipy's
-    ``least_squares`` run reaches from the problem's start (x, SSE,
-    message, success and the residual/Jacobian call counts of the fit
-    engine's objective), with ``seconds`` the problem's share of its
-    slice's time weighted by the iterations it took; or ``None`` for a
-    problem the kernel does not solve — a ``2-point`` problem, one alone
-    in its (family, length) group (:data:`MIN_STACK`) or one whose solve
-    leaves the port's path — which the caller solves with scipy. A
-    group is solved in near-equal slices of at most :data:`MAX_STACK`
-    problems.
+    The family's closed-form Jacobian is handed to scipy when it has
+    one, else scipy differences by ``"2-point"``. The residual- and
+    Jacobian-call counters live here rather than trusting
+    ``solution.nfev``: scipy's trf does *not* count the residual calls
+    its 2-point Jacobian makes, so the reported number would flatter the
+    finite-difference mode. ``n_iterations`` is scipy's ``nfev − 1``,
+    trf's inner-loop passes (0 when scipy raised).
     """
-    groups: dict[tuple[str, int], list[int]] = {}
-    for index, problem in enumerate(problems):
-        if problem.jac_mode == "analytic":
-            key = (problem.family.fingerprint(), len(problem.times))
-            groups.setdefault(key, []).append(index)
-    results: list[BatchedOutcome | None] = [None] * len(problems)
-    with np.errstate(all="ignore"):
-        for indices in groups.values():
-            size = len(indices)
-            if size < MIN_STACK:
-                continue
-            n_slices = -(-size // MAX_STACK)
-            for k in range(n_slices):
-                part = indices[k * size // n_slices : (k + 1) * size // n_slices]
-                outcomes = _solve_group([problems[i] for i in part])
-                for position, outcome in zip(part, outcomes):
-                    results[position] = outcome
-    return results
+    t0 = time.perf_counter()
+    family = problem.family
+    times = np.asarray(problem.times, dtype=np.float64)
+    targets = np.asarray(problem.targets, dtype=np.float64)
+    lower = np.asarray(problem.lower, dtype=np.float64)
+    upper = np.asarray(problem.upper, dtype=np.float64)
+    counters = {"nfev": 0, "njev": 0}
+
+    def objective(vector: np.ndarray) -> np.ndarray:
+        counters["nfev"] += 1
+        residuals = targets - family.evaluate(times, tuple(vector))
+        bad = ~np.isfinite(residuals)
+        if bad.any():
+            residuals = np.where(bad, _penalty_value(vector), residuals)
+        return residuals
+
+    def analytic_jac(vector: np.ndarray) -> np.ndarray:
+        counters["njev"] += 1
+        jac = -family.prediction_jacobian(times, vector)
+        predictions = family.evaluate(times, vector)
+        bad = ~np.isfinite(predictions)
+        if bad.any():
+            # Match the objective: penalized rows get the penalty's
+            # gradient so the solver still sees a downhill direction.
+            jac[bad, :] = _penalty_gradient(vector)
+        return np.where(np.isfinite(jac), jac, 0.0)
+
+    jac_arg: object = analytic_jac if family.has_analytic_jacobian else "2-point"
+    x0 = np.clip(np.asarray(problem.x0, dtype=np.float64), lower, upper)
+    try:
+        solution = optimize.least_squares(
+            objective,
+            x0,
+            jac=jac_arg,
+            bounds=(lower, upper),
+            method="trf",
+            max_nfev=problem.max_nfev,
+            ftol=TOLERANCE,
+            xtol=TOLERANCE,
+            gtol=TOLERANCE,
+        )
+    except (ValueError, FloatingPointError):
+        solution = None
+    sse = float("nan") if solution is None else float(2.0 * solution.cost)
+    solved = solution is not None and bool(np.isfinite(sse))
+    return BatchedOutcome(
+        sse=sse,
+        vector=tuple(float(v) for v in solution.x) if solved else None,
+        message=str(solution.message) if solved else "",
+        converged=bool(solution.success) if solved else False,
+        nfev=counters["nfev"],
+        njev=counters["njev"],
+        seconds=time.perf_counter() - t0,
+        n_iterations=0 if solution is None else int(solution.nfev) - 1,
+    )
+
+
+def _same_outcome(a: BatchedOutcome, b: BatchedOutcome) -> bool:
+    """Field-for-field equality of two solve outcomes (timing aside)."""
+    return (
+        a.vector == b.vector
+        and (a.sse == b.sse or (np.isnan(a.sse) and np.isnan(b.sse)))
+        and a.message == b.message
+        and a.converged == b.converged
+        and a.nfev == b.nfev
+        and a.njev == b.njev
+        and a.n_iterations == b.n_iterations
+    )
+
+
+@functools.cache
+def _kernel_trusted() -> bool:
+    """Whether :func:`_solve_exactly` may use the stacked kernel.
+
+    Two checks, each made once per process: scipy's version is one the
+    kernel's equality tests passed on (:data:`VERIFIED_SCIPY_VERSIONS`),
+    and a probe of fixed problems — quadratic, competing-risks and a
+    Weibull mixture, starts inside the box and on its bounds, a budget
+    that runs out — comes out of the kernel exactly as
+    :func:`_solve_start` solves it.
+    """
+    if scipy.__version__ not in VERIFIED_SCIPY_VERSIONS:
+        return False
+    problems = _probe_problems()
+    try:
+        kernel = solve_trf(problems)
+    except Exception:  # noqa: BLE001 - a probe that raises means "do not trust"
+        logger.warning(
+            "stacked trf kernel probe failed; solving with scipy", exc_info=True
+        )
+        return False
+    return all(
+        outcome is not None and _same_outcome(outcome, _solve_start(problem))
+        for problem, outcome in zip(problems, kernel)
+    )
+
+
+def _probe_problems() -> list[BatchedProblem]:
+    """The fixed problems :func:`_kernel_trusted` checks the kernel on."""
+    times = np.arange(20.0)
+    performance = (
+        1.0
+        - 0.3 * np.exp(-(((times - 6.0) / 3.0) ** 2))
+        + 0.15 * (times / 19.0) ** 2
+        + 0.004 * np.sin(1.7 * times)
+    )
+    curve = ResilienceCurve(times, performance, nominal=1.0, name="probe")
+    columns = (
+        tuple(float(v) for v in curve.times),
+        tuple(float(v) for v in curve.performance),
+    )
+    problems: list[BatchedProblem] = []
+    # The mixture's second seed has Weibull shape 2 (a scalar-pow row)
+    # and a budget that runs out.
+    for name, seed, max_nfev in (
+        ("quadratic", 0, 200), ("competing_risks", 0, 200), ("wei-exp", 1, 25)
+    ):
+        family = make_model(name)
+        lower = tuple(float(v) for v in family.lower_bounds)
+        upper = tuple(float(v) for v in family.upper_bounds)
+        seeded = tuple(float(v) for v in family.initial_guesses(curve)[seed])
+        # Capping all but the first parameter at 1 puts the quadratic's
+        # β and the competing-risks γ on their upper bounds, so the
+        # solver steps off the box and reflects from it.
+        starts = [seeded, (seeded[0],) + tuple(min(u, 1.0) for u in upper[1:])]
+        problems.extend(
+            BatchedProblem(family, *columns, start, lower, upper, max_nfev)
+            for start in starts
+        )
+    return problems
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,18 @@ class PartialDegradationMixtureModel(MixtureResilienceModel):
             axis=1,
         )
 
+    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
+        """Row by row through :meth:`evaluate`: the mixture's stacked
+        form knows no ``w``."""
+        return ResilienceModel.evaluate_batch(self, times, params)
+
+    def prediction_jacobian_batch(
+        self, times: FloatArray, params: FloatArray
+    ) -> FloatArray:
+        """Row by row through :meth:`prediction_jacobian`: the mixture's
+        stacked form has no ``∂P/∂w`` column."""
+        return ResilienceModel.prediction_jacobian_batch(self, times, params)
+
     def components(self, times: ArrayLike) -> tuple[FloatArray, FloatArray]:
         """Degradation (``1 − w·F₁``) and recovery (``a₂·F₂``) terms."""
         t = self._as_times(times)

@@ -65,3 +65,26 @@ class TestScaling:
         scaled = Weibull(5.0, 2.0)
         t = np.linspace(0.1, 10.0, 20)
         np.testing.assert_allclose(scaled.cdf(t), base.cdf(t / 5.0), atol=1e-12)
+
+
+class TestBatchStacking:
+    @pytest.mark.parametrize("k", [2.0, 0.5, -1.0, 1.7])
+    def test_row_does_not_depend_on_its_stack(self, k):
+        """A row of ``cdf_batch``/``cdf_gradient_batch`` is the same
+        alone and stacked under another row, also for the shapes numpy
+        would square, root or invert by a shortcut."""
+        times = np.arange(18.0)
+        row = np.array([[6.0, k]])
+        stack = np.array([[6.0, k], [3.0, 1.3]])
+        pair = np.vstack([times, times])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(
+                Weibull.cdf_batch(times[None, :], row)[0],
+                Weibull.cdf_batch(pair, stack)[0],
+                equal_nan=True,
+            )
+            assert np.array_equal(
+                Weibull.cdf_gradient_batch(times[None, :], row)[0],
+                Weibull.cdf_gradient_batch(pair, stack)[0],
+                equal_nan=True,
+            )

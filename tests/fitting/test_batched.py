@@ -54,7 +54,6 @@ def _problem_for(family, curve, x0=None, max_nfev=2000):
         lower=lower,
         upper=upper,
         max_nfev=max_nfev,
-        jac_mode="analytic" if family.has_analytic_jacobian else "2-point",
     )
 
 
@@ -232,6 +231,19 @@ class TestFreezing:
         assert not outcome.converged
         assert outcome.nfev <= 5 + family.n_params  # one trailing refresh at most
         assert "maximum number of function evaluations" in outcome.message
+
+
+    def test_family_without_closed_form_jacobian_is_rejected(self, recession_1990):
+        """The kernel solves closed-form families only; the fit engine
+        hands the others (``segmented``) to scipy."""
+        family = make_model("segmented")
+        assert not family.has_analytic_jacobian
+        problems = [
+            _problem_for(make_model("quadratic"), recession_1990),
+            _problem_for(family, recession_1990),
+        ]
+        with pytest.raises(FitError, match="closed-form Jacobian"):
+            solve_batched(problems)
 
 
 class TestBoundPinning:

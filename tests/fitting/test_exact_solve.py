@@ -1,19 +1,20 @@
 """The scipy engine's starts on the stacked trf kernel.
 
-``least_squares._solve_exactly`` solves a list of starts exactly as one
-scipy ``least_squares`` call each would: the analytic ones in one
-stacked :func:`~repro.fitting.trf.solve_trf` call when the kernel is
-trusted, the rest one scipy call each. These tests hold the scipy
-engine's fits to the same fits with the kernel unverified (every start
-then goes to scipy), on the paper's table grids and on batches shaped
-like a forecast server's first fits and refit ticks; they show that
-same-length analytic pairs reach no scipy call at all, and pin the
-kernel's two fixed rules: slices of at most ``MAX_STACK`` problems and
-a lone problem handed back.
+``trf._solve_exactly`` solves a list of starts exactly as one scipy
+``least_squares`` call each would: the analytic ones in one stacked
+:func:`~repro.fitting.trf.solve_trf` call when the kernel is trusted,
+the rest one scipy call each. These tests hold the scipy engine's fits
+to the same fits with the kernel unverified (every start then goes to
+scipy), on the paper's table grids and on batches shaped like a
+forecast server's first fits and refit ticks; they show that analytic
+pairs reach no scipy call at all, whatever their lengths and on either
+engine, and pin the kernel's fixed rule (slices of at most
+``MAX_STACK`` problems) and its solve of a problem alone in its group.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Any
 
 import numpy as np
@@ -24,16 +25,12 @@ from repro.analysis import experiments
 from repro.core.curve import ResilienceCurve
 from repro.datasets.outage import SCENARIOS, episode_curve
 from repro.fitting import trf
-from repro.fitting.least_squares import (
-    _fit_pairs,
-    _FitPair,
-    _kernel_problems,
-    _same_outcome,
-    _StartWork,
-)
+from repro.fitting.batched import BatchedProblem
+from repro.fitting.least_squares import _fit_pairs, _FitPair
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.registry import make_model
+from repro.parallel import get_executor
 
 from tests.fitting.test_trf import untrusted, verified_scipy  # noqa: F401
 
@@ -43,9 +40,9 @@ SCIPY = EngineOptions(engine="scipy", cache=False, executor="serial")
 def _distrust(patch: pytest.MonkeyPatch) -> None:
     """From here on every start goes to scipy: no scipy version is
     verified for the kernel."""
-    patch.setattr(least_squares, "VERIFIED_SCIPY_VERSIONS", frozenset())
-    least_squares._kernel_trusted.cache_clear()
-    assert not least_squares._kernel_trusted()
+    patch.setattr(trf, "VERIFIED_SCIPY_VERSIONS", frozenset())
+    trf._kernel_trusted.cache_clear()
+    assert not trf._kernel_trusted()
 
 
 def _summary(fit: Any) -> tuple[Any, ...]:
@@ -79,6 +76,21 @@ def _stream_curves(
         episode_curve(labels[i % len(labels)], i, seed=seed, n_points=n_points)
         for i in range(n_streams)
     ]
+
+
+def _problem(
+    family: Any, curve: ResilienceCurve, x0: Any, max_nfev: int = 200
+) -> BatchedProblem:
+    """One start of *family* on *curve*, as the fit engine builds it."""
+    return BatchedProblem(
+        family,
+        tuple(float(v) for v in curve.times),
+        tuple(float(v) for v in curve.performance),
+        tuple(float(v) for v in x0),
+        tuple(float(v) for v in family.lower_bounds),
+        tuple(float(v) for v in family.upper_bounds),
+        max_nfev,
+    )
 
 
 @verified_scipy
@@ -133,7 +145,7 @@ class TestServeShapedBatches:
 
     def test_warm_tick(self, untrusted):
         # 66 warm refits of one length (a group the kernel slices) and
-        # one of another length (a lone problem scipy solves).
+        # one of another length (a lone problem, solved by the kernel).
         cold = _fit_pairs(self._cold_pairs(), options=SCIPY, n_random_starts=8)
         optima = [fit.params for fit in cold if isinstance(fit, FitResult)]
         family = make_model("competing_risks")
@@ -153,32 +165,40 @@ class TestServeShapedBatches:
 
         untrusted.setattr(trf, "_solve_group", spy)
         self._assert_same(pairs, untrusted)
-        # Two slices of the 66-problem group; the lone refit went to scipy.
-        assert sizes == [33, 33]
+        # Two slices of the 66-problem group, then the lone refit.
+        assert sizes == [33, 33, 1]
 
 
 @verified_scipy
-def test_same_length_pairs_make_no_scipy_call(untrusted):
-    """Once the probe has run, a scipy-engine batch of same-length
-    analytic pairs is solved without one scipy ``least_squares`` call."""
-    assert least_squares._kernel_trusted()
+def test_analytic_pairs_make_no_scipy_call(untrusted):
+    """Once the probe has run, a batch of analytic pairs of mixed
+    lengths — one of them alone in its (family, length) group — is
+    solved on either engine, screen and confirms included, without one
+    scipy ``least_squares`` call."""
+    assert trf._kernel_trusted()
     calls: list[Any] = []
-    original = least_squares.optimize.least_squares
+    original = trf.optimize.least_squares
 
     def spy(*args: Any, **kwargs: Any) -> Any:
         calls.append(args)
         return original(*args, **kwargs)
 
-    untrusted.setattr(least_squares.optimize, "least_squares", spy)
-    curves = _stream_curves(4, seed=5)
+    untrusted.setattr(trf.optimize, "least_squares", spy)
+    curves = _stream_curves(3, seed=5) + _stream_curves(2, seed=5, n_points=40)
     pairs = [
         _FitPair(make_model(name), curve)
         for name in ("competing_risks", "quadratic")
         for curve in curves
     ]
-    fits = _fit_pairs(pairs, options=SCIPY, n_random_starts=2)
-    assert all(isinstance(fit, FitResult) for fit in fits)
-    assert calls == []
+    # A warm refit: its one start is alone in its (family, length) group.
+    lone, family = _stream_curves(1, seed=5, n_points=44)[0], make_model("wei-exp")
+    pairs.append(_FitPair(family, lone, starts=(family.initial_guesses(lone)[0],)))
+    for engine in ("scipy", "batched"):
+        fits = _fit_pairs(
+            pairs, options=SCIPY.replace(engine=engine), n_random_starts=2
+        )
+        assert all(isinstance(fit, FitResult) for fit in fits), engine
+        assert calls == [], engine
 
 
 @verified_scipy
@@ -186,18 +206,13 @@ def test_kernel_slices_groups_without_changing_outcomes(monkeypatch):
     """``solve_trf`` hands ``_solve_group`` at most ``MAX_STACK``
     problems at a time, and every outcome equals the unsliced group's."""
     family = make_model("competing_risks")
-    lower = tuple(float(v) for v in family.lower_bounds)
-    upper = tuple(float(v) for v in family.upper_bounds)
     rng = np.random.default_rng(7)
-    works = []
+    problems = []
     for curve in _stream_curves(10, seed=4):
         seeded = family.initial_guesses(curve)[0]
         for scale in rng.uniform(0.5, 1.5, (15, 3)):
             start = tuple(float(v * f) for v, f in zip(seeded, scale))
-            works.append(
-                _StartWork(family, curve, start, lower, upper, 200, "analytic")
-            )
-    problems = _kernel_problems(works)
+            problems.append(_problem(family, curve, start))
     with np.errstate(all="ignore"):
         whole = trf._solve_group(problems)
 
@@ -214,19 +229,31 @@ def test_kernel_slices_groups_without_changing_outcomes(monkeypatch):
     assert sum(sizes) == len(problems) == 150
     for a, b in zip(sliced, whole):
         assert a is not None and b is not None
-        assert _same_outcome(a, b) and a.n_iterations == b.n_iterations
+        assert trf._same_outcome(a, b)
 
 
-def test_lone_problem_is_handed_back():
-    """A problem alone in its (family, length) group comes back ``None``
-    for scipy to solve; a pair of them is solved by the kernel."""
-    family = make_model("quadratic")
+@verified_scipy
+def test_lone_problem_equals_scipy():
+    """A problem alone in its (family, length) group is solved by the
+    kernel, and comes out as one scipy call solves it."""
     curve = _stream_curves(1, seed=6)[0]
-    work = _StartWork(
-        family, curve, tuple(float(v) for v in family.initial_guesses(curve)[0]),
-        tuple(float(v) for v in family.lower_bounds),
-        tuple(float(v) for v in family.upper_bounds), 200, "analytic",
+    for name in ("quadratic", "competing_risks", "wei-exp"):
+        family = make_model(name)
+        problem = _problem(family, curve, family.initial_guesses(curve)[0])
+        (outcome,) = trf.solve_trf([problem])
+        assert outcome is not None, name
+        assert trf._same_outcome(outcome, trf._solve_start(problem)), name
+
+
+def test_family_without_closed_form_jacobian_goes_to_scipy():
+    """The kernel hands back a problem whose family has no closed-form
+    Jacobian, and the exact solve gives it to one scipy call."""
+    family = make_model("segmented")
+    curve = _stream_curves(1, seed=6)[0]
+    problem = _problem(family, curve, family.initial_guesses(curve)[0], 400)
+    assert trf.solve_trf([problem]) == [None]
+    (outcome,) = trf._solve_exactly(
+        [problem], get_executor("serial"), contextlib.nullcontext()
     )
-    assert trf.solve_trf(_kernel_problems([work])) == [None]
-    pair = trf.solve_trf(_kernel_problems([work, work]))
-    assert all(outcome is not None for outcome in pair)
+    assert trf._same_outcome(outcome, trf._solve_start(problem))
+    assert outcome.vector is not None

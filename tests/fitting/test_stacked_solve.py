@@ -108,6 +108,16 @@ def _outcome(fit: FitResult) -> tuple:
     ],
     n_random_starts=1,
 )
+# A warm mixture refit whose start has Weibull shape 2 must screen the
+# same alone as stacked with its group: its confirm misses the band, and
+# the rescue starts from the screened optimum.
+@example(
+    spec=[
+        ("exp-wei", "1981-83", 18, "cold", None),
+        ("exp-wei", "1990-93", 18, "warm", None),
+    ],
+    n_random_starts=0,
+)
 @settings(max_examples=6, deadline=None)
 def test_stacked_pairs_equal_lone_fits(engine, spec, n_random_starts):
     options = _options(engine, n_random_starts)

@@ -3,18 +3,18 @@
 The kernel's contract: for every analytic-Jacobian problem,
 ``solve_trf`` returns what ``_solve_start`` — one scipy
 ``least_squares`` call through the fit engine's objective — returns,
-field for field (x, SSE, message, success, nfev, njev). These tests hold
-it to that on the confirm starts the paper's tables and the fleet
-benchmark solve, and on a property sweep over every analytic family
-with starts inside the box, on its bounds and with budgets that run
-out. They also pin the run-time guard: an unverified scipy, a probe
-that disagrees, or a kernel that raises all confirm with scipy and
-change no result.
+field for field (x, SSE, message, success, nfev, njev, iterations),
+whether the problem shares its (family, length) group or is alone in
+it. These tests hold it to that on the confirm starts the paper's
+tables and the fleet benchmark solve, and on a property sweep over
+every analytic family with starts inside the box, on its bounds and
+with budgets that run out. They also pin the run-time guard: an
+unverified scipy, a probe that disagrees, or a kernel that raises all
+confirm with scipy and change no result.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterator
 
 import numpy as np
@@ -28,17 +28,17 @@ from repro.core.curve import ResilienceCurve
 from repro.datasets.outage import generate_fleet
 from repro.datasets.recessions import load_recession
 from repro.fitting import trf
+from repro.fitting.batched import BatchedProblem
 from repro.fitting.cache import FitCache
 from repro.fitting.fleet import fit_fleet
-from repro.fitting.least_squares import (
-    _kernel_problems,
+from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
+from repro.fitting.trf import (
+    VERIFIED_SCIPY_VERSIONS,
     _same_outcome,
     _solve_start,
-    _StartWork,
-    fit_least_squares,
+    solve_trf,
 )
-from repro.fitting.options import EngineOptions
-from repro.fitting.trf import VERIFIED_SCIPY_VERSIONS, solve_trf
 from repro.models.registry import make_model
 from repro.observability import Tracer
 
@@ -68,31 +68,27 @@ def _walked(run: Any) -> list[tuple[Any, int]]:
     return walks
 
 
-def _assert_kernel_matches(works: list[_StartWork]) -> None:
-    """One stacked kernel call over *works* equals a scipy solve of each,
-    and hands none back. ``solve_trf`` hands back a problem alone in its
-    (family, length) group by design; such a problem is checked through
-    the kernel's group solver directly."""
-    problems = _kernel_problems(works)
+def _assert_kernel_matches(problems: list[BatchedProblem]) -> None:
+    """One stacked kernel call over *problems* equals a scipy solve of
+    each, and hands none back — a problem alone in its (family, length)
+    group included."""
     kernel = solve_trf(problems)
-    groups = [(p.family.fingerprint(), len(p.times)) for p in problems]
-    sizes = Counter(groups)
-    for index, problem in enumerate(problems):
-        if kernel[index] is None and sizes[groups[index]] == 1:
-            with np.errstate(all="ignore"):
-                (kernel[index],) = trf._solve_group([problem])
-    for work, outcome in zip(works, kernel):
-        assert outcome is not None, f"kernel handed back {work.family.name} {work.x0}"
-        reference = _solve_start(work)
+    for problem, outcome in zip(problems, kernel):
+        assert outcome is not None, (
+            f"kernel handed back {problem.family.name} {problem.x0}"
+        )
+        reference = _solve_start(problem)
         assert _same_outcome(outcome, reference), (
-            f"{work.family.name} from {work.x0}: kernel "
-            f"{outcome.vector}/{outcome.sse!r}/{outcome.nfev}/{outcome.njev} != scipy "
-            f"{reference.vector}/{reference.sse!r}/{reference.nfev}/{reference.njev}"
+            f"{problem.family.name} from {problem.x0}: kernel "
+            f"{outcome.vector}/{outcome.sse!r}/{outcome.nfev}/{outcome.njev}/"
+            f"{outcome.n_iterations} != scipy {reference.vector}/"
+            f"{reference.sse!r}/{reference.nfev}/{reference.njev}/"
+            f"{reference.n_iterations}"
         )
 
 
 @pytest.fixture(scope="module")
-def golden_candidates() -> list[_StartWork]:
+def golden_candidates() -> list[BatchedProblem]:
     """Every in-band candidate of every pair Tables I–IV confirm, in the
     golden configuration (4 random starts)."""
     options = EngineOptions(engine="batched", cache=FitCache(), executor="serial")
@@ -107,7 +103,7 @@ def golden_candidates() -> list[_StartWork]:
             table(n_random_starts=4, options=options)
 
     return [
-        walk.work(walk.entry.start_vectors[index], max_nfev)
+        walk.entry.problem(walk.entry.start_vectors[index], max_nfev)
         for walk, max_nfev in _walked(build)
         for index in walk.reduced.candidates
     ]
@@ -116,7 +112,7 @@ def golden_candidates() -> list[_StartWork]:
 @verified_scipy
 class TestKernelEqualsScipy:
     def test_golden_table_candidates(self, golden_candidates):
-        families = {work.family.name for work in golden_candidates}
+        families = {problem.family.name for problem in golden_candidates}
         assert {"quadratic", "competing_risks", "wei-wei", "exp-wei"} <= families
         _assert_kernel_matches(golden_candidates)
 
@@ -135,7 +131,7 @@ class TestKernelEqualsScipy:
         assert len(walks) == 512
         _assert_kernel_matches(
             [
-                walk.work(
+                walk.entry.problem(
                     walk.entry.start_vectors[walk.reduced.candidates[0]], max_nfev
                 )
                 for walk, max_nfev in walks
@@ -166,7 +162,11 @@ class TestKernelEqualsScipy:
         )
         lower = tuple(float(v) for v in family.lower_bounds)
         upper = tuple(float(v) for v in family.upper_bounds)
-        works = []
+        columns = (
+            tuple(float(v) for v in curve.times),
+            tuple(float(v) for v in curve.performance),
+        )
+        problems = []
         for placement in placements:
             start = []
             for where, fraction, lo, hi in zip(placement, fractions, lower, upper):
@@ -181,29 +181,31 @@ class TestKernelEqualsScipy:
                         if lo > 0
                         else lo + fraction * (min(hi, lo + 20.0) - lo)
                     )
-            works.append(
-                _StartWork(
-                    family, curve, tuple(start), lower, upper, max_nfev, "analytic"
+            problems.append(
+                BatchedProblem(
+                    family, *columns, tuple(start), lower, upper, max_nfev
                 )
             )
-        kernel = solve_trf(_kernel_problems(works))
-        for work, outcome in zip(works, kernel):
+        kernel = solve_trf(problems)
+        for problem, outcome in zip(problems, kernel):
             # A problem handed back is solved by scipy in production.
             if outcome is not None:
-                assert _same_outcome(outcome, _solve_start(work)), (spec, work.x0)
+                assert _same_outcome(outcome, _solve_start(problem)), (
+                    spec, problem.x0
+                )
 
     def test_probe_trusts_the_kernel(self):
-        least_squares._kernel_trusted.cache_clear()
-        assert least_squares._kernel_trusted()
+        trf._kernel_trusted.cache_clear()
+        assert trf._kernel_trusted()
 
 
 @pytest.fixture
 def untrusted(monkeypatch) -> Iterator[pytest.MonkeyPatch]:
     """Forget the once-per-process trust decision around a test."""
-    least_squares._kernel_trusted.cache_clear()
+    trf._kernel_trusted.cache_clear()
     yield monkeypatch
     monkeypatch.undo()
-    least_squares._kernel_trusted.cache_clear()
+    trf._kernel_trusted.cache_clear()
 
 
 def _fits(curve: ResilienceCurve) -> list[Any]:
@@ -229,28 +231,28 @@ def _refuse(*args: Any, **kwargs: Any) -> Any:
 class TestGuard:
     def test_unverified_scipy_confirms_with_scipy(self, untrusted, recession_1990):
         reference = _fits(recession_1990)
-        untrusted.setattr(least_squares, "VERIFIED_SCIPY_VERSIONS", frozenset())
-        least_squares._kernel_trusted.cache_clear()
-        untrusted.setattr(least_squares, "solve_trf", _refuse)
+        untrusted.setattr(trf, "VERIFIED_SCIPY_VERSIONS", frozenset())
+        trf._kernel_trusted.cache_clear()
+        untrusted.setattr(trf, "solve_trf", _refuse)
         _assert_same_fits(_fits(recession_1990), reference)
 
     def test_probe_mismatch_confirms_with_scipy(self, untrusted, recession_1990):
         reference = _fits(recession_1990)
-        untrusted.setattr(least_squares, "_same_outcome", lambda a, b: False)
-        least_squares._kernel_trusted.cache_clear()
-        assert not least_squares._kernel_trusted()
-        untrusted.setattr(least_squares, "solve_trf", _refuse)
+        untrusted.setattr(trf, "_same_outcome", lambda a, b: False)
+        trf._kernel_trusted.cache_clear()
+        assert not trf._kernel_trusted()
+        untrusted.setattr(trf, "solve_trf", _refuse)
         _assert_same_fits(_fits(recession_1990), reference)
 
     def test_kernel_failure_falls_back(self, untrusted, recession_1990):
         reference = _fits(recession_1990)
-        if not least_squares._kernel_trusted():
+        if not trf._kernel_trusted():
             pytest.skip("the kernel is not trusted on this scipy")
 
         def explode(problems: Any) -> Any:
             raise RuntimeError("kernel failure")
 
-        untrusted.setattr(least_squares, "solve_trf", explode)
+        untrusted.setattr(trf, "solve_trf", explode)
         _assert_same_fits(_fits(recession_1990), reference)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datasets.recessions import load_recession
+from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.mixture import MixtureResilienceModel
 from repro.models.partial import PartialDegradationMixtureModel
 from repro.validation.crossval import evaluate_predictive
@@ -68,6 +70,39 @@ class TestInitialGuesses:
         # Both the observed-depth seed (~0.145) and the w=1 fallback.
         assert any(abs(w - curve.degradation_depth) < 0.01 for w in amplitudes)
         assert 1.0 in amplitudes
+
+
+class TestBatch:
+    def test_batch_rows_equal_the_scalar_methods(self, recession_2020):
+        """The stacked methods carry ``w``: row for row they are the
+        scalar evaluation and Jacobian, one column per parameter."""
+        model = PartialDegradationMixtureModel("wei", "exp")
+        starts = np.asarray(model.initial_guesses(recession_2020)[:3])
+        times = np.tile(recession_2020.times, (len(starts), 1))
+        values = model.evaluate_batch(times, starts)
+        jacobians = model.prediction_jacobian_batch(times, starts)
+        assert jacobians.shape == (len(starts), times.shape[1], model.n_params)
+        for row, start in enumerate(starts):
+            assert np.array_equal(values[row], model.evaluate(times[row], start))
+            assert np.array_equal(
+                jacobians[row], model.prediction_jacobian(times[row], start)
+            )
+
+    def test_batched_engine_fits_like_scipy(self, recession_2020):
+        """The batched engine screens a partial mixture and confirms it,
+        like any closed-form family; it used to raise on the stacked
+        Jacobian's missing ``w`` column."""
+        fits = {
+            engine: fit_least_squares(
+                PartialDegradationMixtureModel("wei", "exp"),
+                recession_2020,
+                n_random_starts=2,
+                options=EngineOptions(cache=False, engine=engine),
+            )
+            for engine in ("scipy", "batched")
+        }
+        assert fits["batched"].params == fits["scipy"].params
+        assert fits["batched"].sse == fits["scipy"].sse
 
 
 class TestFitsLShape:
