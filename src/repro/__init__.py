@@ -40,7 +40,7 @@ from repro.serving import ForecastSession, OnlineForecaster, RefitPolicy
 from repro.validation.comparison import compare_models
 from repro.validation.crossval import evaluate_predictive
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: The public batch + serving surface, alphabetized;
 #: tests/test_public_api.py asserts it matches what is importable.

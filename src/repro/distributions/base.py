@@ -103,44 +103,37 @@ class LifetimeDistribution(abc.ABC):
         """Cumulative probability ``P(T <= t)`` (0 for negative times)."""
 
     # ------------------------------------------------------------------
-    # Optional analytic-derivative protocol
+    # Stacked evaluation — row ``b`` of *times* (shape ``(B, n)``) and
+    # *params* (shape ``(B, n_params)``) is one independent problem. The
+    # mixture resilience models evaluate Eq. (7) through these.
     # ------------------------------------------------------------------
-    # Subclasses whose CDF has elementary parameter derivatives define
+    @classmethod
+    def cdf_batch(cls, times: FloatArray, params: FloatArray) -> FloatArray:
+        """Stacked CDF: row ``b`` is ``cls.from_vector(params[b]).cdf(times[b])``.
+
+        This default loops over the rows; Exponential and Weibull
+        override it with one vectorized expression per stack.
+        """
+        t = np.asarray(times, dtype=np.float64)
+        p = np.asarray(params, dtype=np.float64)
+        out = np.empty(t.shape, dtype=np.float64)
+        for row in range(p.shape[0]):
+            out[row] = cls.from_vector(p[row]).cdf(t[row])
+        return out
+
+    # Families whose CDF has elementary parameter derivatives also define
     #
-    #     def cdf_gradient(self, times) -> FloatArray   # (n, n_params)
+    #     def cdf_gradient_batch(cls, times, params) -> FloatArray  # (B, n, k)
     #
-    # returning ``∂F(t)/∂θⱼ`` column-per-parameter in canonical order.
-    # The mixture resilience model uses it to assemble a closed-form fit
-    # Jacobian; families built from distributions without it fall back
-    # to finite differences. Test for support with
+    # returning ``∂F(t)/∂θⱼ`` of each row, one column per parameter in
+    # canonical order. The mixture resilience models assemble their
+    # closed-form fit Jacobian from it; mixtures over a family without it
+    # differentiate numerically. Test for support with
     # :meth:`has_cdf_gradient`.
     @classmethod
     def has_cdf_gradient(cls) -> bool:
-        """Whether this family implements the analytic ``cdf_gradient``."""
-        return callable(getattr(cls, "cdf_gradient", None))
-
-    # ------------------------------------------------------------------
-    # Optional batched-evaluation protocol
-    # ------------------------------------------------------------------
-    # Subclasses that can evaluate a *stack* of parameterizations in one
-    # vectorized expression define the classmethods
-    #
-    #     def cdf_batch(cls, times, params) -> FloatArray          # (B, n)
-    #     def cdf_gradient_batch(cls, times, params) -> FloatArray # (B, n, k)
-    #
-    # where row ``b`` of ``times`` (shape ``(B, n)``) and ``params``
-    # (shape ``(B, n_params)``) describes one independent problem. The
-    # batched LM fit engine uses them to evaluate every multi-start
-    # problem in one numpy call; mixtures over distributions without the
-    # protocol fall back to a per-row loop. Test for support with
-    # :meth:`has_batch_cdf`.
-    @classmethod
-    def has_batch_cdf(cls) -> bool:
-        """Whether this family implements the vectorized ``cdf_batch`` /
-        ``cdf_gradient_batch`` pair."""
-        return callable(getattr(cls, "cdf_batch", None)) and callable(
-            getattr(cls, "cdf_gradient_batch", None)
-        )
+        """Whether this family implements the analytic ``cdf_gradient_batch``."""
+        return callable(getattr(cls, "cdf_gradient_batch", None))
 
     # ------------------------------------------------------------------
     # Derived quantities (overridable with closed forms)

@@ -47,15 +47,6 @@ class Exponential(LifetimeDistribution):
         t = as_float_array(times, "times")
         return np.where(t < 0.0, 1.0, safe_exp(-np.maximum(t, 0.0) / self.theta))
 
-    def cdf_gradient(self, times: ArrayLike) -> FloatArray:
-        """``∂F/∂θ = −(t/θ²)·e^{−t/θ}`` as an ``(n, 1)`` column."""
-        t = as_float_array(times, "times")
-        clipped = np.maximum(t, 0.0)
-        column = -(clipped / (self.theta * self.theta)) * safe_exp(
-            -clipped / self.theta
-        )
-        return np.where(t < 0.0, 0.0, column)[:, np.newaxis]
-
     @classmethod
     def cdf_batch(cls, times: FloatArray, params: FloatArray) -> FloatArray:
         """Stacked CDF: row ``b`` is ``Exponential(params[b]).cdf(times[b])``.
@@ -70,7 +61,7 @@ class Exponential(LifetimeDistribution):
 
     @classmethod
     def cdf_gradient_batch(cls, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Stacked :meth:`cdf_gradient`, shape ``(B, n, 1)``."""
+        """``∂F/∂θ = −(t/θ²)·e^{−t/θ}`` of each row, shape ``(B, n, 1)``."""
         t = np.asarray(times, dtype=np.float64)
         theta = np.asarray(params, dtype=np.float64)[:, :1]
         clipped = np.maximum(t, 0.0)

@@ -19,6 +19,9 @@ from repro.utils.numerics import as_float_array, safe_exp
 
 __all__ = ["Weibull"]
 
+#: Shapes numpy raises by a shortcut when the exponent is one scalar.
+_SHORTCUT_SHAPES = frozenset({2.0, 0.5, -1.0})
+
 
 class Weibull(LifetimeDistribution):
     """Weibull distribution with scale ``theta`` and shape ``k``."""
@@ -72,24 +75,6 @@ class Weibull(LifetimeDistribution):
         t = as_float_array(times, "times")
         return self._z(t)
 
-    def cdf_gradient(self, times: ArrayLike) -> FloatArray:
-        """``(∂F/∂θ, ∂F/∂k) = (−(k/θ)·z·e^{−z}, ln(t/θ)·z·e^{−z})``.
-
-        Both derivatives share the factor ``z·e^{−z}`` which vanishes in
-        either tail (z → 0 and z → ∞), so the gradient is zeroed where
-        ``z`` overflows and at ``t ≤ 0``.
-        """
-        t = as_float_array(times, "times")
-        scaled = np.maximum(t, 0.0) / self.theta
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z = np.power(scaled, self.k)
-            decay = np.where(np.isfinite(z), z * safe_exp(-z), 0.0)
-            log_scaled = np.log(np.where(scaled > 0.0, scaled, 1.0))
-        gradient = np.stack(
-            [-(self.k / self.theta) * decay, log_scaled * decay], axis=1
-        )
-        return np.where((t > 0.0)[:, np.newaxis], gradient, 0.0)
-
     @classmethod
     def cdf_batch(cls, times: FloatArray, params: FloatArray) -> FloatArray:
         """Stacked CDF: row ``b`` is ``Weibull(*params[b]).cdf(times[b])``.
@@ -98,42 +83,51 @@ class Weibull(LifetimeDistribution):
         canonical ``(theta, k)`` order.
         """
         t = np.asarray(times, dtype=np.float64)
-        p = np.asarray(params, dtype=np.float64)
-        theta = p[:, :1]
-        with np.errstate(divide="ignore", over="ignore"):
-            scaled = np.maximum(t, 0.0) / theta
-            z = np.power(scaled, cls._row_exponents(p, t.shape[1]))
+        _, z = cls._z_batch(t, np.asarray(params, dtype=np.float64))
         return np.where(t < 0.0, 0.0, -np.expm1(-z))
 
     @classmethod
     def cdf_gradient_batch(cls, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Stacked :meth:`cdf_gradient`, shape ``(B, n, 2)``."""
+        """``(∂F/∂θ, ∂F/∂k) = (−(k/θ)·z·e^{−z}, ln(t/θ)·z·e^{−z})`` of
+        each row, shape ``(B, n, 2)``.
+
+        Both derivatives share the factor ``z·e^{−z}`` which vanishes in
+        either tail (z → 0 and z → ∞), so the gradient is zeroed where
+        ``z`` overflows and at ``t ≤ 0``.
+        """
         t = np.asarray(times, dtype=np.float64)
         p = np.asarray(params, dtype=np.float64)
-        theta = p[:, :1]
-        k = p[:, 1:2]
+        scaled, z = cls._z_batch(t, p)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = np.maximum(t, 0.0) / theta
-            z = np.power(scaled, cls._row_exponents(p, t.shape[1]))
             decay = np.where(np.isfinite(z), z * safe_exp(-z), 0.0)
             log_scaled = np.log(np.where(scaled > 0.0, scaled, 1.0))
             gradient = np.stack(
-                [-(k / theta) * decay, log_scaled * decay], axis=2
+                [-(p[:, 1:2] / p[:, :1]) * decay, log_scaled * decay], axis=2
             )
         return np.where((t > 0.0)[:, :, np.newaxis], gradient, 0.0)
 
     @staticmethod
-    def _row_exponents(params: FloatArray, n_times: int) -> FloatArray:
-        """Each row's shape ``k`` repeated along its times, ``(B, n)``.
+    def _z_batch(t: FloatArray, params: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Each row's ``t/θ`` (t clipped to ≥ 0) and ``(t/θ)^k``, rounded
+        as :meth:`_z` rounds them.
 
-        ``np.power`` takes numpy's square/sqrt/reciprocal shortcut for a
-        shape of exactly 2, 0.5 or -1 when the exponent is one value for
-        the whole call — a ``(1, 1)`` column, but not a taller one — so a
-        one-row batch would round such a row differently from the same
-        row in a stack. A full-shape exponent goes through ``pow`` for
-        every stack height, so a row's values do not depend on its
-        neighbours."""
-        return np.repeat(params[:, 1:2], n_times, axis=1)
+        Every row gets a full-shape exponent, which goes through ``pow``
+        whatever the stack's height, so a row's value does not depend on
+        its neighbours. A scalar exponent of exactly 2, 0.5 or -1 — what
+        :meth:`_z` passes for such a shape — takes numpy's square, sqrt
+        or reciprocal shortcut instead, which rounds differently now and
+        then; rows with those shapes are raised with their own scalar
+        exponent, so every row equals the scalar CDF.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            scaled = np.maximum(t, 0.0) / params[:, :1]
+            z = np.power(scaled, np.repeat(params[:, 1:2], t.shape[1], axis=1))
+            shapes = params[:, 1].tolist()
+            if not _SHORTCUT_SHAPES.isdisjoint(shapes):
+                for row, shape in enumerate(shapes):
+                    if shape in _SHORTCUT_SHAPES:
+                        z[row] = np.power(scaled[row], shape)
+        return scaled, z
 
     def quantile(self, probabilities: ArrayLike) -> FloatArray:
         probs = as_float_array(probabilities, "probabilities")

@@ -6,9 +6,9 @@ lone :func:`~repro.fitting.fit_least_squares` and the table grids use —
 so **episodes × families × starts** advance through a single batched
 kernel call:
 
-* The kernel groups problems by ``(family fingerprint, length, jac
-  mode)``, so every episode of a given length advances through the
-  damped-LM iteration in lockstep with every other. Each pair is
+* The kernel groups problems by ``(family fingerprint, length)``, so
+  every episode of a given length advances through the damped-LM
+  iteration in lockstep with every other. Each pair is
   solved on its own episode: a ragged chunk makes one group per
   distinct length.
 * Each cell is finished like a lone fit: its winning start is

@@ -28,8 +28,10 @@ Bit-equality rests on three facts about this stack:
 * scipy's numpy-scalar ``** 0.5`` and ``** 2`` are C ``pow``, which
   ``np.float_power`` repeats (array ``**`` takes a sqrt or SIMD path and
   differs in the last bit now and then);
-* the models' ``evaluate_batch``/``prediction_jacobian_batch`` return,
-  row for row, what the scalar methods return.
+* the models' ``evaluate`` and ``prediction_jacobian``, which the
+  scipy reference's objective calls, are by construction the one-row
+  case of the ``evaluate_batch`` and ``prediction_jacobian_batch`` the
+  kernel stacks, and no row of a stack depends on its neighbours.
 
 They hold for the scipy versions in :data:`VERIFIED_SCIPY_VERSIONS`, so
 the kernel runs only on those, and only after a probe, run once per
@@ -88,8 +90,6 @@ _BoolArray = npt.NDArray[np.bool_]
 _IntArray = npt.NDArray[np.int64]
 
 _EPS = np.finfo(float).eps
-
-_NO_ROWS: _IntArray = np.zeros(0, dtype=np.int64)
 
 #: ``termination_status`` while a problem still iterates (scipy's None).
 _RUNNING = -1
@@ -305,8 +305,8 @@ def _probe_problems() -> list[BatchedProblem]:
         tuple(float(v) for v in curve.performance),
     )
     problems: list[BatchedProblem] = []
-    # The mixture's second seed has Weibull shape 2 (a scalar-pow row)
-    # and a budget that runs out.
+    # The mixture's second seed has Weibull shape 2 (a row the Weibull
+    # raises with a scalar exponent) and a budget that runs out.
     for name, seed, max_nfev in (
         ("quadratic", 0, 200), ("competing_risks", 0, 200), ("wei-exp", 1, 25)
     ):
@@ -328,31 +328,12 @@ def _probe_problems() -> list[BatchedProblem]:
 # ----------------------------------------------------------------------
 # The objective, exactly as the fit engine hands it to scipy
 # ----------------------------------------------------------------------
-def _scalar_power_rows(x: FloatArray) -> _IntArray:
-    """Rows holding a parameter equal to 2, 0.5 or -1.
-
-    ``np.power`` with a *scalar* exponent of 2, 0.5 or -1 takes numpy's
-    square, sqrt or reciprocal shortcut, while a per-row exponent array
-    always goes through ``pow``, which rounds differently now and then.
-    A family that raises to a parameter (the Weibull shape; its seeds
-    start at 2) therefore evaluates such rows a last bit away from the
-    scalar methods scipy's objective calls; these rows go through the
-    scalar methods instead.
-    """
-    hits = x == 2.0
-    hits |= x == 0.5
-    hits |= x == -1.0
-    return np.flatnonzero(hits.any(axis=1)) if _any(hits) else _NO_ROWS
-
-
 def _residuals(
     family: ResilienceModel, times: FloatArray, targets: FloatArray, x: FloatArray
 ) -> tuple[FloatArray, _BoolArray]:
     """Penalty-patched residuals at *x*, and the non-finite-prediction
     mask the Jacobian at the same point needs."""
     predictions = family.evaluate_batch(times, x)
-    for row in _scalar_power_rows(x):
-        predictions[row] = family.evaluate(times[row], tuple(x[row]))
     f = targets - predictions
     bad = ~np.isfinite(f)
     if not _any(bad):
@@ -370,8 +351,6 @@ def _jacobian(
     """Residual Jacobians at *x*, penalized rows and non-finite entries
     patched as the fit engine's ``jac=`` callable patches them."""
     jac = -family.prediction_jacobian_batch(times, x)
-    for row in _scalar_power_rows(x):
-        jac[row] = -family.prediction_jacobian(times[row], x[row])
     if _any(bad):
         for row in np.flatnonzero(bad.any(axis=1)):
             jac[row, bad[row], :] = _penalty_gradient(x[row])

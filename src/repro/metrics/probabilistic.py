@@ -135,8 +135,7 @@ def performance_distribution_at(
         check_valid="ignore",
     )
     draws = np.clip(draws, model.lower_bounds, model.upper_bounds)
-    t = np.array([float(time)])
-    values = np.array([float(model.evaluate(t, tuple(d))[0]) for d in draws])
+    values = model.evaluate_batch(np.full((n_samples, 1), float(time)), draws)[:, 0]
     if include_noise:
         sigma = float(np.sqrt(max(uncertainty.sigma2, 0.0)))
         values = values + rng.normal(0.0, sigma, size=n_samples)

@@ -102,8 +102,11 @@ class ResilienceModel(abc.ABC):
     """A parametric resilience-curve family ``P(t; θ)``.
 
     Subclasses define the parameter metadata (:attr:`param_names` and
-    bounds) and implement :meth:`evaluate` — a pure function of times
-    and a raw parameter vector — plus :meth:`initial_guesses`.
+    bounds) and implement :meth:`evaluate_batch` — a pure function of a
+    stack of time grids and raw parameter vectors — plus
+    :meth:`initial_guesses`. Families with a closed-form Jacobian also
+    implement :meth:`prediction_jacobian_batch` and set
+    :attr:`has_analytic_jacobian`.
     """
 
     #: Display/registry name, e.g. ``"quadratic"`` or ``"wei-exp"``.
@@ -136,13 +139,26 @@ class ResilienceModel(abc.ABC):
         return len(self.param_names)
 
     @abc.abstractmethod
-    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
-        """Model performance at *times* for raw parameter vector *params*.
+    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
+        """Performance for a stack of independent problems: row ``b`` is
+        the model at ``times[b]`` for raw parameter vector ``params[b]``.
+
+        *times* has shape ``(B, n)`` and *params* ``(B, n_params)``; the
+        result is ``(B, n)``. A row's values must not depend on the other
+        rows, so a problem evaluates the same alone (:meth:`evaluate`)
+        and in any stack the fit engine builds.
 
         Must be safe to call anywhere inside the fitting bounds: return
         finite values rather than raising, so optimizers can traverse
         the space.
         """
+
+    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
+        """Model performance at *times* for raw parameter vector
+        *params*: the one-row :meth:`evaluate_batch`."""
+        t = self._as_times(times)
+        x = np.asarray(params, dtype=np.float64)
+        return self.evaluate_batch(t[np.newaxis], x[np.newaxis])[0]
 
     @abc.abstractmethod
     def initial_guesses(self, curve: ResilienceCurve) -> list[tuple[float, ...]]:
@@ -287,18 +303,20 @@ class ResilienceModel(abc.ABC):
         return np.where(t > t_r, recovery_level, values)
 
     # ------------------------------------------------------------------
-    # Derivatives — analytic where the family overrides, validated
-    # finite-difference fallback otherwise. These feed the fit engine
-    # (``jac=`` in scipy's trust-region least squares) and the
-    # uncertainty machinery (Gauss–Newton covariance, delta method).
+    # Derivatives — analytic where the family implements the stacked
+    # closed form, validated finite-difference fallback otherwise. These
+    # feed the fit engine (scipy's trust-region least squares and the
+    # stacked kernels) and the uncertainty machinery (Gauss–Newton
+    # covariance, delta method).
     # ------------------------------------------------------------------
     @property
     def has_analytic_jacobian(self) -> bool:
         """Whether :meth:`prediction_jacobian` is a closed form.
 
         Families with elementary parameter derivatives (quadratic,
-        competing-risks, the Exp/Wei mixtures) override this to True;
-        the base class answers False and differentiates numerically.
+        competing-risks, the Exp/Wei mixtures) implement
+        :meth:`prediction_jacobian_batch` and override this to True; the
+        base class answers False and differentiates numerically.
         """
         return False
 
@@ -307,14 +325,30 @@ class ResilienceModel(abc.ABC):
     ) -> FloatArray:
         """Matrix ``J[i, j] = ∂P(tᵢ; θ)/∂θⱼ`` of shape ``(n, n_params)``.
 
-        The base implementation is a bounds-aware 2-point finite
-        difference (scipy's ``approx_derivative``); it is correct for
-        every family but costs one model evaluation per parameter.
-        Subclasses with closed forms override it and set
-        :attr:`has_analytic_jacobian`.
+        For a family with a closed form this is the one-row
+        :meth:`prediction_jacobian_batch`. Otherwise it is a
+        bounds-aware 2-point finite difference (scipy's
+        ``approx_derivative``), correct for every family but costing one
+        model evaluation per parameter.
         """
-        vector = self.params if params is None else tuple(float(v) for v in params)
-        return self._numeric_prediction_jacobian(times, vector)
+        vector = self.params if params is None else params
+        if not self.has_analytic_jacobian:
+            return self._numeric_prediction_jacobian(times, vector)
+        t = self._as_times(times)
+        x = np.asarray(vector, dtype=np.float64)
+        return self.prediction_jacobian_batch(t[np.newaxis], x[np.newaxis])[0]
+
+    def prediction_jacobian_batch(
+        self, times: FloatArray, params: FloatArray
+    ) -> FloatArray:
+        """Closed-form Jacobians of a stack of problems, shape
+        ``(B, n, n_params)``: row ``b`` is ``∂P/∂θ`` at ``times[b]`` for
+        ``params[b]``, shapes otherwise as in :meth:`evaluate_batch`.
+
+        Families that set :attr:`has_analytic_jacobian` implement it;
+        the base class has no closed form to stack.
+        """
+        raise NotImplementedError(f"model {self.name!r} has no closed-form Jacobian")
 
     def jacobian(
         self, curve: ResilienceCurve, params: Sequence[float] | None = None
@@ -340,66 +374,6 @@ class ResilienceModel(abc.ABC):
 
         jac = approx_derivative(func, x, method="2-point", bounds=(lower, upper))
         return np.asarray(jac, dtype=np.float64).reshape(t.size, x.size)
-
-    # ------------------------------------------------------------------
-    # Batched evaluation — the contract behind the batched LM engine.
-    # Both methods accept a *stack* of independent problems: row ``b``
-    # of *times* and *params* describes one problem, and row ``b`` of
-    # the result is exactly what the scalar method returns for it. The
-    # base implementations loop, so every family supports the protocol;
-    # families on the fitting hot path override with one vectorized
-    # numpy expression per batch (see quadratic/competing-risks/mixture).
-    # ------------------------------------------------------------------
-    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Performance for a stack of problems: ``out[b] =
-        evaluate(times[b], params[b])``.
-
-        Parameters
-        ----------
-        times:
-            Array of shape ``(B, n)`` — one time grid per problem.
-        params:
-            Array of shape ``(B, n_params)`` — one raw vector per
-            problem.
-
-        Returns
-        -------
-        FloatArray
-            Shape ``(B, n)``.
-        """
-        t = np.asarray(times, dtype=np.float64)
-        x = np.asarray(params, dtype=np.float64)
-        out = np.empty(t.shape, dtype=np.float64)
-        for row in range(x.shape[0]):
-            out[row] = np.asarray(self.evaluate(t[row], x[row]), dtype=np.float64)
-        return out
-
-    def prediction_jacobian_batch(
-        self, times: FloatArray, params: FloatArray
-    ) -> FloatArray:
-        """Stacked :meth:`prediction_jacobian`: ``out[b] =
-        prediction_jacobian(times[b], params[b])``.
-
-        Parameters
-        ----------
-        times:
-            Array of shape ``(B, n)``.
-        params:
-            Array of shape ``(B, n_params)``.
-
-        Returns
-        -------
-        FloatArray
-            Shape ``(B, n, n_params)``.
-        """
-        t = np.asarray(times, dtype=np.float64)
-        x = np.asarray(params, dtype=np.float64)
-        out = np.empty((t.shape[0], t.shape[1], x.shape[1]), dtype=np.float64)
-        for row in range(x.shape[0]):
-            out[row] = np.asarray(
-                self.prediction_jacobian(t[row], x[row]), dtype=np.float64
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Identity

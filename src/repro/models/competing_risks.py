@@ -9,11 +9,9 @@ and the Eq. (6) area ``γt² + (α/β)ln(1 + βt)``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro._typing import ArrayLike, FloatArray
+from repro._typing import FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.hazards.hjorth import HjorthHazard
 from repro.models.base import ResilienceModel
@@ -44,28 +42,7 @@ class CompetingRisksResilienceModel(ResilienceModel):
     def upper_bounds(self) -> tuple[float, ...]:
         return (10.0, 100.0, 1.0)
 
-    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
-        t = self._as_times(times)
-        alpha, beta, gamma = params
-        return alpha / (1.0 + beta * t) + 2.0 * gamma * t
-
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return True
-
-    def prediction_jacobian(
-        self, times: ArrayLike, params: Sequence[float] | None = None
-    ) -> FloatArray:
-        """``∂P/∂(α, β, γ) = (1/(1+βt), −αt/(1+βt)², 2t)``."""
-        t = self._as_times(times)
-        alpha, beta, _ = self.params if params is None else tuple(params)
-        denom = 1.0 + beta * t
-        return np.stack(
-            [1.0 / denom, -alpha * t / (denom * denom), 2.0 * t], axis=1
-        )
-
     def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Vectorized over problems: one expression for the whole stack."""
         t = np.asarray(times, dtype=np.float64)
         p = np.asarray(params, dtype=np.float64)
         alpha = p[:, :1]
@@ -73,9 +50,14 @@ class CompetingRisksResilienceModel(ResilienceModel):
         gamma = p[:, 2:3]
         return alpha / (1.0 + beta * t) + 2.0 * gamma * t
 
+    @property
+    def has_analytic_jacobian(self) -> bool:
+        return True
+
     def prediction_jacobian_batch(
         self, times: FloatArray, params: FloatArray
     ) -> FloatArray:
+        """``∂P/∂(α, β, γ) = (1/(1+βt), −αt/(1+βt)², 2t)``."""
         t = np.asarray(times, dtype=np.float64)
         p = np.asarray(params, dtype=np.float64)
         alpha = p[:, :1]

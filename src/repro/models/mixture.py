@@ -21,7 +21,7 @@ Any registered lifetime distribution may be substituted.
 
 from __future__ import annotations
 
-from typing import Sequence, Type
+from typing import Type
 
 import numpy as np
 
@@ -124,25 +124,31 @@ class MixtureResilienceModel(ResilienceModel):
             + (self._trend_class.beta_upper_bound,)
         )
 
-    def _split(
-        self, params: Sequence[float]
-    ) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    def _split_batch(
+        self, params: FloatArray
+    ) -> tuple[FloatArray, FloatArray, FloatArray]:
+        p = np.asarray(params, dtype=np.float64)
         n1 = self._f1_class.n_params()
         n2 = self._f2_class.n_params()
-        vector = tuple(float(v) for v in params)
-        return vector[:n1], vector[n1 : n1 + n2], vector[n1 + n2]
+        return p[:, :n1], p[:, n1 : n1 + n2], p[:, n1 + n2]
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
-        t = self._as_times(times)
-        p1, p2, beta = self._split(params)
-        f1 = self._f1_class.from_vector(p1)
-        f2 = self._f2_class.from_vector(p2)
-        survival = 1.0 - f1.cdf(t)
-        recovery = self._trend_class.value(t, beta) * f2.cdf(t)
-        return survival + recovery
+    def _terms_batch(
+        self, times: FloatArray, params: FloatArray
+    ) -> tuple[FloatArray, FloatArray]:
+        """Stacked degradation ``a₁(1 − F₁)`` and recovery ``a₂F₂`` terms."""
+        t = np.asarray(times, dtype=np.float64)
+        p1, p2, beta = self._split_batch(params)
+        degradation = 1.0 - self._f1_class.cdf_batch(t, p1)
+        trend = self._trend_class.value_batch(t, beta)
+        return degradation, trend * self._f2_class.cdf_batch(t, p2)
+
+    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
+        """Eq. (7) over a stack of problems in one vectorized pass."""
+        degradation, recovery = self._terms_batch(times, params)
+        return degradation + recovery
 
     @property
     def has_analytic_jacobian(self) -> bool:
@@ -153,8 +159,8 @@ class MixtureResilienceModel(ResilienceModel):
             self._f1_class.has_cdf_gradient() and self._f2_class.has_cdf_gradient()
         )
 
-    def prediction_jacobian(
-        self, times: ArrayLike, params: Sequence[float] | None = None
+    def prediction_jacobian_batch(
+        self, times: FloatArray, params: FloatArray
     ) -> FloatArray:
         """Eq. (7) parameter derivatives, column-blocked by component:
 
@@ -162,60 +168,6 @@ class MixtureResilienceModel(ResilienceModel):
         ``∂P/∂β = (∂a₂/∂β)·F₂(t)``.
         """
         if not self.has_analytic_jacobian:
-            return super().prediction_jacobian(times, params)
-        t = self._as_times(times)
-        vector = self.params if params is None else params
-        p1, p2, beta = self._split(vector)
-        f1 = self._f1_class.from_vector(p1)
-        f2 = self._f2_class.from_vector(p2)
-        trend = self._trend_class.value(t, beta)
-        return np.concatenate(
-            [
-                -f1.cdf_gradient(t),
-                trend[:, np.newaxis] * f2.cdf_gradient(t),
-                (self._trend_class.beta_gradient(t, beta) * f2.cdf(t))[
-                    :, np.newaxis
-                ],
-            ],
-            axis=1,
-        )
-
-    def _split_batch(
-        self, params: FloatArray
-    ) -> tuple[FloatArray, FloatArray, FloatArray]:
-        p = np.asarray(params, dtype=np.float64)
-        n1 = self._f1_class.n_params()
-        n2 = self._f2_class.n_params()
-        return p[:, :n1], p[:, n1 : n1 + n2], p[:, n1 + n2]
-
-    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Eq. (7) over a stack of problems in one vectorized pass.
-
-        Requires both component distributions to implement the batched
-        CDF protocol (:meth:`~repro.distributions.base.LifetimeDistribution.has_batch_cdf`);
-        otherwise the base class's per-row loop applies.
-        """
-        if not (self._f1_class.has_batch_cdf() and self._f2_class.has_batch_cdf()):
-            return super().evaluate_batch(times, params)
-        t = np.asarray(times, dtype=np.float64)
-        p1, p2, beta = self._split_batch(params)
-        survival = 1.0 - self._f1_class.cdf_batch(t, p1)
-        recovery = self._trend_class.value_batch(t, beta) * self._f2_class.cdf_batch(
-            t, p2
-        )
-        return survival + recovery
-
-    def prediction_jacobian_batch(
-        self, times: FloatArray, params: FloatArray
-    ) -> FloatArray:
-        """Stacked Eq. (7) Jacobian, column-blocked as in
-        :meth:`prediction_jacobian`; falls back to the per-row loop when
-        a component lacks the batched analytic-gradient protocol."""
-        if not (
-            self.has_analytic_jacobian
-            and self._f1_class.has_batch_cdf()
-            and self._f2_class.has_batch_cdf()
-        ):
             return super().prediction_jacobian_batch(times, params)
         t = np.asarray(times, dtype=np.float64)
         p1, p2, beta = self._split_batch(params)
@@ -241,10 +193,9 @@ class MixtureResilienceModel(ResilienceModel):
         for plotting and for diagnosing which component dominates.
         """
         t = self._as_times(times)
-        p1, p2, beta = self._split(self.params)
-        f1 = self._f1_class.from_vector(p1)
-        f2 = self._f2_class.from_vector(p2)
-        return 1.0 - f1.cdf(t), self._trend_class.value(t, beta) * f2.cdf(t)
+        x = np.asarray(self.params, dtype=np.float64)
+        degradation, recovery = self._terms_batch(t[np.newaxis], x[np.newaxis])
+        return degradation[0], recovery[0]
 
     # ------------------------------------------------------------------
     # Initial guesses

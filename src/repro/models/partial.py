@@ -17,11 +17,9 @@ unfittable by its two families.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro._typing import ArrayLike, FloatArray
+from repro._typing import FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.models.base import ResilienceModel
 from repro.models.mixture import MixtureResilienceModel
@@ -57,68 +55,41 @@ class PartialDegradationMixtureModel(MixtureResilienceModel):
     def upper_bounds(self) -> tuple[float, ...]:
         return super().upper_bounds + (1.0,)
 
-    def _split_partial(
-        self, params: Sequence[float]
-    ) -> tuple[tuple[float, ...], float]:
-        vector = tuple(float(v) for v in params)
-        return vector[:-1], vector[-1]
-
-    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
-        t = self._as_times(times)
-        mixture_params, w = self._split_partial(params)
-        p1, p2, beta = self._split(mixture_params)
-        f1 = self.degradation_class.from_vector(p1)
-        f2 = self.recovery_class.from_vector(p2)
-        degradation = 1.0 - w * f1.cdf(t)
-        recovery = self.trend_class.value(t, beta) * f2.cdf(t)
-        return degradation + recovery
-
-    def prediction_jacobian(
-        self, times: ArrayLike, params: Sequence[float] | None = None
-    ) -> FloatArray:
-        """The mixture's closed form with the ``F₁`` block scaled by
-        ``w`` and a trailing ``∂P/∂w = −F₁(t)`` column."""
-        if not self.has_analytic_jacobian:
-            return ResilienceModel.prediction_jacobian(self, times, params)
-        t = self._as_times(times)
-        vector = self.params if params is None else tuple(float(v) for v in params)
-        mixture_params, w = self._split_partial(vector)
-        p1, p2, beta = self._split(mixture_params)
-        f1 = self.degradation_class.from_vector(p1)
-        f2 = self.recovery_class.from_vector(p2)
-        trend = self.trend_class.value(t, beta)
-        return np.concatenate(
-            [
-                -w * f1.cdf_gradient(t),
-                trend[:, np.newaxis] * f2.cdf_gradient(t),
-                (self.trend_class.beta_gradient(t, beta) * f2.cdf(t))[
-                    :, np.newaxis
-                ],
-                -f1.cdf(t)[:, np.newaxis],
-            ],
-            axis=1,
-        )
-
-    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Row by row through :meth:`evaluate`: the mixture's stacked
-        form knows no ``w``."""
-        return ResilienceModel.evaluate_batch(self, times, params)
+    def _terms_batch(
+        self, times: FloatArray, params: FloatArray
+    ) -> tuple[FloatArray, FloatArray]:
+        """Stacked degradation ``1 − w·F₁`` and recovery ``a₂F₂`` terms."""
+        t = np.asarray(times, dtype=np.float64)
+        p = np.asarray(params, dtype=np.float64)
+        p1, p2, beta = self._split_batch(p)
+        degradation = 1.0 - p[:, -1:] * self.degradation_class.cdf_batch(t, p1)
+        trend = self.trend_class.value_batch(t, beta)
+        return degradation, trend * self.recovery_class.cdf_batch(t, p2)
 
     def prediction_jacobian_batch(
         self, times: FloatArray, params: FloatArray
     ) -> FloatArray:
-        """Row by row through :meth:`prediction_jacobian`: the mixture's
-        stacked form has no ``∂P/∂w`` column."""
-        return ResilienceModel.prediction_jacobian_batch(self, times, params)
-
-    def components(self, times: ArrayLike) -> tuple[FloatArray, FloatArray]:
-        """Degradation (``1 − w·F₁``) and recovery (``a₂·F₂``) terms."""
-        t = self._as_times(times)
-        mixture_params, w = self._split_partial(self.params)
-        p1, p2, beta = self._split(mixture_params)
-        f1 = self.degradation_class.from_vector(p1)
-        f2 = self.recovery_class.from_vector(p2)
-        return 1.0 - w * f1.cdf(t), self.trend_class.value(t, beta) * f2.cdf(t)
+        """The mixture's closed form with the ``F₁`` block scaled by
+        ``w`` and a trailing ``∂P/∂w = −F₁(t)`` column."""
+        if not self.has_analytic_jacobian:
+            return ResilienceModel.prediction_jacobian_batch(self, times, params)
+        t = np.asarray(times, dtype=np.float64)
+        p = np.asarray(params, dtype=np.float64)
+        p1, p2, beta = self._split_batch(p)
+        w = p[:, -1:, np.newaxis]
+        trend = self.trend_class.value_batch(t, beta)
+        return np.concatenate(
+            [
+                -w * self.degradation_class.cdf_gradient_batch(t, p1),
+                trend[:, :, np.newaxis] * self.recovery_class.cdf_gradient_batch(t, p2),
+                (
+                    self.trend_class.beta_gradient_batch(t, beta)
+                    * self.recovery_class.cdf_batch(t, p2)
+                )[:, :, np.newaxis],
+                -self.degradation_class.cdf_batch(t, p1)[:, :, np.newaxis],
+            ],
+            axis=2,
+        )
 
     def initial_guesses(self, curve: ResilienceCurve) -> list[tuple[float, ...]]:
         """The mixture's seeds, extended with amplitude candidates.

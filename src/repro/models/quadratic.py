@@ -9,11 +9,9 @@ Eq. (2) and the area under the curve of Eq. (3).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro._typing import ArrayLike, FloatArray
+from repro._typing import FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.hazards.quadratic import QuadraticHazard
 from repro.models.base import ResilienceModel
@@ -43,24 +41,7 @@ class QuadraticResilienceModel(ResilienceModel):
     def upper_bounds(self) -> tuple[float, ...]:
         return (10.0, 0.0, 10.0)
 
-    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
-        t = self._as_times(times)
-        alpha, beta, gamma = params
-        return alpha + beta * t + gamma * t * t
-
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return True
-
-    def prediction_jacobian(
-        self, times: ArrayLike, params: Sequence[float] | None = None
-    ) -> FloatArray:
-        """``∂P/∂(α, β, γ) = (1, t, t²)`` — the model is linear in θ."""
-        t = self._as_times(times)
-        return np.stack([np.ones_like(t), t, t * t], axis=1)
-
     def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
-        """Vectorized over problems: one expression for the whole stack."""
         t = np.asarray(times, dtype=np.float64)
         p = np.asarray(params, dtype=np.float64)
         alpha = p[:, :1]
@@ -68,9 +49,14 @@ class QuadraticResilienceModel(ResilienceModel):
         gamma = p[:, 2:3]
         return alpha + beta * t + gamma * t * t
 
+    @property
+    def has_analytic_jacobian(self) -> bool:
+        return True
+
     def prediction_jacobian_batch(
         self, times: FloatArray, params: FloatArray
     ) -> FloatArray:
+        """``∂P/∂(α, β, γ) = (1, t, t²)`` — the model is linear in θ."""
         t = np.asarray(times, dtype=np.float64)
         return np.stack([np.ones_like(t), t, t * t], axis=2)
 

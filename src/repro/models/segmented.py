@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._typing import ArrayLike, FloatArray
+from repro._typing import FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ParameterError
 from repro.models.base import ResilienceModel
@@ -103,11 +103,15 @@ class SegmentedBathtubModel(ResilienceModel):
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, times: ArrayLike, params: Sequence[float]) -> FloatArray:
-        t = self._as_times(times)
-        p1, p2, changepoint = self._split(params)
-        first = self._episode_family.evaluate(t, p1)
-        second = self._episode_family.evaluate(np.maximum(t - changepoint, 0.0), p2)
+    def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
+        t = np.asarray(times, dtype=np.float64)
+        p = np.asarray(params, dtype=np.float64)
+        k = self._episode_family.n_params
+        changepoint = p[:, 2 * k : 2 * k + 1]
+        first = self._episode_family.evaluate_batch(t, p[:, :k])
+        second = self._episode_family.evaluate_batch(
+            np.maximum(t - changepoint, 0.0), p[:, k : 2 * k]
+        )
         return np.where(t < changepoint, first, second)
 
     def episodes(self) -> tuple[ResilienceModel, ResilienceModel, float]:

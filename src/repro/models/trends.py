@@ -47,49 +47,40 @@ class TransitionTrend(abc.ABC):
     beta_lower_bound: ClassVar[float] = -1e3
     beta_upper_bound: ClassVar[float] = 1e3
 
-    @staticmethod
+    @classmethod
     @abc.abstractmethod
-    def value(times: ArrayLike, beta: float) -> FloatArray:
-        """Trend value ``a₂(t)`` at *times* for coefficient *beta*."""
+    def value_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
+        """Trend values ``a₂(t)`` of a stack of problems: row ``b`` is
+        the trend at ``times[b]`` for coefficient ``betas[b]``.
 
-    @staticmethod
+        *times* has shape ``(B, n)``, *betas* shape ``(B,)``; the result
+        is ``(B, n)``.
+        """
+
+    @classmethod
     @abc.abstractmethod
-    def beta_gradient(times: ArrayLike, beta: float) -> FloatArray:
-        """Derivative ``∂a₂(t)/∂β`` at *times*.
+    def beta_gradient_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
+        """Derivatives ``∂a₂(t)/∂β``, shapes as in :meth:`value_batch`.
 
         Every trend is smooth in β, so this feeds the analytic mixture
         Jacobian (``∂P/∂β = (∂a₂/∂β)·F₂``) used by the fit engine.
         """
 
-    # ------------------------------------------------------------------
-    # Batched evaluation — row ``b`` of *times*/*betas* is one problem.
-    # The base implementations loop over rows so any registered trend
-    # works with the batched fit engine; the four built-in trends
-    # override with single vectorized expressions.
-    # ------------------------------------------------------------------
     @classmethod
-    def value_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
-        """Stacked :meth:`value`: ``out[b] = value(times[b], betas[b])``.
-
-        *times* has shape ``(B, n)``, *betas* shape ``(B,)``; the result
-        is ``(B, n)``.
-        """
-        t = np.asarray(times, dtype=np.float64)
-        b = np.asarray(betas, dtype=np.float64)
-        out = np.empty(t.shape, dtype=np.float64)
-        for row in range(t.shape[0]):
-            out[row] = cls.value(t[row], float(b[row]))
-        return out
+    def value(cls, times: ArrayLike, beta: float) -> FloatArray:
+        """Trend value ``a₂(t)`` at *times*: the one-row
+        :meth:`value_batch`."""
+        t = as_float_array(times, "times")
+        return cls.value_batch(t[np.newaxis], np.array([beta], dtype=np.float64))[0]
 
     @classmethod
-    def beta_gradient_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
-        """Stacked :meth:`beta_gradient`, shapes as in :meth:`value_batch`."""
-        t = np.asarray(times, dtype=np.float64)
-        b = np.asarray(betas, dtype=np.float64)
-        out = np.empty(t.shape, dtype=np.float64)
-        for row in range(t.shape[0]):
-            out[row] = cls.beta_gradient(t[row], float(b[row]))
-        return out
+    def beta_gradient(cls, times: ArrayLike, beta: float) -> FloatArray:
+        """Derivative ``∂a₂(t)/∂β`` at *times*: the one-row
+        :meth:`beta_gradient_batch`."""
+        t = as_float_array(times, "times")
+        return cls.beta_gradient_batch(
+            t[np.newaxis], np.array([beta], dtype=np.float64)
+        )[0]
 
     @classmethod
     def default_beta(cls, final_performance: float, final_time: float) -> float:
@@ -113,16 +104,6 @@ class ConstantTrend(TransitionTrend):
 
     name: ClassVar[str] = "constant"
 
-    @staticmethod
-    def value(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return np.full_like(t, beta)
-
-    @staticmethod
-    def beta_gradient(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return np.ones_like(t)
-
     @classmethod
     def value_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
         t = np.asarray(times, dtype=np.float64)
@@ -143,15 +124,6 @@ class LinearTrend(TransitionTrend):
     """``a₂(t) = β·t`` — recovery grows linearly."""
 
     name: ClassVar[str] = "linear"
-
-    @staticmethod
-    def value(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return beta * t
-
-    @staticmethod
-    def beta_gradient(times: ArrayLike, beta: float) -> FloatArray:
-        return as_float_array(times, "times").copy()
 
     @classmethod
     def value_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
@@ -177,16 +149,6 @@ class ExponentialTrend(TransitionTrend):
     # Tight bounds: e^{βt} explodes quickly over 48-month windows.
     beta_lower_bound: ClassVar[float] = -1.0
     beta_upper_bound: ClassVar[float] = 1.0
-
-    @staticmethod
-    def value(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return safe_exp(beta * t)
-
-    @staticmethod
-    def beta_gradient(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return t * safe_exp(beta * t)
 
     @classmethod
     def value_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:
@@ -216,16 +178,6 @@ class LogTrend(TransitionTrend):
     """
 
     name: ClassVar[str] = "log"
-
-    @staticmethod
-    def value(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return beta * np.log(np.maximum(t, _LOG_TIME_FLOOR))
-
-    @staticmethod
-    def beta_gradient(times: ArrayLike, beta: float) -> FloatArray:
-        t = as_float_array(times, "times")
-        return np.log(np.maximum(t, _LOG_TIME_FLOOR))
 
     @classmethod
     def value_batch(cls, times: FloatArray, betas: FloatArray) -> FloatArray:

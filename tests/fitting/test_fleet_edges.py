@@ -12,7 +12,7 @@ of surfacing later as a shape error.
 import numpy as np
 import pytest
 
-from repro._typing import ArrayLike, FloatArray
+from repro._typing import FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.datasets.store import EpisodeStore, EpisodeStoreWriter
 from repro.exceptions import ConvergenceError, DataError
@@ -40,10 +40,6 @@ class ExplodingModel(QuadraticResilienceModel):
     """Predictions of ~1e200 make every start's SSE overflow to inf."""
 
     name = "exploding"
-
-    def evaluate(self, times: ArrayLike, params) -> FloatArray:
-        t = self._as_times(times)
-        return np.full_like(t, 1e200)
 
     def evaluate_batch(self, times: FloatArray, params: FloatArray) -> FloatArray:
         t = np.asarray(times, dtype=np.float64)

@@ -117,12 +117,10 @@ class _PocketModel(ResilienceModel):
     def upper_bounds(self):
         return (10.0,)
 
-    def evaluate(self, times, params):
-        t = self._as_times(times)
-        (a,) = params
-        if a > 5.0:
-            return np.full_like(t, np.nan)
-        return a * t
+    def evaluate_batch(self, times, params):
+        t = np.asarray(times, dtype=np.float64)
+        a = np.asarray(params, dtype=np.float64)[:, :1]
+        return np.where(a > 5.0, np.nan, a * t)
 
     def initial_guesses(self, curve):
         return [(8.0,)]

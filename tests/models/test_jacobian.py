@@ -224,5 +224,5 @@ class TestNumericFallback:
         model = MixtureResilienceModel("wei", "exp")
         rng = np.random.default_rng(3)
         vector = _random_feasible(model, rng)
-        numeric = ResilienceModel.prediction_jacobian(model, TIMES, vector)
+        numeric = model._numeric_prediction_jacobian(TIMES, vector)
         assert _relative_error(model, vector, numeric) < 1e-4

@@ -43,7 +43,7 @@ def test_no_public_surface_drift():
 
 
 def test_version_matches_package_metadata():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 def test_entry_modules_do_not_import_scipy_stats():
