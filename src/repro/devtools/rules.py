@@ -280,6 +280,11 @@ def default_config() -> LintConfig:
                 "_connections", frozenset({"_accept", "_forget_connection"})
             ),
             SharedStateSpec("_forecasters", frozenset({"register", "unregister"})),
+            # A stream's read memo: emptied on every state write, filled
+            # only on a read's miss.
+            SharedStateSpec(
+                "_read_memo", frozenset({"_invalidate_reads", "_remember"})
+            ),
         ),
         kernel_prefixes=(
             "src/repro/fitting/batched.py",

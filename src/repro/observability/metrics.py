@@ -29,9 +29,12 @@ from repro.utils.tables import format_table
 __all__ = ["MetricsRegistry", "PERCENTILE_WINDOW", "TIMER_BUCKETS"]
 
 #: Upper edges (seconds) of the histogram buckets; the final implicit
-#: bucket is +inf. Log-spaced so both a 0.5 ms cache hit and a 30 s
-#: grid land in an informative bin.
-TIMER_BUCKETS: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0)
+#: bucket is +inf. One per decade from 1 µs to 100 s, so a 20 µs
+#: memoized read, a 0.3 ms forecast and a 30 s grid each land in an
+#: informative bin.
+TIMER_BUCKETS: tuple[float, ...] = (
+    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0
+)
 
 #: Observations each histogram retains for exact percentiles. Beyond
 #: this the window slides (oldest dropped), so quantiles reflect the

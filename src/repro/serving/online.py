@@ -30,6 +30,16 @@ configuration of a one-shot :func:`~repro.fitting.fit_least_squares`
 call, so a fully replayed curve reproduces the batch optimum
 bit-identically.
 
+Reads are memoized per state. A stream's reads depend only on its
+observations and its fit, so :class:`OnlineForecaster` keeps one read
+memo for its current state: its last forecast, its last report (each
+with the arguments it was made for) and the observed-curve metric
+report. Every write to the state (``observe_many``, ``adopt_fit``,
+``install_fit``, ``finalize``) empties it. A result is kept only once
+it is encoded as strict JSON (:attr:`Forecast.json_text`), so a
+repeated read is answered without evaluating the model or encoding
+anything.
+
 The serving layer accepts engine configuration *only* as an
 :class:`~repro.fitting.EngineOptions` bundle, resolved once at
 construction so every refit shares the same cache/tracer/executor.
@@ -37,10 +47,12 @@ construction so every refit shares the same cache/tracer/executor.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -63,6 +75,11 @@ from repro.models.registry import make_model
 from repro.validation.intervals import ConfidenceBand, confidence_band
 
 __all__ = ["Forecast", "ForecastReport", "OnlineForecaster", "RefitPolicy"]
+
+#: ``json.dumps(..., allow_nan=False)`` as one shared encoder (``NaN``
+#: and ``±inf`` raise ``ValueError``): ``json.dumps`` builds a new
+#: encoder per call for any non-default argument.
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -134,12 +151,21 @@ class Forecast:
             # updates whose refit() call did.
             "refit": False,
             "recovery_time": self.recovery_time,
-            "times": [float(t) for t in self.times],
-            "center": [float(v) for v in self.band.center],
-            "lower": [float(v) for v in self.band.lower],
-            "upper": [float(v) for v in self.band.upper],
+            "times": list(self.times),
+            "center": self.band.center.tolist(),
+            "lower": self.band.lower.tolist(),
+            "upper": self.band.upper.tolist(),
             "confidence": float(self.band.confidence),
         }
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """:meth:`to_dict` as strict JSON, encoded on first use and kept.
+
+        Raises ``ValueError`` (and keeps nothing) for a value strict
+        JSON cannot carry, such as a band evaluated far outside the fit.
+        """
+        return _STRICT_JSON.encode(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -161,6 +187,12 @@ class ForecastReport:
             for row in self.metrics.rows
         }
         return payload
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """:meth:`to_dict` as strict JSON, encoded on first use and kept
+        (see :attr:`Forecast.json_text`)."""
+        return _STRICT_JSON.encode(self.to_dict())
 
     def to_table(self) -> str:
         """The metric table, headed by the fit summary."""
@@ -290,6 +322,11 @@ class OnlineForecaster:
         self._curve_cache: ResilienceCurve | None = None
         self._fit: FitResult | None = None
         self._fit_n = 0
+        #: The read memo of the current state: entry name → ``(args,
+        #: value)``. Emptied by :meth:`_invalidate_reads` on every write
+        #: to the state and filled only by :meth:`_remember`, so it
+        #: holds at most one forecast, one report and one metric report.
+        self._read_memo: dict[str, tuple[tuple[Any, ...], Any]] = {}
         #: Plain counters, always maintained (the tracer's metrics
         #: registry mirrors them when tracing is enabled).
         self.stats: dict[str, int] = {
@@ -319,6 +356,7 @@ class OnlineForecaster:
         self._times.extend(t for t, _ in batch)
         self._performance.extend(p for _, p in batch)
         self._curve_cache = None
+        self._invalidate_reads()
         self.stats["observations"] += len(batch)
         if self._tracer.enabled:
             self._tracer.metrics.inc("serving.observations", len(batch))
@@ -375,6 +413,49 @@ class OnlineForecaster:
     def pending(self) -> int:
         """Observations received since the current fit."""
         return len(self._times) - self._fit_n
+
+    # ------------------------------------------------------------------
+    # Read memo
+    # ------------------------------------------------------------------
+    def _invalidate_reads(self) -> None:
+        """Empty the read memo; every write to the stream's state calls this."""
+        self._read_memo = {}
+
+    def _recall(self, name: str, args: tuple[Any, ...]) -> Any:
+        """The memo's *name* value if it was made for *args*, else ``None``."""
+        entry = self._read_memo.get(name)
+        if entry is None or entry[0] != args:
+            return None
+        return entry[1]
+
+    def _remember(self, name: str, args: tuple[Any, ...], value: Any) -> Any:
+        """Keep *value* as the memo's *name* entry for *args*; return it."""
+        self._read_memo[name] = (args, value)
+        return value
+
+    def _memo_read(self, op: str, compute: Callable[..., Any], *args: Any) -> Any:
+        """The last *op* result if it was made for *args* in this state,
+        else ``compute(*args)``, encoded and kept in its place.
+
+        A result that strict JSON cannot carry is kept nowhere, so each
+        ask computes it again. A repeat counts the forecast the read
+        would have made (a report makes one too). With tracing on, the
+        tracer's metrics count ``serving.read_memo.hits`` and
+        ``.misses``.
+        """
+        value = self._recall(op, args)
+        if self._tracer.enabled:
+            outcome = "misses" if value is None else "hits"
+            self._tracer.metrics.inc(f"serving.read_memo.{outcome}")
+        if value is not None:
+            self._count_forecast()
+            return value
+        value = compute(*args)
+        try:
+            value.json_text  # encoded once, kept with the result
+        except ValueError:
+            return value
+        return self._remember(op, args, value)
 
     # ------------------------------------------------------------------
     # Refit machinery
@@ -437,6 +518,7 @@ class OnlineForecaster:
         """Install a fit solved from *plan*."""
         self._fit = fit
         self._fit_n = len(plan.curve)
+        self._invalidate_reads()
         self.stats[f"refits_{plan.kind}"] += 1
         if self._tracer.enabled:
             self._tracer.metrics.inc(f"serving.refit.{plan.kind}")
@@ -455,6 +537,7 @@ class OnlineForecaster:
             self._family = family
         self._fit = fit
         self._fit_n = len(self._times)
+        self._invalidate_reads()
 
     def refit(self) -> FitResult:
         """Solve the refit the policy wants, if any; return the current fit.
@@ -504,7 +587,16 @@ class OnlineForecaster:
         refit is due: freshness is the job of :meth:`refit`, the
         session's refit ticks and the remediation loop. Raises
         :class:`~repro.exceptions.ServingError` before the first fit.
+
+        A repeat of the last forecast's arguments in the same state
+        returns that forecast again, without evaluating the model;
+        treat it as read-only.
         """
+        return self._memo_read(
+            "forecast", self._forecast, horizon, n_points, confidence
+        )
+
+    def _forecast(self, horizon: float, n_points: int, confidence: float) -> Forecast:
         if not (math.isfinite(horizon) and horizon > 0.0):
             raise ServingError(f"horizon must be positive and finite, got {horizon}")
         if n_points < 2:
@@ -520,9 +612,10 @@ class OnlineForecaster:
         band = confidence_band(
             fit.predict(future), fit.sse, self._fit_n, confidence=confidence
         )
-        self.stats["forecasts"] += 1
-        if self._tracer.enabled:
-            self._tracer.metrics.inc("serving.forecasts")
+        # A repeat hands out this same forecast, so no caller may edit it.
+        for values in (band.center, band.lower, band.upper):
+            values.flags.writeable = False
+        self._count_forecast()
         return Forecast(
             key=self.key,
             model_name=fit.model.name,
@@ -530,10 +623,15 @@ class OnlineForecaster:
             sse=fit.sse,
             n_observations=len(self._times),
             n_fit=self._fit_n,
-            times=tuple(float(t) for t in future),
+            times=tuple(future.tolist()),
             band=band,
             recovery_time=self._recovery_time(fit),
         )
+
+    def _count_forecast(self) -> None:
+        self.stats["forecasts"] += 1
+        if self._tracer.enabled:
+            self._tracer.metrics.inc("serving.forecasts")
 
     def _recovery_time(self, fit: FitResult) -> float | None:
         curve = self.curve
@@ -555,19 +653,33 @@ class OnlineForecaster:
 
         The metrics treat the whole observed window as the predictive
         interval (split at the first observation), comparing the model's
-        trajectory against everything seen so far. *horizon* defaults to
-        half the observed duration (at least one time unit). Serves
-        the incumbent fit, like :meth:`forecast`.
+        trajectory against everything seen so far, so they are computed
+        once per state (and *alpha*). *horizon* defaults to half the
+        observed duration (at least one time unit). Serves the
+        incumbent fit and repeats like :meth:`forecast`.
         """
+        return self._memo_read(
+            "report", self._report, horizon, n_points, confidence, alpha
+        )
+
+    def _report(
+        self, horizon: float | None, n_points: int, confidence: float, alpha: float
+    ) -> ForecastReport:
         curve = self.curve
         if horizon is None:
             horizon = max(curve.duration / 2.0, 1.0)
-        forecast = self.forecast(horizon, n_points=n_points, confidence=confidence)
+        forecast = self._forecast(horizon, n_points, confidence)
         fit = self._fit
         assert fit is not None
-        metrics = predictive_metric_report(
-            fit.model, curve, float(curve.times[0]), alpha=alpha
-        )
+        metrics = self._recall("metrics", (alpha,))
+        if metrics is None:
+            metrics = self._remember(
+                "metrics",
+                (alpha,),
+                predictive_metric_report(
+                    fit.model, curve, float(curve.times[0]), alpha=alpha
+                ),
+            )
         return ForecastReport(forecast=forecast, metrics=metrics)
 
     # ------------------------------------------------------------------
@@ -585,4 +697,5 @@ class OnlineForecaster:
         fit = fit_least_squares(self._family, self.curve, options=self._fit_options)
         self._fit = fit
         self._fit_n = len(self._times)
+        self._invalidate_reads()
         return fit

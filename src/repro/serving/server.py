@@ -44,6 +44,13 @@ Design rules, in order of importance:
   number field that is present but not a number (a bool, a string or
   ``null``); a result that cannot be encoded as strict JSON is
   answered, in its place, with a typed 400 instead.
+* **A repeated read costs what its answer costs.** A stream answers
+  a repeat of its last ``forecast`` or ``report`` in the same state
+  from its read memo (:class:`~repro.serving.online.OnlineForecaster`),
+  and a result is encoded once
+  (:attr:`~repro.serving.online.Forecast.json_text`); the response
+  line splices that text in, byte for byte what encoding the whole
+  response would write.
 """
 
 from __future__ import annotations
@@ -71,7 +78,13 @@ from repro.serving.errors import (
     StreamNotFound,
     error_code,
 )
-from repro.serving.online import OnlineForecaster, RefitPolicy
+from repro.serving.online import (
+    _STRICT_JSON,
+    Forecast,
+    ForecastReport,
+    OnlineForecaster,
+    RefitPolicy,
+)
 from repro.serving.remediation import RemediationLoop
 from repro.serving.session import ForecastSession, PlannedRefit
 
@@ -210,6 +223,36 @@ class ServerConfig:
     def replace(self, **changes: Any) -> "ServerConfig":
         """A copy with *changes* applied."""
         return dataclasses.replace(self, **changes)
+
+
+def _strict_json(op: str, result: Any) -> str:
+    """*result* encoded as strict JSON; a forecast or report is encoded
+    once per result object.
+
+    A result that strict JSON cannot carry (``NaN`` or ``±inf``, as a
+    model evaluated far outside its fit can produce) is answered in its
+    place with a typed 400, like a non-finite observation.
+    """
+    try:
+        if isinstance(result, (Forecast, ForecastReport)):
+            return result.json_text
+        return _STRICT_JSON.encode(result)
+    except ValueError as exc:
+        raise ServingError(
+            f"op {op!r} produced a result that is not valid JSON: {exc}"
+        ) from exc
+
+
+def _response_line(
+    head: dict[str, Any], result: str | None, tail: dict[str, Any]
+) -> bytes:
+    """``json.dumps({**head, "result": result, **tail})`` and a newline,
+    as bytes, with *result* spliced in as the JSON text it already is
+    (no ``result`` key when it is ``None``)."""
+    text = _STRICT_JSON.encode(head)[:-1]
+    if result is not None:
+        text += ', "result": ' + result
+    return (text + ", " + _STRICT_JSON.encode(tail)[1:] + "\n").encode()
 
 
 def _error_body(exc: BaseException) -> dict[str, Any]:
@@ -516,10 +559,8 @@ class ForecastServer:
                         f"{self.config.max_request_bytes} bytes"
                     )
                     self._count_error(oversize)
-                    await self._write(
-                        writer,
-                        {"id": None, "ok": False, "error": _error_body(oversize)},
-                    )
+                    body = {"id": None, "ok": False, "error": _error_body(oversize)}
+                    await self._write(writer, json.dumps(body).encode() + b"\n")
                     break
                 if not line:
                     break
@@ -536,46 +577,24 @@ class ForecastServer:
             except (ConnectionResetError, BrokenPipeError):  # repro-lint: disable=R6
                 pass  # benign teardown race: the client closed first
 
-    async def _write(
-        self, writer: asyncio.StreamWriter, payload: dict[str, Any]
-    ) -> None:
-        writer.write(self._encode(payload))
+    async def _write(self, writer: asyncio.StreamWriter, line: bytes) -> None:
+        writer.write(line)
         # Backpressure: a consumer that stops reading suspends this
         # connection's processing here instead of growing the buffer.
         await writer.drain()
 
-    def _encode(self, response: dict[str, Any]) -> bytes:
-        """One response line of strict JSON.
+    async def _handle_line(self, line: bytes) -> bytes:
+        """The response line to one request line: strict JSON and a newline.
 
-        A result that strict JSON cannot carry (``NaN`` or ``±inf``, as
-        a model evaluated far outside its fit can produce) is answered
-        in its place with a typed 400, like a non-finite observation.
+        The result is encoded inside the timed span, so ``elapsed_ms``
+        covers it; a ``forecast`` or ``report`` the stream's read memo
+        answers is not encoded again.
         """
-        try:
-            text = json.dumps(response, allow_nan=False)
-        except ValueError as exc:
-            error = ServingError(
-                f"op {response.get('op')!r} produced a result that is not "
-                f"valid JSON: {exc}"
-            )
-            self._count_error(error)
-            fallback = {
-                "id": response.get("id"),
-                "ok": False,
-                "op": response.get("op"),
-                "error": _error_body(error),
-            }
-            for name in ("elapsed_ms", "deadline_exceeded"):
-                if name in response:
-                    fallback[name] = response[name]
-            text = json.dumps(fallback, allow_nan=False)
-        return text.encode("utf-8") + b"\n"
-
-    async def _handle_line(self, line: bytes) -> dict[str, Any]:
         start = time.perf_counter()
         request_id: Any = None
         deadline: float | None = None
         op = "?"
+        result: str | None = None
         try:
             request = _parse_request(line)
             if not isinstance(request, dict):
@@ -590,16 +609,11 @@ class ForecastServer:
                 raise ProtocolError(
                     f"unknown op {op!r}; supported: {', '.join(SERVER_OPS)}"
                 )
-            result = await self._dispatch(op, request)
-            response: dict[str, Any] = {
-                "id": request_id,
-                "ok": True,
-                "op": op,
-                "result": result,
-            }
+            result = _strict_json(op, await self._dispatch(op, request))
+            head: dict[str, Any] = {"id": request_id, "ok": True, "op": op}
         except ReproError as exc:
             self._count_error(exc)
-            response = {
+            head = {
                 "id": request_id,
                 "ok": False,
                 "op": op,
@@ -607,14 +621,14 @@ class ForecastServer:
             }
         elapsed_s = time.perf_counter() - start
         elapsed_ms = elapsed_s * 1e3
-        response["elapsed_ms"] = round(elapsed_ms, 4)
+        tail: dict[str, Any] = {"elapsed_ms": round(elapsed_ms, 4)}
         if deadline is not None:
-            response["deadline_exceeded"] = elapsed_ms > deadline
+            tail["deadline_exceeded"] = elapsed_ms > deadline
         self.metrics.inc("serve.requests")
         # Seconds, like every timer: the registry's buckets are in s.
         self.metrics.observe("serve.latency_s", elapsed_s)
         self.metrics.observe(f"serve.latency_s.{op}", elapsed_s)
-        return response
+        return _response_line(head, result, tail)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -694,7 +708,7 @@ class ForecastServer:
             "ready": forecaster.ready,
         }
 
-    async def _op_forecast(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
+    async def _op_forecast(self, key: str, request: dict[str, Any]) -> Forecast:
         horizon = _number(request, "horizon", self.config.default_horizon)
         n_points = request.get("n_points", 25)
         # JSON true/false arrive as the ints 1 and 0: the range rejects them.
@@ -709,16 +723,14 @@ class ForecastServer:
                 f"'confidence' must be a number in (0, 1), got {confidence!r}"
             )
         forecaster = await self._ensure_first_fit(key)
-        forecast = forecaster.forecast(
+        return forecaster.forecast(
             float(horizon), n_points=n_points, confidence=float(confidence)
         )
-        return forecast.to_dict()
 
-    async def _op_report(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
+    async def _op_report(self, key: str, request: dict[str, Any]) -> ForecastReport:
         horizon = _number(request, "horizon")
         forecaster = await self._ensure_first_fit(key)
-        report = forecaster.report(horizon=None if horizon is None else float(horizon))
-        return report.to_dict()
+        return forecaster.report(horizon=None if horizon is None else float(horizon))
 
     # ------------------------------------------------------------------
     # First-fit admission

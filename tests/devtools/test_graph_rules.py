@@ -103,6 +103,21 @@ class TestLockDiscipline:
         )
         assert findings == []
 
+    def test_read_memo_writes_outside_its_funnels_are_flagged(self):
+        # The project's own spec: only the invalidation method and the
+        # fill path may write a stream's read memo.
+        (spec,) = [
+            s for s in default_config().shared_state if s.attr == "_read_memo"
+        ]
+        assert spec.allowed == {"_invalidate_reads", "_remember"}
+        findings = lint_graph(
+            "r8_memo_bad.py",
+            LockDisciplineRule,
+            graph_config(shared_state=(spec,)),
+        )
+        flagged = sorted(f.message.split(" mutated in ")[1].split()[0] for f in findings)
+        assert flagged == ["Stream.forecast", "Stream.forget_report", "Stream.observe"]
+
     def test_init_is_always_a_funnel(self):
         # Both fixtures assign self._streams in __init__; neither run
         # reports it (only evict's out-of-funnel pop is flagged).

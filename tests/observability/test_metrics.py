@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import TIMER_BUCKETS, MetricsRegistry
 
 
 class TestCounters:
@@ -35,13 +35,24 @@ class TestHistograms:
 
     def test_bucket_counts(self):
         registry = MetricsRegistry()
-        for value in (0.0005, 0.005, 0.5, 50.0):
+        for value in (0.0005, 0.005, 0.5, 500.0):
             registry.observe("seconds", value)
         buckets = registry.snapshot()["histograms"]["seconds"]["buckets"]
         # One observation each in <=1ms, <=10ms, <=1s, and the +inf tail.
         assert sum(buckets) == 4
-        assert buckets[0] == 1  # 0.5 ms <= 1 ms edge
-        assert buckets[-1] == 1  # 50 s beyond the last edge
+        assert buckets[TIMER_BUCKETS.index(0.001)] == 1  # 0.5 ms <= 1 ms edge
+        assert buckets[-1] == 1  # 500 s beyond the last edge
+
+    def test_edges_are_decades_from_a_microsecond_to_100_s(self):
+        assert TIMER_BUCKETS == tuple(10.0**k for k in range(-6, 3))
+
+    def test_a_memoized_read_and_a_computed_one_land_apart(self):
+        registry = MetricsRegistry()
+        for value in (20e-6, 300e-6):
+            registry.observe("seconds", value)
+        buckets = registry.snapshot()["histograms"]["seconds"]["buckets"]
+        assert buckets[TIMER_BUCKETS.index(1e-4)] == 1  # 20 µs <= 0.1 ms
+        assert buckets[TIMER_BUCKETS.index(1e-3)] == 1  # 0.3 ms <= 1 ms
 
     def test_timer_records_duration(self):
         registry = MetricsRegistry()

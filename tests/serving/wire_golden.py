@@ -6,8 +6,9 @@ the wire:
 * ``serve_transcript.jsonl`` — the responses of :func:`run_transcript`,
   a 60-request script (register, observe, forecast, drift, report,
   stats and unregister on three ``episode_curve`` streams) driven
-  through ``ForecastServer._handle_line`` in process, with five
-  ``refit_tick()`` calls between requests;
+  through ``ForecastServer._handle_line`` in process, as read back
+  from the response lines it writes, with five ``refit_tick()`` calls
+  between requests;
 * ``serve_replay_1980.jsonl`` — the output of
   ``repro serve-replay 1980 --model quadratic --every 3 --points 4
   --no-cache``.
@@ -161,7 +162,8 @@ async def _drive() -> list[dict[str, Any]]:
             records.append({"tick": ticks, "adopted": sorted(adopted)})
             continue
         line = json.dumps(step).encode("utf-8")
-        records.append(_strip_timings(await server._handle_line(line)))
+        # The record is the line the server writes to the connection.
+        records.append(_strip_timings(json.loads(await server._handle_line(line))))
     return records
 
 
